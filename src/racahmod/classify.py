@@ -21,7 +21,7 @@ computations.
 
 from __future__ import annotations
 
-import concurrent.futures
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +30,7 @@ from .constructions import build_from_sequence
 from .exact import SqrtRational, binomial, factorial, rref, solve_columns
 from .gmod import GRep
 from .sl2 import TensorVector, iota
-from .wigner import cgc, delta, sixj, triangle
+from .wigner import cgc, delta, sixj, sixj_tuples, sweep, triangle
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -124,12 +124,7 @@ def _graded_span_components(members: list[tuple[int, tuple[Fraction, ...]]]) -> 
     by_weight: dict[int, list] = {}
     for w, vec in members:
         by_weight.setdefault(w, []).append(vec)
-    dims = {w: len(rref(vecs)[0]) for w, vecs in by_weight.items()}
-    out = set()
-    for k in (w for w in dims if w >= 0):
-        if dims.get(k, 0) - dims.get(k + 2, 0) > 0:
-            out.add(k)
-    return out
+    return set(sl2.constituents({w: len(rref(vecs)[0]) for w, vecs in by_weight.items()}))
 
 
 def compute_I_J(
@@ -226,21 +221,15 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
     """
     _require_four_triangles(a, b, c, p, q, k)
     x1 = (p + q - k) // 2
-    outer = [
-        Fraction((-1) ** r1 * binomial(x1, r1), binomial(x1 + k, p - r1))
-        for r1 in range(x1 + 1)
-    ]
     left = _f_power_images(iota(p, a, b), x1)
     right = _f_power_images(iota(q, b, c), x1)
     phi: dict[tuple[int, int], Fraction] = {}
-    for r1, coeff in enumerate(outer):
-        if coeff == 0:
-            continue
+    for (r1, r2), coeff in iota(k, p, q).coeffs.items():
         for (i, r), ca in left[r1].items():
             if ca == 0:
                 continue
             t_needed = b - r
-            for (t, n), cb in right[x1 - r1].items():
+            for (t, n), cb in right[r2].items():
                 if t != t_needed or cb == 0:
                     continue
                 sign = -1 if r & 1 else 1
@@ -352,15 +341,9 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
 def _triple_tensor_lhs(a, b, c, k, p) -> dict:
     """Coefficients of (iota_p^{a,b} tensor 1) after iota_k^{p,c} on e_k."""
     x = (p + c - k) // 2
-    outer = [
-        Fraction((-1) ** r * binomial(x, r), binomial(x + k, p - r)) for r in range(x + 1)
-    ]
     left = _f_power_images(iota(p, a, b), x)
     out: dict[tuple[int, int, int], Fraction] = {}
-    for r, coeff in enumerate(outer):
-        if coeff == 0:
-            continue
-        s = x - r
+    for (r, s), coeff in iota(k, p, c).coeffs.items():
         for (i, j), cv in left[r].items():
             if cv:
                 key = (i, j, s)
@@ -371,15 +354,10 @@ def _triple_tensor_lhs(a, b, c, k, p) -> dict:
 def _triple_tensor_rhs(a, b, c, k, q) -> dict:
     """Coefficients of (1 tensor iota_q^{b,c}) after iota_k^{a,q} on e_k."""
     x = (a + q - k) // 2
-    outer = [
-        Fraction((-1) ** r * binomial(x, r), binomial(x + k, a - r)) for r in range(x + 1)
-    ]
     right = _f_power_images(iota(q, b, c), x)
     out: dict[tuple[int, int, int], Fraction] = {}
-    for r, coeff in enumerate(outer):
-        if coeff == 0:
-            continue
-        for (j, l), cv in right[x - r].items():
+    for (r, s), coeff in iota(k, a, q).coeffs.items():
+        for (j, l), cv in right[s].items():
             if cv:
                 key = (r, j, l)
                 out[key] = out.get(key, Fraction(0)) + coeff * cv
@@ -438,42 +416,25 @@ def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
 # -- sweep drivers ------------------------------------------------------------------
 
 
-def scalar_theorem_tuples(max_val: int):
-    """All (a,b,c,p,q,k) with entries <= max_val passing the four triangles."""
-    for a in range(max_val + 1):
-        for b in range(max_val + 1):
-            for p in range(abs(a - b), min(a + b, max_val) + 1, 2):
-                for c in range(max_val + 1):
-                    for q in range(abs(b - c), min(b + c, max_val) + 1, 2):
-                        lo = max(abs(p - q), abs(a - c))
-                        hi = min(p + q, a + c, max_val)
-                        if (p + q + a + c) % 2:
-                            continue
-                        start = lo if (lo + p + q) % 2 == 0 else lo + 1
-                        for k in range(start, hi + 1, 2):
-                            yield (a, b, c, p, q, k)
+def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, int]]:
+    """All (a,b,c,p,q,k) with entries <= max_val passing the four triangles.
+
+    These are the tuples of {q k p; a b c}, relabelled and listed in the
+    order of (a, b, p, c, q, k).
+    """
+    tuples = [(a, b, c, p, q, k) for q, k, p, a, b, c in sixj_tuples((max_val,) * 6)]
+    return sorted(tuples, key=lambda t: (t[0], t[1], t[3], t[2], t[4], t[5]))
 
 
-def _scalar_chunk(args) -> list[LambdaReport]:
-    a, max_val = args
-    return [
-        verify_scalar_theorem(*t, cross_check_sixj=False)
-        for t in scalar_theorem_tuples(max_val)
-        if t[0] == a
-    ]
+def _scalar_task(tuples) -> list[LambdaReport]:
+    return [verify_scalar_theorem(*t, cross_check_sixj=False) for t in tuples]
 
 
 def verify_scalar_sweep(max_val: int, jobs: int = 1) -> list[LambdaReport]:
     """verify_scalar_theorem over the whole box; deterministic order."""
-    if jobs <= 1:
-        return [
-            verify_scalar_theorem(*t, cross_check_sixj=False)
-            for t in scalar_theorem_tuples(max_val)
-        ]
-    tasks = [(a, max_val) for a in range(max_val + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(_scalar_chunk, tasks))
-    return [report for chunk in chunks for report in chunk]
+    tuples = scalar_theorem_tuples(max_val)
+    tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: t[:2])]
+    return [report for chunk in sweep(_scalar_task, tasks, jobs) for report in chunk]
 
 
 @dataclass(frozen=True)
@@ -517,20 +478,12 @@ def classification_row(
     )
 
 
-def _classification_chunk(args) -> list[ClassificationRow]:
-    m, max_weight = args
-    return [
-        classification_row(*t)
-        for t in classification_tuples(m, max_weight)
-        if t[0] == m
-    ]
+def _classification_task(tuples) -> list[ClassificationRow]:
+    return [classification_row(*t) for t in tuples]
 
 
 def classification_sweep(max_m: int, max_weight: int, jobs: int = 1) -> list[ClassificationRow]:
     """Three-way check of the length-3 classification over the whole box."""
-    if jobs <= 1:
-        return [classification_row(*t) for t in classification_tuples(max_m, max_weight)]
-    tasks = [(m, max_weight) for m in range(1, max_m + 1)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunks = list(pool.map(_classification_chunk, tasks))
-    return [row for chunk in chunks for row in chunk]
+    tuples = classification_tuples(max_m, max_weight)
+    tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: (t[0], t[2]))]
+    return [row for chunk in sweep(_classification_task, tasks, jobs) for row in chunk]

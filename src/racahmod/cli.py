@@ -2,12 +2,14 @@
 
 Every angular momentum is passed as a twice-value (flag --twoj), so all
 inputs are plain integers.  Exit codes: 0 for success or a mathematically
-true result, 1 for a mathematically false/failed result, 2 for usage errors.
+true result, 1 for a mathematically false/failed result, 2 for usage errors
+and malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,37 +19,34 @@ from .exact import rat_to_str
 from .gmod import GRep
 
 
-def _twoj_args(parser: argparse.ArgumentParser, count: int, names: str) -> None:
+def _twoj_args(parser: argparse.ArgumentParser, names: str) -> None:
     parser.add_argument(
         "--twoj",
         type=int,
-        nargs=count,
+        nargs=len(names.split()),
         required=True,
         metavar=tuple(names.split()),
         help=f"twice-values of {names}",
     )
 
 
-def _cmd_sixj(args) -> int:
-    value = wigner.sixj(*args.twoj)
-    if args.format == "json":
-        print(json.dumps({"twoj": args.twoj, "value": str(value)}))
-    else:
-        print(value)
-    return 0
+def _jobs_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=wigner.default_jobs(),
+        help="worker processes, capped at the cores and the tasks; output does not depend on it",
+    )
 
 
-def _cmd_cgc(args) -> int:
-    value = wigner.cgc(*args.twoj)
-    if args.format == "json":
-        print(json.dumps({"twoj": args.twoj, "value": str(value)}))
-    else:
-        print(value)
-    return 0
+def _verdict(ok: bool) -> int:
+    print("true" if ok else "false")
+    return 0 if ok else 1
 
 
-def _cmd_delta(args) -> int:
-    value = wigner.delta(*args.twoj)
+def _cmd_value(args) -> int:
+    """sixj, cgc and delta: the wigner function of the command's name."""
+    value = getattr(wigner, args.command)(*args.twoj)
     if args.format == "json":
         print(json.dumps({"twoj": args.twoj, "value": str(value)}))
     else:
@@ -56,42 +55,38 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    ok = wigner.triangle(*args.twoj)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _verdict(wigner.triangle(*args.twoj))
 
 
-def _need(args, parser, *names) -> list[int]:
+def _need(args, error, *names) -> list[int]:
     vals = []
     for name in names:
         val = getattr(args, name)
         if val is None:
-            parser.error(f"--kind {args.kind} requires --{name}")
+            error(f"--kind {args.kind} requires --{name}")
         vals.append(val)
     return vals
 
 
-def _cmd_realize(args, parser) -> int:
+def _cmd_realize(args, error) -> int:
     kind = args.kind
     if kind == "z":
-        ell, b, m = _need(args, parser, "ell", "b", "m")
+        ell, b, m = _need(args, error, "ell", "b", "m")
         rep = constructions.build_z(ell, b, m)
     elif kind == "zdual":
-        ell, b, m = _need(args, parser, "ell", "b", "m")
+        ell, b, m = _need(args, error, "ell", "b", "m")
         rep = constructions.build_z_dual(ell, b, m)
     elif kind == "len3":
-        m, c = _need(args, parser, "m", "c")
+        m, c = _need(args, error, "m", "c")
         rep = constructions.build_exceptional_len3(m, c)
     elif kind == "zfam":
-        (m,) = _need(args, parser, "m")
+        (m,) = _need(args, error, "m")
         z = Fraction(args.z) if args.z is not None else Fraction(0)
         rep = constructions.build_z_family(m, z)
-    elif kind == "sympow":
-        m, b = _need(args, parser, "m", "b")
+    else:  # argparse restricts --kind to the five choices
+        m, b = _need(args, error, "m", "b")
         pair = constructions.build_symmetric_power(m, b)
         rep = pair.big if args.part == "big" else pair.sub
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown kind {kind}")
     if args.format == "latex":
         print(constructions.grep_to_latex(rep))
     else:
@@ -132,9 +127,7 @@ def _cmd_socle(args) -> int:
 
 
 def _cmd_uniserial(args) -> int:
-    ok = gmod.is_uniserial(_load_grep(getattr(args, "in")))
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _verdict(gmod.is_uniserial(_load_grep(getattr(args, "in"))))
 
 
 def _cmd_admissible(args) -> int:
@@ -196,9 +189,7 @@ def _cmd_verify_classify(args) -> int:
 
 
 def _cmd_recouple(args) -> int:
-    ok = classify.verify_recoupling(*args.twoj)
-    print("true" if ok else "false")
-    return 0 if ok else 1
+    return _verdict(classify.verify_recoupling(*args.twoj))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,20 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sixj", help="evaluate a 6j-symbol")
-    _twoj_args(p, 6, "j1 j2 j3 j4 j5 j6")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("cgc", help="evaluate a Clebsch-Gordan coefficient")
-    _twoj_args(p, 6, "j1 m1 j2 m2 j3 m3")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("delta", help="evaluate a Delta triangle factor")
-    _twoj_args(p, 3, "j1 j2 j3")
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    for name, help_text, names in (
+        ("sixj", "evaluate a 6j-symbol", "j1 j2 j3 j4 j5 j6"),
+        ("cgc", "evaluate a Clebsch-Gordan coefficient", "j1 m1 j2 m2 j3 m3"),
+        ("delta", "evaluate a Delta triangle factor", "j1 j2 j3"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _twoj_args(p, names)
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("triangle", help="test the triangle condition")
-    _twoj_args(p, 3, "a b c")
+    _twoj_args(p, "a b c")
+    p.set_defaults(func=_cmd_triangle)
 
     p = sub.add_parser("realize", help="build an explicit uniserial module")
     p.add_argument("--kind", choices=["z", "zdual", "len3", "zfam", "sympow"], required=True)
@@ -235,34 +225,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=str, help="family parameter, an exact rational like 5/7")
     p.add_argument("--part", choices=["big", "sub"], default="sub")
     p.add_argument("--format", choices=["json", "latex"], default="json")
+    p.set_defaults(func=functools.partial(_cmd_realize, error=parser.error))
 
     p = sub.add_parser("socle", help="socle series of a module from JSON")
     p.add_argument("--in", required=True, metavar="FILE")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(func=_cmd_socle)
 
     p = sub.add_parser("uniserial", help="test uniseriality of a module from JSON")
     p.add_argument("--in", required=True, metavar="FILE")
+    p.set_defaults(func=_cmd_uniserial)
 
     p = sub.add_parser("admissible", help="decide admissibility of a factor sequence")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seq", required=True, help="comma-separated highest weights")
+    p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("zeros", help="search non-trivial 6j zeros")
     p.add_argument("--max", type=int, required=True, help="twice-value bound per slot")
-    p.add_argument("--jobs", type=int, default=wigner.default_jobs())
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    _jobs_arg(p)
+    p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("verify-scalar", help="sweep the lambda = C * 6j identity")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=wigner.default_jobs())
+    _jobs_arg(p)
+    p.set_defaults(func=_cmd_verify_scalar)
 
     p = sub.add_parser("verify-classify", help="three-way length-3 classification sweep")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-weight", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=wigner.default_jobs())
+    _jobs_arg(p)
+    p.set_defaults(func=_cmd_verify_classify)
 
     p = sub.add_parser("recouple", help="verify 6j transition coefficients")
-    _twoj_args(p, 4, "a b c k")
+    _twoj_args(p, "a b c k")
+    p.set_defaults(func=_cmd_recouple)
 
     return parser
 
@@ -271,34 +269,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sixj":
-            return _cmd_sixj(args)
-        if args.command == "cgc":
-            return _cmd_cgc(args)
-        if args.command == "delta":
-            return _cmd_delta(args)
-        if args.command == "triangle":
-            return _cmd_triangle(args)
-        if args.command == "realize":
-            return _cmd_realize(args, parser)
-        if args.command == "socle":
-            return _cmd_socle(args)
-        if args.command == "uniserial":
-            return _cmd_uniserial(args)
-        if args.command == "admissible":
-            return _cmd_admissible(args)
-        if args.command == "zeros":
-            return _cmd_zeros(args)
-        if args.command == "verify-scalar":
-            return _cmd_verify_scalar(args)
-        if args.command == "verify-classify":
-            return _cmd_verify_classify(args)
-        if args.command == "recouple":
-            return _cmd_recouple(args)
-    except (ValueError, FileNotFoundError) as exc:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unhandled command")  # pragma: no cover
 
 
 if __name__ == "__main__":

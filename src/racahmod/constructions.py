@@ -28,11 +28,10 @@ from .exact import (
     Vector,
     assemble_blocks,
     binomial,
-    block_diagonal,
     commutator,
-    factorial,
-    rref,
+    coordinates,
     reduce_vector,
+    span_closure,
 )
 from .gmod import GRep
 from .wigner import triangle
@@ -67,6 +66,35 @@ def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
     return [sc * mat for mat in mats]
 
 
+def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMatrix]]) -> GRep:
+    """The module with socle-flag factors V(w), w in weights, on the diagonal.
+
+    h, e and f act block-diagonally in the divided-power basis; v_i maps
+    factor c into factor r by blocks[(r, c)][i], and by zero elsewhere.
+    """
+    dims = [w + 1 for w in weights]
+    irreps = [sl2.irrep(w, sl2.DIVIDED_POWER) for w in weights]
+
+    def diagonal(name: str) -> QMatrix:
+        on_diagonal = {(j, j): getattr(irrep, name) for j, irrep in enumerate(irreps)}
+        return assemble_blocks(dims, dims, on_diagonal)
+
+    v = tuple(
+        assemble_blocks(dims, dims, {rc: fam[i] for rc, fam in blocks.items()})
+        for i in range(m + 1)
+    )
+    return GRep(
+        m=m,
+        dim=sum(dims),
+        h=diagonal("h"),
+        e=diagonal("e"),
+        f=diagonal("f"),
+        v=v,
+        convention=sl2.DIVIDED_POWER,
+        blocks=tuple(dims),
+    )
+
+
 # -- the main family -----------------------------------------------------------
 
 
@@ -88,25 +116,8 @@ def build_z(ell: int, b: int, m: int) -> GRep:
         raise ValueError("the radical weight m must be positive")
     if ell < 0 or b < 0:
         raise ValueError("ell and b must be non-negative")
-    dims = [ell + j * m + 1 for j in range(b + 1)]
-    irreps = [sl2.irrep(ell + j * m, sl2.DIVIDED_POWER) for j in range(b + 1)]
-    h = block_diagonal([r.h for r in irreps])
-    e = block_diagonal([r.e for r in irreps])
-    f = block_diagonal([r.f for r in irreps])
-    v = []
-    for i in range(m + 1):
-        blocks = {(j, j + 1): v_block(ell + j * m, m, i) for j in range(b)}
-        v.append(assemble_blocks(dims, dims, blocks))
-    return GRep(
-        m=m,
-        dim=sum(dims),
-        h=h,
-        e=e,
-        f=f,
-        v=tuple(v),
-        convention=sl2.DIVIDED_POWER,
-        blocks=tuple(dims),
-    )
+    blocks = {(j, j + 1): [v_block(ell + j * m, m, i) for i in range(m + 1)] for j in range(b)}
+    return _assemble([ell + j * m for j in range(b + 1)], m, blocks)
 
 
 def build_z_dual(ell: int, b: int, m: int) -> GRep:
@@ -128,23 +139,8 @@ def build_exceptional_len3(m: int, c: int) -> GRep:
         raise ValueError("the radical weight m must be positive")
     if c < 0 or c > 2 * m or (2 * m - c) % 4 != 0:
         raise ValueError(f"socle factors [0, {m}, {c}] need c <= 2m and c = 2m mod 4")
-    dims = [1, m + 1, c + 1]
-    irreps = [sl2.irrep(k, sl2.DIVIDED_POWER) for k in (0, m, c)]
-    f12 = radical_blocks(m, m, 0)
-    f23 = radical_blocks(m, c, m)
-    v = []
-    for i in range(m + 1):
-        v.append(assemble_blocks(dims, dims, {(0, 1): f12[i], (1, 2): f23[i]}))
-    return GRep(
-        m=m,
-        dim=sum(dims),
-        h=block_diagonal([r.h for r in irreps]),
-        e=block_diagonal([r.e for r in irreps]),
-        f=block_diagonal([r.f for r in irreps]),
-        v=tuple(v),
-        convention=sl2.DIVIDED_POWER,
-        blocks=tuple(dims),
-    )
+    blocks = {(0, 1): radical_blocks(m, m, 0), (1, 2): radical_blocks(m, c, m)}
+    return _assemble([0, m, c], m, blocks)
 
 
 def build_z_family(m: int, z) -> GRep:
@@ -156,30 +152,14 @@ def build_z_family(m: int, z) -> GRep:
     if m < 1 or m % 4 != 0:
         raise ValueError("the one-parameter family needs m = 0 mod 4")
     z = Fraction(z)
-    dims = [1, m + 1, m + 1, 1]
-    irreps = [sl2.irrep(k, sl2.DIVIDED_POWER) for k in (0, m, m, 0)]
-    f12 = radical_blocks(m, m, 0)
-    f23 = radical_blocks(m, m, m)
     f34 = radical_blocks(m, 0, m)
-    v = []
-    for i in range(m + 1):
-        blocks = {
-            (0, 1): f12[i],
-            (1, 2): f23[i],
-            (2, 3): f34[i],
-            (1, 3): z * f34[i],
-        }
-        v.append(assemble_blocks(dims, dims, blocks))
-    return GRep(
-        m=m,
-        dim=sum(dims),
-        h=block_diagonal([r.h for r in irreps]),
-        e=block_diagonal([r.e for r in irreps]),
-        f=block_diagonal([r.f for r in irreps]),
-        v=tuple(v),
-        convention=sl2.DIVIDED_POWER,
-        blocks=tuple(dims),
-    )
+    blocks = {
+        (0, 1): radical_blocks(m, m, 0),
+        (1, 2): radical_blocks(m, m, m),
+        (2, 3): f34,
+        (1, 3): [z * mat for mat in f34],
+    }
+    return _assemble([0, m, m, 0], m, blocks)
 
 
 # -- symmetric powers of the (m+2)-dimensional module ---------------------------
@@ -232,17 +212,6 @@ def _derivation_matrix(base: QMatrix, monos: list[tuple[int, ...]]) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
-def _coords_in_rref(rows, pivots, vec):
-    coeffs = [vec[p] for p in pivots]
-    resid = list(vec)
-    for coeff, row in zip(coeffs, rows):
-        if coeff:
-            resid = [x - coeff * y for x, y in zip(resid, row)]
-    if any(resid):
-        return None
-    return coeffs
-
-
 def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
     """Degree-b symmetric power construction over sl(2) semidirect V(m)."""
     if m < 1:
@@ -265,43 +234,22 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
     gen = [Fraction(0)] * n
     gen_exp = tuple(b if i == 1 else 0 for i in range(m + 2))
     gen[monos.index(gen_exp)] = Fraction(1)
-    gens = [big.e, big.f, big.h, *big.v]
-    rows, pivots = rref([gen])
-    grew = True
-    while grew:
-        grew = False
-        for mat in gens:
-            for row in list(rows):
-                img = mat.apply(row)
-                resid = reduce_vector(rows, pivots, img)
-                if any(resid):
-                    rows, pivots = rref(rows + [resid])
-                    grew = True
-    basis = [tuple(r) for r in rows]
+    rows, pivots = span_closure([big.e, big.f, big.h, *big.v], gen)
 
     def restrict(mat: QMatrix) -> QMatrix:
-        cols = []
-        for vec in basis:
-            coeffs = _coords_in_rref(basis, pivots, mat.apply(vec))
-            if coeffs is None:
-                raise RuntimeError("generated subspace is not invariant")
-            cols.append(coeffs)
-        k = len(basis)
-        return QMatrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)])
+        return coordinates(rows, pivots, [mat.apply(row) for row in rows])
 
     sub = GRep(
         m=m,
-        dim=len(basis),
+        dim=len(rows),
         h=restrict(big.h),
         e=restrict(big.e),
         f=restrict(big.f),
         v=tuple(restrict(vi) for vi in big.v),
         convention=sl2.DIVIDED_POWER,
     )
-    gen_sub = _coords_in_rref(basis, pivots, gen)
-    if gen_sub is None:
-        raise RuntimeError("generator does not lie in its own closure")
-    return SymmetricPowerModule(big, sub, tuple(gen), tuple(gen_sub))
+    gen_sub = coordinates(rows, pivots, [gen]).column(0)
+    return SymmetricPowerModule(big, sub, tuple(gen), gen_sub)
 
 
 # -- axiomatic characterization --------------------------------------------------
@@ -316,23 +264,6 @@ class CharacterizationReport:
     @property
     def all_hold(self) -> bool:
         return self.maximal_generator and self.nilpotency_window and self.radical_compatibility
-
-
-def _sl2_closure(rep: GRep, vec) -> tuple[list, list]:
-    rows, pivots = rref([vec])
-    if not rows:
-        return [], []
-    gens = [rep.h, rep.e, rep.f]
-    grew = True
-    while grew:
-        grew = False
-        for mat in gens:
-            for row in list(rows):
-                resid = reduce_vector(rows, pivots, mat.apply(row))
-                if any(resid):
-                    rows, pivots = rref(rows + [resid])
-                    grew = True
-    return rows, pivots
 
 
 def check_z_characterization(
@@ -355,17 +286,7 @@ def check_z_characterization(
 
     is_weight = rep.h.apply(vec) == tuple(weight * x for x in vec)
     killed = not any(rep.e.apply(vec))
-    rows, pivots = rref([vec])
-    gens = [rep.h, rep.e, rep.f, *rep.v]
-    grew = True
-    while grew:
-        grew = False
-        for mat in gens:
-            for row in list(rows):
-                resid = reduce_vector(rows, pivots, mat.apply(row))
-                if any(resid):
-                    rows, pivots = rref(rows + [resid])
-                    grew = True
+    rows, _ = span_closure([rep.h, rep.e, rep.f, *rep.v], vec)
     generates = len(rows) == rep.dim
     c1 = is_weight and killed and generates
 
@@ -380,7 +301,7 @@ def check_z_characterization(
     else:
         c3 = True
         for i in range(b + 1):
-            span_rows, span_pivots = _sl2_closure(rep, powers[i + 1])
+            span_rows, span_pivots = span_closure([rep.h, rep.e, rep.f], powers[i + 1])
             for vj in rep.v:
                 img = vj.apply(powers[i])
                 if any(img) and (
@@ -438,57 +359,17 @@ def build_from_sequence(seq, m: int, scalars=None):
     ]
     # the only bracket obstructions sit two steps down the flag
     for w in range(len(seq) - 2):
-        fam_a = [mat.to_fractions() for mat in families[w]]
-        fam_b = [mat.to_fractions() for mat in families[w + 1]]
+        fam_a, fam_b = families[w], families[w + 1]
         for i in range(m + 1):
             for j in range(i + 1, m + 1):
-                prod = _mat_anticommute(fam_a[i], fam_b[j], fam_a[j], fam_b[i])
-                if prod is not None:
-                    return SequenceObstruction(w, (i, j), QMatrix.from_rows(prod))
-    dims = [a + 1 for a in seq]
-    irreps = [sl2.irrep(a, sl2.DIVIDED_POWER) for a in seq]
-    v = []
-    for i in range(m + 1):
-        blocks = {(w, w + 1): families[w][i] for w in range(len(seq) - 1)}
-        v.append(assemble_blocks(dims, dims, blocks))
-    rep = GRep(
-        m=m,
-        dim=sum(dims),
-        h=block_diagonal([r.h for r in irreps]),
-        e=block_diagonal([r.e for r in irreps]),
-        f=block_diagonal([r.f for r in irreps]),
-        v=tuple(v),
-        convention=sl2.DIVIDED_POWER,
-        blocks=tuple(dims),
-    )
+                block = fam_a[i] * fam_b[j] - fam_a[j] * fam_b[i]
+                if not block.is_zero():
+                    return SequenceObstruction(w, (i, j), block)
+    rep = _assemble(seq, m, {(w, w + 1): fam for w, fam in enumerate(families)})
     verdict = gmod.check_rep(rep)
     if not verdict:
         raise RuntimeError(f"assembled module fails a relation: {verdict.failure}")
     return rep
-
-
-def _mat_anticommute(a_i, b_j, a_j, b_i):
-    """a_i b_j - a_j b_i over Fractions; None when it vanishes."""
-    rows = len(a_i)
-    inner = len(b_j)
-    cols = len(b_j[0]) if inner else 0
-    out = []
-    nonzero = False
-    for r in range(rows):
-        row = []
-        ar_i, ar_j = a_i[r], a_j[r]
-        for c in range(cols):
-            s = Fraction(0)
-            for k in range(inner):
-                if ar_i[k]:
-                    s += ar_i[k] * b_j[k][c]
-                if ar_j[k]:
-                    s -= ar_j[k] * b_i[k][c]
-            if s:
-                nonzero = True
-            row.append(s)
-        out.append(row)
-    return out if nonzero else None
 
 
 # -- LaTeX rendering ---------------------------------------------------------------
@@ -518,7 +399,7 @@ def grep_to_latex(rep: GRep) -> str:
     for d in blocks:
         offsets.append(offsets[-1] + d)
     named = rep.matrices()
-    symbols = [name.replace("v_", "v_") for name, _ in named]
+    symbols = [name for name, _ in named]
     grids = [mat.to_fractions() for _, mat in named]
 
     def entry_terms(i, j):

@@ -267,10 +267,6 @@ class QMatrix:
         d = self._den
         return tuple(tuple(Fraction(x, d) for x in row) for row in self._num)
 
-    def row(self, i: int) -> Vector:
-        d = self._den
-        return tuple(Fraction(x, d) for x in self._num[i])
-
     def column(self, j: int) -> Vector:
         d = self._den
         return tuple(Fraction(row[j], d) for row in self._num)
@@ -357,22 +353,6 @@ class QMatrix:
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return a * b - b * a
-
-
-def block_diagonal(blocks: Sequence[QMatrix]) -> QMatrix:
-    dims = [(b.rows, b.cols) for b in blocks]
-    rows = sum(r for r, _ in dims)
-    cols = sum(c for _, c in dims)
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for blk in blocks:
-        fr = blk.to_fractions()
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                grid[r0 + i][c0 + j] = fr[i][j]
-        r0 += blk.rows
-        c0 += blk.cols
-    return QMatrix.from_rows(grid) if rows else QMatrix.zero(0, 0)
 
 
 def assemble_blocks(
@@ -462,11 +442,6 @@ def kernel(mat: QMatrix) -> list[Vector]:
     return basis
 
 
-def span_rref(vectors: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Echelonized basis of the span of the given vectors (as rows)."""
-    return rref(vectors)
-
-
 def reduce_vector(
     reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], vec: Sequence
 ) -> list[Fraction]:
@@ -479,8 +454,40 @@ def reduce_vector(
     return work
 
 
-def in_span(reduced, pivots, vec) -> bool:
-    return not any(reduce_vector(reduced, pivots, vec))
+def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Fraction]], list[int]]:
+    """Echelon basis (rows, pivots) of the smallest subspace that contains vec
+    and is mapped into itself by every matrix in mats.
+
+    The reduced echelon form of a subspace is unique, so the result does not
+    depend on the order in which images join the span.
+    """
+    rows, pivots = rref([vec])
+    grew = True
+    while grew:
+        grew = False
+        for mat in mats:
+            for row in list(rows):
+                resid = reduce_vector(rows, pivots, mat.apply(row))
+                if any(resid):
+                    rows, pivots = rref(rows + [resid])
+                    grew = True
+    return rows, pivots
+
+
+def coordinates(
+    rows: Sequence[Sequence[Fraction]], columns: Sequence[int], vectors: Sequence[Sequence]
+) -> QMatrix:
+    """Matrix whose j-th column holds the coordinates of vectors[j] in the basis rows.
+
+    Row i must be 1 at columns[i] and 0 at every other listed column: an rref
+    with its pivots, or a kernel basis with its free columns.  Once
+    reduce_vector leaves no residual, the coordinates are the entries at
+    those columns.  A vector outside the span raises RuntimeError.
+    """
+    for vec in vectors:
+        if any(reduce_vector(rows, columns, vec)):
+            raise RuntimeError("vector lies outside the span of the basis")
+    return QMatrix.from_rows([[vec[c] for vec in vectors] for c in columns])
 
 
 def solve_columns(columns: Sequence[Sequence], target: Sequence):

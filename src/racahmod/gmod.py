@@ -18,19 +18,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from . import sl2
 from .exact import (
     QMatrix,
     Vector,
     commutator,
+    coordinates,
     kernel,
     rat_from_str,
     rat_to_str,
     reduce_vector,
     rref,
-    solve_columns,
 )
 
 
@@ -115,9 +114,6 @@ class SocleStep:
 class SocleSeries:
     steps: tuple[SocleStep, ...]
 
-    def factor_sequence(self) -> list[dict[int, int]]:
-        return [dict(step.factors) for step in self.steps]
-
     def factor_weights(self) -> list[int]:
         """Socle factors when every factor is a single irreducible."""
         out = []
@@ -126,20 +122,6 @@ class SocleSeries:
                 raise ValueError("a socle factor is not irreducible")
             out.append(next(iter(step.factors)))
         return out
-
-
-def _weights_of(rep: GRep) -> list[int]:
-    ws = []
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            x = rep.h.entry(i, j)
-            if i != j and x != 0:
-                raise ValueError("h must act diagonally to compute socle series")
-        w = rep.h.entry(i, i)
-        if w.denominator != 1:
-            raise ValueError("h has a non-integer weight")
-        ws.append(int(w))
-    return ws
 
 
 def socle_series(rep: GRep) -> SocleSeries:
@@ -152,7 +134,7 @@ def socle_series(rep: GRep) -> SocleSeries:
     verdict = check_rep(rep)
     if not verdict:
         raise ValueError(f"not a representation: {verdict.failure}")
-    weights = _weights_of(rep)
+    weights = sl2.diagonal_weights(rep.h)
     n = rep.dim
     s_rows: list[list[Fraction]] = []
     s_pivots: list[int] = []
@@ -193,22 +175,16 @@ def _factor_decomposition(rep, comp, weights, quotient_matrix, ker) -> dict[int,
     h_fac = QMatrix.diagonal(
         [_homogeneous_weight(kv, comp, weights) for kv in ker]
     )
-    quot_e = quotient_matrix(rep.e)
-    quot_f = quotient_matrix(rep.f)
+    # kernel() puts each vector's 1 at its own free column, after every
+    # pivot entry, and 0 at the other free columns
+    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
 
     def restrict(mat: QMatrix) -> QMatrix:
-        cols = []
-        for kv in ker:
-            img = mat.apply(kv)
-            coeffs = solve_columns(ker, img)
-            if coeffs is None:
-                raise RuntimeError("socle factor is not sl(2)-invariant")
-            cols.append(coeffs)
-        k = len(ker)
-        return QMatrix.from_rows([[cols[j][i] for j in range(k)] for i in range(k)])
+        return coordinates(ker, free, [mat.apply(kv) for kv in ker])
 
-    factor_rep = sl2.Sl2Rep(len(ker), h_fac, restrict(quot_e), restrict(quot_f), rep.convention)
-    return sl2.decompose(factor_rep)
+    e_fac = restrict(quotient_matrix(rep.e))
+    f_fac = restrict(quotient_matrix(rep.f))
+    return sl2.decompose(sl2.Sl2Rep(len(ker), h_fac, e_fac, f_fac, rep.convention))
 
 
 def _homogeneous_weight(vec, comp, weights) -> int:
@@ -245,8 +221,21 @@ def _matrix_to_strings(mat: QMatrix) -> list[list[str]]:
     return [[rat_to_str(x) for x in row] for row in mat.to_fractions()]
 
 
-def _matrix_from_strings(data: Sequence[Sequence[str]]) -> QMatrix:
-    return QMatrix.from_rows([[rat_from_str(x) for x in row] for row in data])
+def _rational(text, name: str) -> Fraction:
+    if isinstance(text, str):
+        try:
+            return rat_from_str(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} has an entry {text!r} that is not a rational string")
+
+
+def _matrix_from_strings(data, dim: int, name: str) -> QMatrix:
+    if not isinstance(data, list) or len(data) != dim:
+        raise ValueError(f"{name} must be a list of {dim} rows")
+    if any(not isinstance(row, list) or len(row) != dim for row in data):
+        raise ValueError(f"every row of {name} must have {dim} entries")
+    return QMatrix.from_rows([[_rational(x, name) for x in row] for row in data])
 
 
 def grep_to_dict(rep: GRep) -> dict:
@@ -261,14 +250,28 @@ def grep_to_dict(rep: GRep) -> dict:
     }
 
 
-def grep_from_dict(data: dict) -> GRep:
+def grep_from_dict(data) -> GRep:
+    """Read the interchange schema; any departure from it raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a module must be a JSON object")
+    missing = [key for key in ("m", "dim", "h", "e", "f", "v", "convention") if key not in data]
+    if missing:
+        raise ValueError(f"module JSON lacks {', '.join(missing)}")
+    m, dim = data["m"], data["dim"]
+    for name, val in (("m", m), ("dim", dim)):
+        if type(val) is not int or val < 0:  # bool is an int subclass: refuse it too
+            raise ValueError(f"{name} must be a non-negative integer, got {val!r}")
+    if data["convention"] not in (sl2.PLAIN_F, sl2.DIVIDED_POWER):
+        raise ValueError(f"unknown convention {data['convention']!r}")
+    if not isinstance(data["v"], list) or len(data["v"]) != m + 1:
+        raise ValueError(f"v must be a list of m + 1 = {m + 1} matrices")
     return GRep(
-        m=int(data["m"]),
-        dim=int(data["dim"]),
-        h=_matrix_from_strings(data["h"]),
-        e=_matrix_from_strings(data["e"]),
-        f=_matrix_from_strings(data["f"]),
-        v=tuple(_matrix_from_strings(vi) for vi in data["v"]),
+        m=m,
+        dim=dim,
+        h=_matrix_from_strings(data["h"], dim, "h"),
+        e=_matrix_from_strings(data["e"], dim, "e"),
+        f=_matrix_from_strings(data["f"], dim, "f"),
+        v=tuple(_matrix_from_strings(vi, dim, f"v_{i}") for i, vi in enumerate(data["v"])),
         convention=data["convention"],
     )
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import QMatrix, Vector, binomial, commutator, factorial, matrix_rank
+from .exact import QMatrix, binomial, commutator, factorial, matrix_rank
 from .wigner import triangle
 
 PLAIN_F = "PlainF"
@@ -43,13 +43,7 @@ class Sl2Rep:
         for name, mat in (("h", self.h), ("e", self.e), ("f", self.f)):
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise ValueError(f"{name} is not {self.dim}x{self.dim}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                x = self.h.entry(i, j)
-                if i != j and x != 0:
-                    raise ValueError("h is not diagonal")
-                if i == j and x.denominator != 1:
-                    raise ValueError("h has a non-integer weight")
+        diagonal_weights(self.h)
         if commutator(self.h, self.e) != 2 * self.e:
             raise ValueError("[h,e] != 2e")
         if commutator(self.h, self.f) != -2 * self.f:
@@ -58,7 +52,19 @@ class Sl2Rep:
             raise ValueError("[e,f] != h")
 
     def weights(self) -> list[int]:
-        return [int(self.h.entry(i, i)) for i in range(self.dim)]
+        return diagonal_weights(self.h)
+
+
+def diagonal_weights(h: QMatrix) -> list[int]:
+    """The weights on the diagonal of h; ValueError unless h is diagonal with
+    integer entries."""
+    rows = h.to_fractions()
+    for i, row in enumerate(rows):
+        if any(x for j, x in enumerate(row) if j != i):
+            raise ValueError("h is not diagonal")
+        if row[i].denominator != 1:
+            raise ValueError("h has a non-integer weight")
+    return [int(row[i]) for i, row in enumerate(rows)]
 
 
 def irrep(k: int, convention: str = DIVIDED_POWER) -> Sl2Rep:
@@ -120,9 +126,6 @@ class TensorVector:
     right_dim: int
     coeffs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
-    def copy(self) -> "TensorVector":
-        return TensorVector(self.left_dim, self.right_dim, dict(self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs.values())
 
@@ -162,18 +165,6 @@ class TensorVector:
         if len(ws) != 1:
             raise ValueError("vector is not a weight vector")
         return ws.pop()
-
-    def scaled(self, s) -> "TensorVector":
-        s = Fraction(s)
-        return TensorVector(
-            self.left_dim, self.right_dim, {k: c * s for k, c in self.coeffs.items()}
-        )
-
-    def to_vector(self) -> Vector:
-        flat = [Fraction(0)] * (self.left_dim * self.right_dim)
-        for (r1, r2), c in self.coeffs.items():
-            flat[r1 * self.right_dim + r2] = c
-        return tuple(flat)
 
 
 def iota(k: int, a: int, b: int) -> TensorVector:
@@ -245,10 +236,6 @@ def decompose(rep: Sl2Rep) -> dict[int, int]:
     Computed from highest weight vectors: the multiplicity of V(k) is the
     dimension of the kernel of e restricted to the weight-k eigenspace of h.
     """
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if i != j and rep.h.entry(i, j) != 0:
-                raise ValueError("decomposition needs h in diagonal form")
     ws = rep.weights()
     e_fr = rep.e.to_fractions()
     out: dict[int, int] = {}
@@ -263,18 +250,24 @@ def decompose(rep: Sl2Rep) -> dict[int, int]:
     return out
 
 
+def constituents(weight_dims: dict[int, int]) -> dict[int, int]:
+    """Multiplicities of the irreducible constituents of a module, keyed by
+    highest weight (highest first), from the dimensions of its weight spaces."""
+    out = {}
+    for k in sorted((w for w in weight_dims if w >= 0), reverse=True):
+        mult = weight_dims[k] - weight_dims.get(k + 2, 0)
+        if mult:
+            out[k] = mult
+    return out
+
+
 def symmetric_power_components(m: int, i: int) -> dict[int, int]:
     """Irreducible constituents of the i-th symmetric power of V(m)."""
     counts: dict[int, int] = {}
     for combo in itertools.combinations_with_replacement(range(m + 1), i):
         w = i * m - 2 * sum(combo)
         counts[w] = counts.get(w, 0) + 1
-    out = {}
-    for k in sorted((w for w in counts if w >= 0), reverse=True):
-        mult = counts.get(k, 0) - counts.get(k + 2, 0)
-        if mult:
-            out[k] = mult
-    return out
+    return constituents(counts)
 
 
 def exterior_square_components(m: int) -> set[int]:
@@ -289,10 +282,7 @@ def exterior_square_components(m: int) -> set[int]:
         for j in range(i + 1, m + 1):
             w = 2 * m - 2 * i - 2 * j
             counts[w] = counts.get(w, 0) + 1
-    explicit = set()
-    for k in (w for w in counts if w >= 0):
-        if counts.get(k, 0) - counts.get(k + 2, 0) > 0:
-            explicit.add(k)
+    explicit = set(constituents(counts))
     if explicit != closed:
         raise AssertionError(f"exterior square mismatch for m={m}: {explicit} vs {closed}")
     return closed

@@ -18,7 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import SqrtRational, sqrtrat_sum_is_zero
 
@@ -37,10 +37,13 @@ class FormulaDisagreement(RuntimeError):
     """The two independent 6j evaluations differ: an implementation bug."""
 
 
-def _check_twoj(*vals: int) -> None:
+def _check_twoj(*vals: int, signed: bool = False) -> None:
+    # the type comes first, so that a string fails here and not in the
+    # comparison, and `type` rather than isinstance, so that bool fails
     for v in vals:
-        if v < 0 or not isinstance(v, int):
-            raise ValueError(f"twice-values must be non-negative integers, got {v}")
+        if type(v) is not int or (v < 0 and not signed):
+            kind = "integers" if signed else "non-negative integers"
+            raise ValueError(f"twice-values must be {kind}, got {v!r}")
 
 
 def triangle(ta: int, tb: int, tc: int) -> bool:
@@ -72,6 +75,7 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
     mismatch is a domain error.
     """
     _check_twoj(tj1, tj2, tj3)
+    _check_twoj(tm1, tm2, tm3, signed=True)
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if abs(tm) > tj:
             raise ValueError(f"|m| > j for (2j, 2m) = ({tj}, {tm})")
@@ -277,30 +281,52 @@ def be_recurrence_holds(ti1, ti2, ti3, ti4, ti5, ti6) -> bool:
     return sqrtrat_sum_is_zero(be_recurrence_terms(ti1, ti2, ti3, ti4, ti5, ti6))
 
 
-# -- zero search ---------------------------------------------------------------
+# -- tuple enumeration and sweeps ----------------------------------------------
 
 
-def _triangle_range(ta: int, tb: int, cap: int):
-    return range(abs(ta - tb), min(ta + tb, cap) + 1, 2)
+def sixj_tuples(bounds: Sequence[int], prefix: Sequence[int] = ()) -> Iterator[SixJInput]:
+    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold.
 
-
-def _zero_scan_chunk(args) -> list[SixJInput]:
-    t1, bounds = args
+    Tuples come in lexicographic order.  `prefix` fixes t1, or t1 and t2.
+    """
     b1, b2, b3, b4, b5, b6 = bounds
-    found: list[SixJInput] = []
-    for t2 in range(b2 + 1):
-        for t3 in _triangle_range(t1, t2, b3):
-            for t4 in range(b4 + 1):
-                for t5 in _triangle_range(t4, t3, b5):
-                    lo = max(abs(t1 - t5), abs(t4 - t2))
-                    hi = min(t1 + t5, t4 + t2, b6)
-                    if (t1 + t5 + t4 + t2) % 2:  # the two t6 parities conflict
-                        continue
-                    start = lo if (lo + t1 + t5) % 2 == 0 else lo + 1
-                    for t6 in range(start, hi + 1, 2):
-                        if _alpha_sum(t1, t2, t3, t4, t5, t6)[0] == 0:
-                            found.append((t1, t2, t3, t4, t5, t6))
-    return found
+    if len(prefix) > 2:
+        raise ValueError("a prefix fixes at most t1 and t2")
+    for t1 in prefix[:1] or range(b1 + 1):
+        for t2 in prefix[1:2] or range(b2 + 1):
+            for t3 in range(abs(t1 - t2), min(t1 + t2, b3) + 1, 2):
+                for t4 in range(b4 + 1):
+                    for t5 in range(abs(t4 - t3), min(t4 + t3, b5) + 1, 2):
+                        if (t1 + t5 + t4 + t2) % 2:  # the two t6 parities conflict
+                            continue
+                        lo = max(abs(t1 - t5), abs(t4 - t2))
+                        hi = min(t1 + t5, t4 + t2, b6)
+                        start = lo if (lo + t1 + t5) % 2 == 0 else lo + 1
+                        for t6 in range(start, hi + 1, 2):
+                            yield (t1, t2, t3, t4, t5, t6)
+
+
+def default_jobs() -> int:
+    return os.cpu_count() or 1
+
+
+def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    """[fn(task) for task in tasks], on up to `jobs` worker processes.
+
+    Runs in this process when at most one worker would have work: jobs is
+    capped at the number of tasks and of cores.  Results keep the task order,
+    so output never depends on jobs.  fn and the tasks must pickle.
+    """
+    workers = min(jobs, len(tasks), default_jobs())
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _zero_scan_task(args) -> list[SixJInput]:
+    prefix, bounds = args
+    return [tj for tj in sixj_tuples(bounds, prefix) if _alpha_sum(*tj)[0] == 0]
 
 
 def find_sixj_zeros(
@@ -320,22 +346,11 @@ def find_sixj_zeros(
     bounds = tuple(int(b) for b in bounds)
     if len(bounds) != 6 or any(b < 0 for b in bounds):
         raise ValueError("bounds must be one or six non-negative integers")
-    tasks = [(t1, bounds) for t1 in range(bounds[0] + 1)]
-    if jobs <= 1 or len(tasks) <= 1:
-        chunks = map(_zero_scan_chunk, tasks)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_zero_scan_chunk, tasks))
-    out: list[SixJInput] = []
-    for chunk in chunks:
-        out.extend(chunk)
+    tasks = [((t1, t2), bounds) for t1 in range(bounds[0] + 1) for t2 in range(bounds[1] + 1)]
+    out = [tj for chunk in sweep(_zero_scan_task, tasks, jobs) for tj in chunk]
     if predicate is not None:
         out = [tj for tj in out if predicate(tj)]
     return out
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def dual_formula_agreement(max_twoj: int) -> int:
@@ -345,17 +360,7 @@ def dual_formula_agreement(max_twoj: int) -> int:
     two evaluations agree on the whole box.
     """
     count = 0
-    for t1 in range(max_twoj + 1):
-        for t2 in range(max_twoj + 1):
-            for t3 in _triangle_range(t1, t2, max_twoj):
-                for t4 in range(max_twoj + 1):
-                    for t5 in _triangle_range(t4, t3, max_twoj):
-                        if (t1 + t5 + t4 + t2) % 2:
-                            continue
-                        lo = max(abs(t1 - t5), abs(t4 - t2))
-                        hi = min(t1 + t5, t4 + t2, max_twoj)
-                        start = lo if (lo + t1 + t5) % 2 == 0 else lo + 1
-                        for t6 in range(start, hi + 1, 2):
-                            sixj(t1, t2, t3, t4, t5, t6, cross_check=True)
-                            count += 1
+    for tj in sixj_tuples((max_twoj,) * 6):
+        sixj(*tj, cross_check=True)
+        count += 1
     return count

@@ -6,6 +6,7 @@ import pytest
 
 from racahmod.cli import main
 from racahmod.gmod import grep_from_json, is_uniserial, socle_series
+from racahmod.wigner import find_sixj_zeros
 
 
 def run(capsys, *argv):
@@ -141,6 +142,12 @@ def test_sweep_output_independent_of_workers(capsys):
     _, serial = run(capsys, "verify-scalar", "--max", "3", "--jobs", "1")
     _, parallel = run(capsys, "verify-scalar", "--max", "3", "--jobs", "2")
     assert serial == parallel
+    argv = ("verify-classify", "--max-m", "2", "--max-weight", "6")
+    _, serial = run(capsys, *argv, "--jobs", "1")
+    _, parallel = run(capsys, *argv, "--jobs", "2")
+    assert serial == parallel
+    bounds = (6, 4, 8, 5, 7, 3)
+    assert find_sixj_zeros(bounds, jobs=1) == find_sixj_zeros(bounds, jobs=2)
 
 
 def test_uniserial_false_exit_code(tmp_path, capsys):
@@ -159,6 +166,19 @@ def test_uniserial_false_exit_code(tmp_path, capsys):
     path.write_text(grep_to_json(decomposable))
     code, out = run(capsys, "uniserial", "--in", str(path))
     assert code == 1 and out.strip() == "false"
+
+
+@pytest.mark.parametrize("content", ['{"m": 1, "dim": 1}', "[]", None])
+def test_malformed_module_input_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "module.json"
+    if content is None:
+        path.mkdir()  # a directory in place of a file
+    else:
+        path.write_text(content)
+    for command in ("uniserial", "socle"):
+        code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and "error:" in captured.err and captured.out == ""
 
 
 def test_usage_errors_exit_two():

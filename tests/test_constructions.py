@@ -303,6 +303,22 @@ def test_build_from_sequence_failure():
     assert not result.block.is_zero()
 
 
+@pytest.mark.parametrize(
+    "seq, m, window, block",
+    [
+        ([2, 1, 2], 1, 0, [[-2, 0, 0], [0, -2, 0], [0, 0, -2]]),
+        ([2, 2, 2], 2, 0, [[0, 4, 0], [0, 0, 2], [0, 0, 0]]),
+        ([0, 1, 2, 1], 1, 1, [[3, 0], [0, 3]]),
+    ],
+)
+def test_build_from_sequence_obstruction_pinned(seq, m, window, block):
+    result = build_from_sequence(seq, m)
+    assert isinstance(result, SequenceObstruction)
+    assert result.window == window
+    assert result.pair == (0, 1)
+    assert result.block == QMatrix.from_rows(block)
+
+
 def test_build_from_sequence_exceptional():
     rep = build_from_sequence([0, 3, 2], 3)
     assert isinstance(rep, GRep)

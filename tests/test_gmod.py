@@ -11,6 +11,7 @@ from racahmod.gmod import (
     GRep,
     check_rep,
     dual_rep,
+    grep_from_dict,
     grep_from_json,
     grep_to_dict,
     grep_to_json,
@@ -154,6 +155,34 @@ def test_json_schema_keys():
     assert sorted(data) == ["convention", "dim", "e", "f", "h", "m", "v"]
     assert isinstance(data["h"][0][0], str)
     assert len(data["v"]) == 3
+
+
+def _breaks_schema(data):
+    """Damaged copies of a valid module dict, each off the schema in one way."""
+    yield [data]
+    for key in data:
+        yield {k: v for k, v in data.items() if k != key}
+    for key, bad in [
+        ("m", True), ("m", "1"), ("m", -1), ("m", 2), ("dim", 2.0), ("dim", False),
+        ("dim", 4), ("convention", "Other"), ("convention", None), ("v", "x"),
+        ("h", data["h"][:1]), ("e", [row[:1] for row in data["e"]]), ("f", "x"),
+        ("v", data["v"][:1]),
+    ]:
+        yield {**data, key: bad}
+    for entry in ("1/0", "x", "", 1, None):
+        h = [list(row) for row in data["h"]]
+        h[0][0] = entry
+        yield {**data, "h": h}
+
+
+def test_grep_from_dict_rejects_schema_breaks():
+    data = grep_to_dict(build_z(0, 1, 1))
+    assert grep_from_dict(data).dim == data["dim"] == 3
+    broken = list(_breaks_schema(data))
+    assert len(broken) == 1 + 7 + 14 + 5
+    for bad in broken:
+        with pytest.raises(ValueError):
+            grep_from_dict(bad)
 
 
 def test_socle_steps_grow_strictly_and_exhaust():

@@ -16,6 +16,7 @@ from racahmod.wigner import (
     sixj,
     sixj_is_zero,
     sixj_triangles_hold,
+    sixj_tuples,
     triangle,
 )
 
@@ -35,6 +36,21 @@ def test_triangle_examples():
     assert not triangle(1, 1, 4)
     with pytest.raises(ValueError):
         triangle(-1, 1, 1)
+
+
+def test_twice_values_must_be_ints():
+    for bad in ("2", 2.0, True, None):
+        with pytest.raises(ValueError):
+            triangle(bad, 2, 2)
+    with pytest.raises(ValueError):
+        sixj(True, True, False, True, True, False)
+    with pytest.raises(ValueError):
+        delta(1, 1, False)
+    for bad in ("1", True, 1.0):
+        with pytest.raises(ValueError):
+            cgc(1, bad, 1, -1, 2, 0)
+        with pytest.raises(ValueError):
+            cgc(1, 1, 1, -1, 2, bad)
 
 
 def test_delta_examples():
@@ -235,3 +251,12 @@ def test_dual_formulas_agree_on_large_scatter():
             sixj(t1, t2, t3, t4, t5, t6, cross_check=True)  # raises on mismatch
             checked += 1
     assert checked == 300
+
+
+def test_sixj_tuples_match_filtered_box():
+    bounds = (3, 2, 4, 3, 4, 2)
+    box = itertools.product(*(range(b + 1) for b in bounds))
+    want = [tj for tj in box if sixj_triangles_hold(tj)]
+    assert list(sixj_tuples(bounds)) == want
+    assert list(sixj_tuples(bounds, (2,))) == [tj for tj in want if tj[0] == 2]
+    assert list(sixj_tuples(bounds, (2, 1))) == [tj for tj in want if tj[:2] == (2, 1)]

@@ -1,9 +1,13 @@
-"""Exact arithmetic building blocks: big rationals, quadratic surds and dense
+"""Exact arithmetic building blocks: big rationals, quadratic surds and sparse
 rational linear algebra.
 
 Every value in the package funnels through this module, so no floating point
-ever enters a computation.  All types are immutable after construction and all
-functions are pure, which makes everything safe to use from parallel workers.
+ever enters a computation.  Matrices and echelon bases hold the integer
+numerators of their nonzero entries only, so products and eliminations skip
+zeros and never build a Fraction; Fractions appear where values enter or
+leave.  Every type except the growing RowSpace is immutable after
+construction and all functions are pure, which makes everything safe to use
+from parallel workers.
 """
 
 from __future__ import annotations
@@ -169,10 +173,6 @@ class SqrtRational:
         return SqrtRational(Fraction(text), 1)
 
 
-def sqrtrat_mul(x: SqrtRational, y: SqrtRational) -> SqrtRational:
-    return x * y
-
-
 def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
     """Whether a finite sum of SqrtRational values is exactly zero.
 
@@ -187,43 +187,172 @@ def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
     return all(c == 0 for c in acc.values())
 
 
-def _reduce_num_den(num, den):
-    g = den
-    for row in num:
-        for x in row:
-            g = math.gcd(g, x)
-            if g == 1:
-                return num, den
-    if g > 1:
-        num = tuple(tuple(x // g for x in row) for row in num)
-        den //= g
-    return num, den
+# -- sparse integer rows ---------------------------------------------------------
+#
+# The linear algebra below keeps a rational vector as the integer numerators of
+# its nonzero entries, a dict {column: numerator}, over a denominator held
+# apart, so its inner loops skip zeros and run in pure bigint arithmetic.
+# Such a dict is never changed once built, so rows may be shared.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _int_vector(vec: Sequence) -> tuple[dict[int, int], int]:
+    """The numerators of the nonzero entries of a rational vector over their
+    least common denominator, and that denominator."""
+    entries = {}
+    for j, x in enumerate(vec):
+        if type(x) is not int and type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            entries[j] = x
+    den = math.lcm(*[x.denominator for x in entries.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in entries.items()}, den
+
+
+def _dense(row: dict[int, int], n: int) -> list[int]:
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _fractions(row: dict[int, int], den: int, n: int) -> list[Fraction]:
+    out = [_ZERO] * n
+    for j, x in row.items():
+        out[j] = Fraction(x, den)
+    return out
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _reduce(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Residual of vec after elimination against basis.
+
+    basis[c] is nonzero at column c and zero at every other key of basis, so
+    each term is removed by one subtraction of its row, whatever the order.
+    Returns the residual times a positive integer, and that integer.
+    """
+    hits = [c for c in vec if c in basis]
+    if not hits:
+        return vec, 1
+    scale = math.lcm(*[basis[c][c] for c in hits])
+    out = {j: x * scale for j, x in vec.items()}
+    for c in hits:
+        row = basis[c]
+        f = vec[c] * scale // row[c]
+        for j, y in row.items():
+            x = out.get(j, 0) - f * y
+            if x:
+                out[j] = x
+            else:
+                del out[j]
+    return out, scale
+
+
+class RowSpace:
+    """A subspace of Q^ncols, held as its reduced row echelon basis.
+
+    The row with pivot p is a primitive sparse integer row, positive at p
+    and zero at every other pivot; divided by its entry at p it is the
+    unit-pivot echelon row.  That basis is unique to the subspace, so it
+    does not depend on the order in which vectors join.
+    """
+
+    __slots__ = ("ncols", "_rows")
+
+    def __init__(self, ncols: int, vectors: Iterable[Sequence] = ()):
+        self.ncols = ncols
+        self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
+        for vec in vectors:
+            self.add(vec)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, vec: Sequence) -> bool:
+        """Extend the subspace by a rational vector; whether it grew."""
+        return self._add(_int_vector(vec)[0])
+
+    def _add(self, vec: dict[int, int]) -> bool:
+        resid, _ = _reduce(self._rows, vec)
+        if not resid:
+            return False
+        p = min(resid)
+        resid = _primitive(resid if resid[p] > 0 else {j: -x for j, x in resid.items()})
+        d = resid[p]
+        for q, row in list(self._rows.items()):
+            a = row.get(p)
+            if a:
+                new = {j: x * d for j, x in row.items()}
+                for j, y in resid.items():
+                    x = new.get(j, 0) - a * y
+                    if x:
+                        new[j] = x
+                    else:
+                        del new[j]
+                self._rows[q] = _primitive(new)
+        self._rows[p] = resid
+        return True
+
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def free_columns(self) -> list[int]:
+        return [c for c in range(self.ncols) if c not in self._rows]
+
+    def echelon(self) -> tuple[list[list[Fraction]], list[int]]:
+        """The unit-pivot echelon rows, ordered by pivot, and their pivots."""
+        pivots = self.pivots()
+        rows = [self._rows[p] for p in pivots]
+        return [_fractions(row, row[p], self.ncols) for row, p in zip(rows, pivots)], pivots
 
 
 class QMatrix:
-    """Dense matrix of exact rationals.
+    """Sparse matrix of exact rationals.
 
-    Stored as an integer matrix over one positive common denominator so that
-    matrix products run in pure bigint arithmetic; entries are exposed as
-    Fractions.  Instances are immutable.
+    Stored as the integer numerators of the nonzero entries, one dict
+    {column: numerator} per row, over one positive common denominator in
+    lowest terms, so that products run in pure bigint arithmetic and skip
+    zeros; entries are exposed as Fractions.  Instances are immutable.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, num, den: int = 1):
+        """From a dense grid of integer numerators over den."""
+        if len(num) != rows or any(len(r) != cols for r in num):
+            raise ValueError("entry grid does not match declared shape")
+        self._set(rows, cols, [{j: int(x) for j, x in enumerate(row) if x} for row in num], den)
+
+    @staticmethod
+    def _from_sparse(rows: int, cols: int, num: list[dict[int, int]], den: int) -> "QMatrix":
+        mat = object.__new__(QMatrix)
+        mat._set(rows, cols, num, den)
+        return mat
+
+    def _set(self, rows, cols, num, den):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             den = -den
-            num = tuple(tuple(-int(x) for x in row) for row in num)
-        else:
-            num = tuple(tuple(int(x) for x in row) for row in num)
-        if len(num) != rows or any(len(r) != cols for r in num):
-            raise ValueError("entry grid does not match declared shape")
-        num, den = _reduce_num_den(num, den)
+            num = [{j: -x for j, x in row.items()} for row in num]
+        g = den
+        for row in num:
+            if g == 1:
+                break
+            if row:
+                g = math.gcd(g, *row.values())
+        if g > 1:
+            num = [{j: x // g for j, x in row.items()} for row in num]
+            den //= g
         self.rows = rows
         self.cols = cols
-        self._num = num
+        self._num = tuple(num)
         self._den = den
 
     # -- construction -----------------------------------------------------
@@ -232,47 +361,45 @@ class QMatrix:
     def from_rows(data: Sequence[Sequence]) -> "QMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        entries = [[Fraction(x) for x in row] for row in data]
-        den = 1
-        for row in entries:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        num = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in entries
-        )
-        return QMatrix(rows, cols, num, den)
+        if any(len(row) != cols for row in data):
+            raise ValueError("entry grid does not match declared shape")
+        parsed = [_int_vector(row) for row in data]
+        den = math.lcm(*[d for _, d in parsed])
+        num = [
+            row if d == den else {j: x * (den // d) for j, x in row.items()} for row, d in parsed
+        ]
+        return QMatrix._from_sparse(rows, cols, num, den)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)), 1)
+        return QMatrix._from_sparse(rows, cols, [{} for _ in range(rows)], 1)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return QMatrix._from_sparse(n, n, [{i: 1} for i in range(n)], 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "QMatrix":
-        fracs = [Fraction(x) for x in entries]
-        n = len(fracs)
-        return QMatrix.from_rows(
-            [[fracs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        entries = list(entries)
+        n = len(entries)
+        diag, den = _int_vector(entries)
+        num = [{i: diag[i]} if i in diag else {} for i in range(n)]
+        return QMatrix._from_sparse(n, n, num, den)
 
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._num[i][j], self._den)
+        return Fraction(self._num[i].get(j, 0), self._den)
 
     def to_fractions(self) -> tuple[Vector, ...]:
-        d = self._den
-        return tuple(tuple(Fraction(x, d) for x in row) for row in self._num)
+        return tuple(tuple(_fractions(row, self._den, self.cols)) for row in self._num)
 
     def column(self, j: int) -> Vector:
         d = self._den
-        return tuple(Fraction(row[j], d) for row in self._num)
+        return tuple(Fraction(row[j], d) if j in row else _ZERO for row in self._num)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._num for x in row)
+        return not any(self._num)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -287,23 +414,35 @@ class QMatrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._den, self._num))
+        entries = tuple(frozenset(row.items()) for row in self._num)
+        return hash((self.rows, self.cols, self._den, entries))
+
+    def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign * other."""
+        self._check_shape(other, same=True)
+        den = math.lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
+        num = []
+        for ra, rb in zip(self._num, other._num):
+            row = {j: x * sa for j, x in ra.items()}
+            for j, y in rb.items():
+                x = row.get(j, 0) + y * sb
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            num.append(row)
+        return QMatrix._from_sparse(self.rows, self.cols, num, den)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_shape(other, same=True)
-        da, db = self._den, other._den
-        num = tuple(
-            tuple(x * db + y * da for x, y in zip(ra, rb))
-            for ra, rb in zip(self._num, other._num)
-        )
-        return QMatrix(self.rows, self.cols, num, da * db)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(
-            self.rows, self.cols, tuple(tuple(-x for x in row) for row in self._num), self._den
+        return QMatrix._from_sparse(
+            self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self._num], self._den
         )
 
     def __mul__(self, other):
@@ -312,15 +451,21 @@ class QMatrix:
                 raise ValueError(
                     f"shape mismatch: ({self.rows}x{self.cols}) * ({other.rows}x{other.cols})"
                 )
-            bt = list(zip(*other._num))
-            num = tuple(
-                tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in self._num
-            )
-            return QMatrix(self.rows, other.cols, num, self._den * other._den)
+            b = other._num
+            num = []
+            for ra in self._num:
+                acc: dict[int, int] = {}
+                for k, x in ra.items():
+                    for j, y in b[k].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                num.append({j: x for j, x in acc.items() if x})
+            return QMatrix._from_sparse(self.rows, other.cols, num, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            num = tuple(tuple(x * s.numerator for x in row) for row in self._num)
-            return QMatrix(self.rows, self.cols, num, self._den * s.denominator)
+            if not s:
+                return QMatrix.zero(self.rows, self.cols)
+            num = [{j: x * s.numerator for j, x in row.items()} for row in self._num]
+            return QMatrix._from_sparse(self.rows, self.cols, num, self._den * s.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -329,17 +474,23 @@ class QMatrix:
         return NotImplemented
 
     def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, tuple(zip(*self._num)), self._den)
+        num: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._num):
+            for j, x in row.items():
+                num[j][i] = x
+        return QMatrix._from_sparse(self.cols, self.rows, num, self._den)
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix-vector product, vector given and returned as Fractions."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        fr = [Fraction(x) for x in vec]
-        return tuple(
-            sum((Fraction(a, self._den) * x for a, x in zip(row, fr)), Fraction(0))
-            for row in self._num
-        )
+        x, den = _int_vector(vec)
+        den *= self._den
+        out = []
+        for row in self._num:
+            s = sum([a * x[j] for j, a in row.items() if j in x])
+            out.append(Fraction(s, den) if s else _ZERO)
+        return tuple(out)
 
     def _check_shape(self, other: "QMatrix", same: bool):
         if same and (self.rows != other.rows or self.cols != other.cols):
@@ -361,22 +512,57 @@ def assemble_blocks(
     blocks: dict[tuple[int, int], QMatrix],
 ) -> QMatrix:
     """Assemble a block-partitioned matrix; unspecified blocks are zero."""
-    rows, cols = sum(row_dims), sum(col_dims)
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
     row_off = [0]
     for d in row_dims:
         row_off.append(row_off[-1] + d)
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
+    den = math.lcm(*[blk._den for blk in blocks.values()])
+    num: list[dict[int, int]] = [{} for _ in range(row_off[-1])]
     for (bi, bj), blk in blocks.items():
         if blk.rows != row_dims[bi] or blk.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has shape {blk.rows}x{blk.cols}")
-        fr = blk.to_fractions()
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                grid[row_off[bi] + i][col_off[bj] + j] = fr[i][j]
-    return QMatrix.from_rows(grid)
+        s, c0 = den // blk._den, col_off[bj]
+        for i, row in enumerate(blk._num):
+            target = num[row_off[bi] + i]
+            for j, x in row.items():
+                target[c0 + j] = x * s
+    return QMatrix._from_sparse(row_off[-1], col_off[-1], num, den)
+
+
+def quotient_matrix(mat: QMatrix, space: RowSpace) -> QMatrix:
+    """Matrix of the map that mat induces on Q^n / space.
+
+    The standard basis vectors at the free (non-pivot) columns of space span
+    a complement, and the free columns, in order, index the rows and the
+    columns of the result: column j is the image of the j-th free basis
+    vector, reduced against space and read at the free columns.
+    """
+    if mat.rows != space.ncols or mat.cols != space.ncols:
+        raise ValueError("matrix and subspace live in different dimensions")
+    basis = space._rows
+    free = space.free_columns()
+    index = {c: k for k, c in enumerate(free)}
+    scale = math.lcm(*[row[p] for p, row in basis.items()])
+    # (row of the basis, the entry of its echelon row at free column c, times scale)
+    by_free: dict[int, list[tuple[int, int]]] = {}
+    for p, row in basis.items():
+        f = scale // row[p]
+        for c, x in row.items():
+            if c != p:
+                by_free.setdefault(c, []).append((p, x * f))
+    mrows = mat._num
+    num = []
+    for c in free:
+        acc = {index[j]: x * scale for j, x in mrows[c].items() if j in index}
+        for p, y in by_free.get(c, ()):
+            for j, x in mrows[p].items():
+                k = index.get(j)
+                if k is not None:
+                    acc[k] = acc.get(k, 0) - y * x
+        num.append({k: x for k, x in acc.items() if x})
+    return QMatrix._from_sparse(len(free), len(free), num, mat._den * scale)
 
 
 # -- exact Gaussian elimination ---------------------------------------------
@@ -386,38 +572,28 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with unit pivots.
 
     Returns the nonzero rows (ordered by pivot column) and the pivot columns.
-    Deterministic: leftmost pivot, first nonzero row, pivots normalized to 1.
+    The reduced echelon form of a row space is unique, so the result does not
+    depend on the order of the rows.
     """
-    work = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]], pivots
+    space = None
+    for row in rows:
+        vec, _ = _int_vector(row)
+        if vec:
+            if space is None:
+                space = RowSpace(len(row))
+            space._add(vec)
+    return space.echelon() if space is not None else ([], [])
+
+
+def _row_space(mat: QMatrix) -> RowSpace:
+    space = RowSpace(mat.cols)
+    for row in mat._num:
+        space._add(row)
+    return space
 
 
 def matrix_rank(mat: QMatrix) -> int:
-    return len(rref(mat.to_fractions())[1])
+    return len(_row_space(mat))
 
 
 def kernel(mat: QMatrix) -> list[Vector]:
@@ -427,17 +603,20 @@ def kernel(mat: QMatrix) -> list[Vector]:
     has a 1 at position f and minus the echelon coefficients at the pivot
     positions; the list is ordered by f, which makes the output reproducible.
     """
-    reduced, pivots = rref(mat.to_fractions())
+    space = _row_space(mat)
+    # free column -> (pivot, minus the echelon entry there)
+    by_free: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in space._rows.items():
+        for f, x in row.items():
+            if f != p:
+                by_free.setdefault(f, []).append((p, Fraction(-x, row[p])))
     n = mat.cols
-    pivot_set = set(pivots)
     basis: list[Vector] = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
+    for f in space.free_columns():
+        vec = [_ZERO] * n
+        vec[f] = _ONE
+        for p, x in by_free.get(f, ()):
+            vec[p] = x
         basis.append(tuple(vec))
     return basis
 
@@ -445,13 +624,15 @@ def kernel(mat: QMatrix) -> list[Vector]:
 def reduce_vector(
     reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], vec: Sequence
 ) -> list[Fraction]:
-    """Residual of vec after elimination against an echelonized row set."""
-    work = [Fraction(x) for x in vec]
-    for row, p in zip(reduced, pivots):
-        f = work[p]
-        if f != 0:
-            work = [x - f * y for x, y in zip(work, row)]
-    return work
+    """Residual of vec after elimination against an echelonized row set.
+
+    Row i must be nonzero at pivots[i] and zero at every other pivot: an rref
+    with its pivots, or a kernel basis with its free columns.
+    """
+    basis = {p: _int_vector(row)[0] for row, p in zip(reduced, pivots)}
+    x, den = _int_vector(vec)
+    resid, scale = _reduce(basis, x)
+    return _fractions(resid, den * scale, len(vec))
 
 
 def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Fraction]], list[int]]:
@@ -461,17 +642,16 @@ def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Frac
     The reduced echelon form of a subspace is unique, so the result does not
     depend on the order in which images join the span.
     """
-    rows, pivots = rref([vec])
+    n = len(vec)
+    space = RowSpace(n, [vec])
     grew = True
     while grew:
         grew = False
         for mat in mats:
-            for row in list(rows):
-                resid = reduce_vector(rows, pivots, mat.apply(row))
-                if any(resid):
-                    rows, pivots = rref(rows + [resid])
+            for row in [space._rows[p] for p in space.pivots()]:
+                if space.add(mat.apply(_dense(row, n))):
                     grew = True
-    return rows, pivots
+    return space.echelon()
 
 
 def coordinates(
@@ -484,8 +664,9 @@ def coordinates(
     reduce_vector leaves no residual, the coordinates are the entries at
     those columns.  A vector outside the span raises RuntimeError.
     """
+    basis = {c: _int_vector(row)[0] for row, c in zip(rows, columns)}
     for vec in vectors:
-        if any(reduce_vector(rows, columns, vec)):
+        if _reduce(basis, _int_vector(vec)[0])[0]:
             raise RuntimeError("vector lies outside the span of the basis")
     return QMatrix.from_rows([[vec[c] for vec in vectors] for c in columns])
 

@@ -22,14 +22,15 @@ from fractions import Fraction
 from . import sl2
 from .exact import (
     QMatrix,
+    RowSpace,
     Vector,
+    assemble_blocks,
     commutator,
     coordinates,
     kernel,
+    quotient_matrix,
     rat_from_str,
     rat_to_str,
-    reduce_vector,
-    rref,
 )
 
 
@@ -136,41 +137,29 @@ def socle_series(rep: GRep) -> SocleSeries:
         raise ValueError(f"not a representation: {verdict.failure}")
     weights = sl2.diagonal_weights(rep.h)
     n = rep.dim
-    s_rows: list[list[Fraction]] = []
-    s_pivots: list[int] = []
+    socle = RowSpace(n)
     steps: list[SocleStep] = []
-    while len(s_rows) < n:
-        comp = [i for i in range(n) if i not in set(s_pivots)]
+    while len(socle) < n:
+        comp = socle.free_columns()
         nc = len(comp)
-
-        def quotient_matrix(mat: QMatrix) -> QMatrix:
-            cols = []
-            for c in comp:
-                resid = reduce_vector(s_rows, s_pivots, mat.column(c))
-                cols.append([resid[i] for i in comp])
-            return QMatrix.from_rows([[cols[j][i] for j in range(nc)] for i in range(nc)])
-
-        quot_v = [quotient_matrix(vm) for vm in rep.v]
-        stacked_rows = [row for qm in quot_v for row in qm.to_fractions()]
-        ker = kernel(QMatrix.from_rows(stacked_rows)) if stacked_rows else []
-        if nc and not stacked_rows:
-            ker = [tuple(Fraction(i == j) for j in range(nc)) for i in range(nc)]
+        # the joint kernel of the v_i on the quotient: stack them and take one kernel
+        quot_v = {(i, 0): quotient_matrix(vm, socle) for i, vm in enumerate(rep.v)}
+        ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
         if not ker:
             raise RuntimeError("radical action has no common kernel on a nonzero quotient")
 
-        factors = _factor_decomposition(rep, comp, weights, quotient_matrix, ker)
-        new_vecs = []
+        factors = _factor_decomposition(rep, socle, comp, weights, ker)
         for kv in ker:
-            vec = [Fraction(0)] * n
+            vec = [0] * n
             for j, x in enumerate(kv):
                 vec[comp[j]] = x
-            new_vecs.append(vec)
-        s_rows, s_pivots = rref(s_rows + new_vecs)
-        steps.append(SocleStep(tuple(tuple(r) for r in s_rows), factors))
+            socle.add(vec)
+        rows, _ = socle.echelon()
+        steps.append(SocleStep(tuple(map(tuple, rows)), factors))
     return SocleSeries(tuple(steps))
 
 
-def _factor_decomposition(rep, comp, weights, quotient_matrix, ker) -> dict[int, int]:
+def _factor_decomposition(rep, socle, comp, weights, ker) -> dict[int, int]:
     """Decompose the span of the joint-kernel vectors as an sl(2)-module."""
     h_fac = QMatrix.diagonal(
         [_homogeneous_weight(kv, comp, weights) for kv in ker]
@@ -180,10 +169,11 @@ def _factor_decomposition(rep, comp, weights, quotient_matrix, ker) -> dict[int,
     free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
 
     def restrict(mat: QMatrix) -> QMatrix:
-        return coordinates(ker, free, [mat.apply(kv) for kv in ker])
+        quotient = quotient_matrix(mat, socle)
+        return coordinates(ker, free, [quotient.apply(kv) for kv in ker])
 
-    e_fac = restrict(quotient_matrix(rep.e))
-    f_fac = restrict(quotient_matrix(rep.f))
+    e_fac = restrict(rep.e)
+    f_fac = restrict(rep.f)
     return sl2.decompose(sl2.Sl2Rep(len(ker), h_fac, e_fac, f_fac, rep.convention))
 
 

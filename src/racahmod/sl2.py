@@ -18,6 +18,7 @@ matrices; mixing conventions in one operation is an error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,8 +198,12 @@ def dual_iso(k: int) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
-def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> list[QMatrix]:
+@functools.lru_cache(maxsize=1024)
+def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tuple[QMatrix, ...]:
     """Equivariant map V(m) -> Hom(V(b), V(a)) as m+1 explicit matrices.
+
+    Memoised: sweeps ask for the same few maps many times over.  The result
+    is a tuple of immutable matrices, so callers share it safely.
 
     Image of the weight basis v_0, ..., v_m (v_i = F^i v_0 / i!), realized by
     composing the embedding V(m) -> V(a) tensor V(b) with the contraction
@@ -227,7 +232,7 @@ def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> li
         mats = [da * mat * db_inv for mat in mats]
     elif convention != PLAIN_F:
         raise ValueError(f"unknown convention {convention!r}")
-    return mats
+    return tuple(mats)
 
 
 def decompose(rep: Sl2Rep) -> dict[int, int]:

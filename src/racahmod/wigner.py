@@ -315,13 +315,16 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
     Runs in this process when at most one worker would have work: jobs is
     capped at the number of tasks and of cores.  Results keep the task order,
-    so output never depends on jobs.  fn and the tasks must pickle.
+    so output never depends on jobs.  fn and the tasks must pickle.  Tasks
+    travel in chunks of about a quarter of each worker's share, which cuts
+    the round trips of many small tasks and still balances uneven ones.
     """
     workers = min(jobs, len(tasks), default_jobs())
     if workers <= 1:
         return [fn(task) for task in tasks]
+    chunksize = max(1, len(tasks) // (4 * workers))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 def _zero_scan_task(args) -> list[SixJInput]:

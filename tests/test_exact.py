@@ -10,14 +10,16 @@ from racahmod.exact import (
     QMatrix,
     SqrtRational,
     binomial,
+    coordinates,
     factorial,
     intersect_spans,
     kernel,
     matrix_rank,
     rat_from_str,
     rat_to_str,
+    reduce_vector,
     rref,
-    sqrtrat_mul,
+    span_closure,
     sqrtrat_sum_is_zero,
     squarefree_split,
 )
@@ -52,12 +54,12 @@ def test_binomial_pascal_oracle():
 
 def test_sqrtrat_mul_examples():
     root2 = SqrtRational.of(1, 2)
-    assert sqrtrat_mul(root2, root2) == SqrtRational(Fraction(2), 1)
+    assert root2 * root2 == SqrtRational(Fraction(2), 1)
     x = SqrtRational.of(Fraction(1, 2), 6)
     y = SqrtRational.of(Fraction(1, 3), 10)
-    assert sqrtrat_mul(x, y) == SqrtRational(Fraction(1, 3), 15)
+    assert x * y == SqrtRational(Fraction(1, 3), 15)
     zero = SqrtRational(Fraction(0))
-    assert sqrtrat_mul(zero, SqrtRational.of(5, 7)) == zero
+    assert zero * SqrtRational.of(5, 7) == zero
 
 
 def test_sqrtrat_construction_normalizes():
@@ -98,10 +100,10 @@ def test_sqrtrat_sum_grouping():
 def test_sqrtrat_product_invariants(c1, r1, c2, r2):
     x = SqrtRational.of(c1, r1)
     y = SqrtRational.of(c2, r2)
-    prod = sqrtrat_mul(x, y)
+    prod = x * y
     s, t = squarefree_split(prod.radicand)
     assert t == 1 and s == prod.radicand  # radicand stays squarefree
-    square = sqrtrat_mul(x, x)
+    square = x * x
     assert square.radicand == 1
     assert square.coeff == c1 * c1 * r1
 
@@ -177,3 +179,163 @@ def test_qmatrix_shape_errors():
         QMatrix.from_rows([[1, 0]]) * QMatrix.from_rows([[1, 0]])
     with pytest.raises(ValueError):
         QMatrix.from_rows([[1]]) + QMatrix.from_rows([[1, 0]])
+
+
+# -- differential tests: the sparse integer kernels against dense Fractions ------
+
+
+def _ref_rref(rows):
+    """Textbook Gauss-Jordan elimination on dense Fraction rows."""
+    work = [[Fraction(x) for x in row] for row in rows if any(row)]
+    pivots = []
+    r = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def _ref_kernel(grid, ncols):
+    reduced, pivots = _ref_rref(grid)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[f]
+            basis.append(tuple(vec))
+    return basis
+
+
+def _ref_reduce(reduced, pivots, vec):
+    work = [Fraction(x) for x in vec]
+    for row, p in zip(reduced, pivots):
+        f = work[p]
+        work = [x - f * y for x, y in zip(work, row)]
+    return work
+
+
+def _ref_apply(grid, vec):
+    return tuple(sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in grid)
+
+
+def _ref_closure(grids, vec):
+    reduced, pivots = _ref_rref([vec])
+    while True:
+        images = [list(_ref_apply(g, row)) for g in grids for row in reduced]
+        grown, grown_pivots = _ref_rref(reduced + images)
+        if len(grown) == len(reduced):
+            return reduced, pivots
+        reduced, pivots = grown, grown_pivots
+
+
+# numerators are zero half of the time, so the matrices are sparse
+_numerators = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    """A QMatrix from the public dense constructor, with its reference grid.
+
+    The denominator may be negative, and some matrices are all zeros."""
+    r = draw(st.integers(min_value=0, max_value=5)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=5)) if cols is None else cols
+    row = st.lists(_numerators, min_size=c, max_size=c)
+    num = draw(st.lists(row, min_size=r, max_size=r))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        num = [[0] * c for _ in range(r)]
+    den = draw(st.integers(min_value=-12, max_value=12).filter(bool))
+    return QMatrix(r, c, num, den), [[Fraction(x, den) for x in line] for line in num]
+
+
+def _vectors(n):
+    entry = st.fractions(max_denominator=7).map(lambda x: x if abs(x) > 2 else 0)
+    return st.lists(entry, min_size=n, max_size=n)
+
+
+def _same(mat, grid):
+    """mat holds exactly the entries of grid, in the canonical stored form."""
+    assert mat.to_fractions() == tuple(tuple(row) for row in grid)
+    twin = QMatrix.from_rows(grid) if grid else QMatrix.zero(0, mat.cols)
+    assert mat == twin and hash(mat) == hash(twin)
+
+
+@st.composite
+def _compatible(draw):
+    r, k, c = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    return draw(_matrices(r, k)), draw(_matrices(k, c)), draw(_matrices(r, k))
+
+
+@given(_compatible(), st.fractions(max_denominator=9))
+@settings(max_examples=300, deadline=None)
+def test_sparse_arithmetic_matches_dense(triple, scalar):
+    (a, ga), (b, gb), (c, gc) = triple
+    product = [
+        [sum((x * gb[t][j] for t, x in enumerate(row)), Fraction(0)) for j in range(b.cols)]
+        for row in ga
+    ]
+    _same(a * b, product)
+    _same(a + c, [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(ga, gc)])
+    _same(a - c, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(ga, gc)])
+    _same(scalar * a, [[scalar * x for x in row] for row in ga])
+    _same(a * scalar, [[x * scalar for x in row] for row in ga])
+    _same(a.transpose(), [[ga[i][j] for i in range(len(ga))] for j in range(a.cols)])
+    assert (a - a).is_zero() and ((a + c) == (c + a))
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_apply_and_elimination_match_dense(pair, data):
+    mat, grid = pair
+    vec = data.draw(_vectors(mat.cols))
+    assert mat.apply(vec) == _ref_apply(grid, vec)
+    reduced, pivots = rref(grid)
+    assert (reduced, pivots) == _ref_rref(grid)
+    assert rref(list(reversed(grid))) == (reduced, pivots)
+    assert kernel(mat) == _ref_kernel(grid, mat.cols)
+    assert matrix_rank(mat) == len(pivots)
+    assert reduce_vector(reduced, pivots, vec) == _ref_reduce(reduced, pivots, vec)
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_coordinates_match_dense(pair, data):
+    mat, grid = pair
+    ker = kernel(mat)
+    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
+    combination = st.lists(st.fractions(max_denominator=5), min_size=len(ker), max_size=len(ker))
+    weights = data.draw(st.lists(combination, max_size=3))
+    members = [
+        tuple(sum((w * kv[j] for w, kv in zip(ws, ker)), Fraction(0)) for j in range(mat.cols))
+        for ws in weights
+    ]
+    got = coordinates(ker, free, members)
+    assert got.to_fractions() == tuple(tuple(ws[i] for ws in weights) for i in range(len(ker)))
+    reduced, pivots = rref(grid)
+    for vec in data.draw(st.lists(_vectors(mat.cols), max_size=3)):
+        if not any(_ref_reduce(reduced, pivots, vec)):
+            continue
+        with pytest.raises(RuntimeError):
+            coordinates(reduced, pivots, [vec])
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.tuples(st.lists(_matrices(n, n), max_size=3), _vectors(n))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_span_closure_matches_dense(args):
+    pairs, vec = args
+    got = span_closure([mat for mat, _ in pairs], vec)
+    assert got == _ref_closure([grid for _, grid in pairs], vec)

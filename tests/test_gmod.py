@@ -200,3 +200,12 @@ def test_socle_steps_grow_strictly_and_exhaust():
 def test_dual_builder_equals_dual_of_builder():
     for ell, b, m in [(1, 2, 2), (0, 1, 3), (2, 0, 4)]:
         assert build_z_dual(ell, b, m) == dual_rep(build_z(ell, b, m))
+
+
+def test_socle_series_of_dim_81_module():
+    rep = build_z(0, 5, 5)
+    assert rep.dim == 81
+    series = socle_series(rep)
+    assert series.factor_weights() == [0, 5, 10, 15, 20, 25]
+    assert [len(step.basis) for step in series.steps] == [1, 7, 18, 34, 55, 81]
+    assert is_uniserial(rep)

@@ -230,6 +230,16 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
+def _subtract(out: dict[int, int], f: int, row: dict[int, int]) -> None:
+    """out -= f * row, in place, dropping the entries that cancel."""
+    for j, y in row.items():
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+
+
 def _reduce(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> tuple[dict[int, int], int]:
     """Residual of vec after elimination against basis.
 
@@ -243,14 +253,7 @@ def _reduce(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> tuple[dict
     scale = math.lcm(*[basis[c][c] for c in hits])
     out = {j: x * scale for j, x in vec.items()}
     for c in hits:
-        row = basis[c]
-        f = vec[c] * scale // row[c]
-        for j, y in row.items():
-            x = out.get(j, 0) - f * y
-            if x:
-                out[j] = x
-            else:
-                del out[j]
+        _subtract(out, vec[c] * scale // basis[c][c], basis[c])
     return out, scale
 
 
@@ -289,12 +292,7 @@ class RowSpace:
             a = row.get(p)
             if a:
                 new = {j: x * d for j, x in row.items()}
-                for j, y in resid.items():
-                    x = new.get(j, 0) - a * y
-                    if x:
-                        new[j] = x
-                    else:
-                        del new[j]
+                _subtract(new, a, resid)
                 self._rows[q] = _primitive(new)
         self._rows[p] = resid
         return True
@@ -425,12 +423,7 @@ class QMatrix:
         num = []
         for ra, rb in zip(self._num, other._num):
             row = {j: x * sa for j, x in ra.items()}
-            for j, y in rb.items():
-                x = row.get(j, 0) + y * sb
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
+            _subtract(row, -sb, rb)
             num.append(row)
         return QMatrix._from_sparse(self.rows, self.cols, num, den)
 

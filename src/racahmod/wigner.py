@@ -316,13 +316,14 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
     Runs in this process when at most one worker would have work: jobs is
     capped at the number of tasks and of cores.  Results keep the task order,
     so output never depends on jobs.  fn and the tasks must pickle.  Tasks
-    travel in chunks of about a quarter of each worker's share, which cuts
-    the round trips of many small tasks and still balances uneven ones.
+    travel in about sixteen chunks per worker: that cuts the round trips of
+    many small tasks, and chunks stay small enough to balance uneven tasks
+    and to keep each pickled chunk of results small.
     """
     workers = min(jobs, len(tasks), default_jobs())
     if workers <= 1:
         return [fn(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (4 * workers))
+    chunksize = max(1, len(tasks) // (16 * workers))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 

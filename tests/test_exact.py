@@ -301,7 +301,11 @@ def test_sparse_apply_and_elimination_match_dense(pair, data):
     assert mat.apply(vec) == _ref_apply(grid, vec)
     reduced, pivots = rref(grid)
     assert (reduced, pivots) == _ref_rref(grid)
-    assert rref(list(reversed(grid))) == (reduced, pivots)
+    # the same row space, with the rows reordered and rescaled
+    assert rref([[x * (i + 1) for x in row] for i, row in enumerate(reversed(grid))]) == (
+        reduced,
+        pivots,
+    )
     assert kernel(mat) == _ref_kernel(grid, mat.cols)
     assert matrix_rank(mat) == len(pivots)
     assert reduce_vector(reduced, pivots, vec) == _ref_reduce(reduced, pivots, vec)

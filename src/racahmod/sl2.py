@@ -202,14 +202,14 @@ def dual_iso(k: int) -> QMatrix:
 def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tuple[QMatrix, ...]:
     """Equivariant map V(m) -> Hom(V(b), V(a)) as m+1 explicit matrices.
 
-    Memoised: sweeps ask for the same few maps many times over.  The result
-    is a tuple of immutable matrices, so callers share it safely.
-
     Image of the weight basis v_0, ..., v_m (v_i = F^i v_0 / i!), realized by
     composing the embedding V(m) -> V(a) tensor V(b) with the contraction
     V(b) -> V(b)* from dual_iso.  The returned matrices satisfy
         [rep_a(x) , M_i] - M_i shifted = image of x . v_i
     for every generator x, in the requested convention.
+
+    Memoised, since sweeps ask for the same few maps many times over; the
+    result is a tuple of immutable matrices, so callers share it safely.
     """
     if not triangle(a, b, m):
         raise ValueError(f"triangle condition fails for ({a}, {b}, {m})")

@@ -3,7 +3,9 @@
 Every angular momentum is passed as a twice-value (flag --twoj), so all
 inputs are plain integers.  Exit codes: 0 for success or a mathematically
 true result, 1 for a mathematically false/failed result, 2 for usage errors
-and malformed input.
+and malformed input, and 3 for an internal error: a failed self-check of the
+library (the two 6j formulas disagree, a socle or closure invariant breaks,
+an assertion fails), reported as "internal error: <message>" on stderr.
 """
 
 from __future__ import annotations
@@ -81,7 +83,10 @@ def _cmd_realize(args, error) -> int:
         rep = constructions.build_exceptional_len3(m, c)
     elif kind == "zfam":
         (m,) = _need(args, error, "m")
-        z = Fraction(args.z) if args.z is not None else Fraction(0)
+        try:
+            z = Fraction(args.z) if args.z is not None else Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"--z {args.z} has a zero denominator") from None
         rep = constructions.build_z_family(m, z)
     else:  # argparse restricts --kind to the five choices
         m, b = _need(args, error, "m", "b")
@@ -273,6 +278,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        # FormulaDisagreement is a RuntimeError
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

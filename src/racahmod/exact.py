@@ -211,13 +211,6 @@ def _int_vector(vec: Sequence) -> tuple[dict[int, int], int]:
     return {j: x.numerator * (den // x.denominator) for j, x in entries.items()}, den
 
 
-def _dense(row: dict[int, int], n: int) -> list[int]:
-    out = [0] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
 def _fractions(row: dict[int, int], den: int, n: int) -> list[Fraction]:
     out = [_ZERO] * n
     for j, x in row.items():
@@ -632,18 +625,19 @@ def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Frac
     """Echelon basis (rows, pivots) of the smallest subspace that contains vec
     and is mapped into itself by every matrix in mats.
 
-    The reduced echelon form of a subspace is unique, so the result does not
+    Each matrix is applied once to each vector that joins the span: those
+    vectors span it, so their images lying in it make it invariant.  The
+    reduced echelon form of a subspace is unique, so the result does not
     depend on the order in which images join the span.
     """
-    n = len(vec)
-    space = RowSpace(n, [vec])
-    grew = True
-    while grew:
-        grew = False
+    space = RowSpace(len(vec))
+    todo = [vec] if space.add(vec) else []
+    while todo:
+        joined = todo.pop()
         for mat in mats:
-            for row in [space._rows[p] for p in space.pivots()]:
-                if space.add(mat.apply(_dense(row, n))):
-                    grew = True
+            image = mat.apply(joined)
+            if space.add(image):
+                todo.append(image)
     return space.echelon()
 
 

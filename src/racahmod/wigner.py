@@ -11,13 +11,18 @@ single-sum form with a product of four Delta factors in front, and a second
 single-sum form whose prefactor is a ratio of R factors.  With cross-checking
 on (the default) both are evaluated and compared exactly; sweep drivers turn
 the cross-check off after the equality has been established over their box.
+
+The zero search scans one tuple per orbit of the tetrahedral symmetries that
+keep its box (24 maps for a cube box) and expands each zero to its orbit.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .exact import SqrtRational, sqrtrat_sum_is_zero
@@ -283,27 +288,97 @@ def be_recurrence_holds(ti1, ti2, ti3, ti4, ti5, ti6) -> bool:
 
 # -- tuple enumeration and sweeps ----------------------------------------------
 
+IDENTITY = (0, 1, 2, 3, 4, 5)
 
-def sixj_tuples(bounds: Sequence[int], prefix: Sequence[int] = ()) -> Iterator[SixJInput]:
-    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold.
 
+def tetrahedral_maps(bounds: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The tetrahedral symmetries of the 6j-symbol that carry the box onto itself.
+
+    A map is a permutation p of the six positions; it sends t to
+    (t[p[0]], ..., t[p[5]]).  The 24 tetrahedral maps permute the three
+    columns and exchange the upper and lower entries in two of them; the
+    symbol and its four triangles are invariant under each.  A map keeps the
+    box when it moves entries only between slots of equal bound: all 24 do
+    for a cube, only the identity does for six different bounds.  The maps
+    that keep a box form a group; the identity comes first.
+    """
+    maps = []
+    for cols in itertools.permutations(range(3)):
+        for flipped in ((), (1, 2), (0, 2), (0, 1)):
+            p = [0] * 6
+            for c, src in enumerate(cols):
+                p[c], p[c + 3] = (src + 3, src) if c in flipped else (src, src + 3)
+            if all(bounds[p[i]] == bounds[i] for i in range(6)):
+                maps.append(tuple(p))
+    return tuple(maps)
+
+
+def _least_test(maps: Sequence[tuple[int, ...]]) -> Callable[[SixJInput], bool] | None:
+    """Whether a tuple is the least of its images under maps; None when the
+    identity is the only map, so that every tuple is."""
+    groups = []  # (i, the maps that move t[i] to the front)
+    for i in range(6):
+        images = tuple(itemgetter(*p) for p in maps if p[0] == i and p != IDENTITY)
+        if images:
+            groups.append((i, images))
+    if not groups:
+        return None
+
+    def is_least(tj: SixJInput) -> bool:
+        # an image can only be smaller if it starts with t1 again
+        t1 = tj[0]
+        for i, images in groups:
+            if tj[i] == t1:
+                for image in images:
+                    if image(tj) < tj:
+                        return False
+        return True
+
+    return is_least
+
+
+def sixj_tuples(
+    bounds: Sequence[int], prefix: Sequence[int] = (), maps: Sequence[tuple[int, ...]] = (IDENTITY,)
+) -> Iterator[SixJInput]:
+    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold and
+    which is the lexicographically least of its images under `maps`.
+
+    With the identity alone (the default) that is every triangle-valid tuple
+    of the box; with tetrahedral_maps(bounds) it is one tuple per orbit.
     Tuples come in lexicographic order.  `prefix` fixes t1, or t1 and t2.
     """
     b1, b2, b3, b4, b5, b6 = bounds
     if len(prefix) > 2:
         raise ValueError("a prefix fixes at most t1 and t2")
+    # A least tuple has no entry below t1 where a map moves that entry to the
+    # front, and none below t2 where a map that keeps t1 in front moves it to
+    # the second slot.  The loops start at those floors (u_i = 1 marks the
+    # first kind, v_i = 1 the second); the full test sees the rest.
+    fronts = {p[0] for p in maps}
+    seconds = {p[1] for p in maps if p[0] == 0}
+    u2, u3, u4, u5, u6 = (int(i in fronts) for i in range(1, 6))
+    v3, v4, v5, v6 = (int(i in seconds) for i in range(2, 6))
+    is_least = _least_test(maps)
     for t1 in prefix[:1] or range(b1 + 1):
-        for t2 in prefix[1:2] or range(b2 + 1):
-            for t3 in range(abs(t1 - t2), min(t1 + t2, b3) + 1, 2):
-                for t4 in range(b4 + 1):
-                    for t5 in range(abs(t4 - t3), min(t4 + t3, b5) + 1, 2):
+        for t2 in prefix[1:2] or range(t1 * u2, b2 + 1):
+            lo, floor = abs(t1 - t2), max(t1 * u3, t2 * v3)
+            if floor > lo:  # keep the parity of t1 + t2
+                lo = floor + ((floor - lo) & 1)
+            for t3 in range(lo, min(t1 + t2, b3) + 1, 2):
+                for t4 in range(max(t1 * u4, t2 * v4), b4 + 1):
+                    lo, floor = abs(t4 - t3), max(t1 * u5, t2 * v5)
+                    if floor > lo:  # keep the parity of t4 + t3
+                        lo = floor + ((floor - lo) & 1)
+                    for t5 in range(lo, min(t4 + t3, b5) + 1, 2):
                         if (t1 + t5 + t4 + t2) % 2:  # the two t6 parities conflict
                             continue
-                        lo = max(abs(t1 - t5), abs(t4 - t2))
+                        lo = max(abs(t1 - t5), abs(t4 - t2), t1 * u6, t2 * v6)
                         hi = min(t1 + t5, t4 + t2, b6)
                         start = lo if (lo + t1 + t5) % 2 == 0 else lo + 1
                         for t6 in range(start, hi + 1, 2):
-                            yield (t1, t2, t3, t4, t5, t6)
+                            tj = (t1, t2, t3, t4, t5, t6)
+                            if is_least is None or is_least(tj):
+                                yield tj
 
 
 def default_jobs() -> int:
@@ -329,8 +404,8 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
 
 def _zero_scan_task(args) -> list[SixJInput]:
-    prefix, bounds = args
-    return [tj for tj in sixj_tuples(bounds, prefix) if _alpha_sum(*tj)[0] == 0]
+    prefix, bounds, maps = args
+    return [tj for tj in sixj_tuples(bounds, prefix, maps) if _alpha_sum(*tj)[0] == 0]
 
 
 def find_sixj_zeros(
@@ -344,14 +419,22 @@ def find_sixj_zeros(
     vanishes; defined zeros are suppressed.  Output is sorted
     lexicographically on the twice-value tuple and is independent of the
     worker count.
+
+    The symbol is invariant under the tetrahedral maps that keep the box
+    (tetrahedral_maps), so the scan evaluates only the least tuple of each
+    orbit, one pool task per t1, and expands every zero it finds to its
+    orbit: for a cube, about one tuple in twenty.
     """
     if isinstance(bounds, int):
         bounds = (bounds,) * 6
     bounds = tuple(int(b) for b in bounds)
     if len(bounds) != 6 or any(b < 0 for b in bounds):
         raise ValueError("bounds must be one or six non-negative integers")
-    tasks = [((t1, t2), bounds) for t1 in range(bounds[0] + 1) for t2 in range(bounds[1] + 1)]
-    out = [tj for chunk in sweep(_zero_scan_task, tasks, jobs) for tj in chunk]
+    maps = tetrahedral_maps(bounds)
+    tasks = [((t1,), bounds, maps) for t1 in range(bounds[0] + 1)]
+    images = [itemgetter(*p) for p in maps]
+    reps = [tj for chunk in sweep(_zero_scan_task, tasks, jobs) for tj in chunk]
+    out = sorted({image(tj) for tj in reps for image in images})
     if predicate is not None:
         out = [tj for tj in out if predicate(tj)]
     return out

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from racahmod.cli import main
-from racahmod.gmod import grep_from_json, is_uniserial, socle_series
+from racahmod.constructions import build_z
+from racahmod.gmod import grep_from_json, grep_to_json, is_uniserial, socle_series
 from racahmod.wigner import find_sixj_zeros
 
 
@@ -194,3 +196,51 @@ def test_math_domain_error_exit_two(capsys):
     code = main(["cgc", "--twoj", "1", "3", "1", "-1", "2", "2"])
     captured = capsys.readouterr()
     assert code == 2 and "error:" in captured.err
+
+
+@pytest.mark.parametrize("z", ["1/0", "-3/0", "x/2"])
+def test_bad_family_parameter_exits_two(capsys, z):
+    code = main(["realize", "--kind", "zfam", "--m", "8", f"--z={z}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "target, fault, argv, message",
+    [
+        # a wrong second formula: the real cross-check inside sixj fails
+        (
+            "racahmod.wigner._def_sum",
+            lambda *tj: Fraction(0),
+            ["sixj", "--twoj", "4", "0", "4", "4", "6", "4"],
+            "6j formulas disagree at (4, 0, 4, 4, 6, 4)",
+        ),
+        (
+            "racahmod.gmod.socle_series",
+            _raise(RuntimeError("socle basis vector is not weight-homogeneous")),
+            ["socle", "--in", "MODULE"],
+            "socle basis vector is not weight-homogeneous",
+        ),
+        (
+            "racahmod.gmod.is_uniserial",
+            _raise(AssertionError("composite image mismatch")),
+            ["uniserial", "--in", "MODULE"],
+            "composite image mismatch",
+        ),
+    ],
+)
+def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch, target, fault, argv, message):
+    path = tmp_path / "z.json"
+    path.write_text(grep_to_json(build_z(1, 2, 2)))
+    monkeypatch.setattr(target, fault)
+    code = main([str(path) if arg == "MODULE" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"internal error: {message}\n"

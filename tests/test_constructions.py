@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from racahmod import constructions
 from racahmod.constructions import (
     GRep,
     SequenceObstruction,
@@ -17,7 +18,7 @@ from racahmod.constructions import (
     check_z_characterization,
     grep_to_latex,
 )
-from racahmod.exact import QMatrix
+from racahmod.exact import QMatrix, span_closure
 from racahmod.gmod import check_rep, is_uniserial, socle_series
 from racahmod.sl2 import symmetric_power_components
 
@@ -202,6 +203,30 @@ def test_symmetric_power_socle_factors():
         symmetric_power_components(2, i) for i in range(3)
     ]
     assert socle_series(pair.sub).factor_weights() == [0, 2, 4]
+
+
+def test_symmetric_power_closure_applies_each_matrix_once_per_vector(monkeypatch):
+    inside, calls = [False], [0]
+    apply = QMatrix.apply
+
+    def counting_apply(self, vec):
+        calls[0] += inside[0]
+        return apply(self, vec)
+
+    def closure(mats, vec):
+        inside[0] = True
+        try:
+            return span_closure(mats, vec)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(QMatrix, "apply", counting_apply)
+    monkeypatch.setattr(constructions, "span_closure", closure)
+    pair = build_symmetric_power(4, 5)
+    assert (pair.big.dim, pair.sub.dim) == (252, 66)
+    # e, f, h and v_0..v_4, each applied once to each of the 66 vectors that
+    # join the span
+    assert 0 < calls[0] <= 66 * 8
 
 
 def test_symmetric_power_matches_main_family_socle():

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racahmod.exact import SqrtRational, sqrtrat_sum_is_zero
 from racahmod.wigner import (
@@ -17,6 +19,7 @@ from racahmod.wigner import (
     sixj_is_zero,
     sixj_triangles_hold,
     sixj_tuples,
+    tetrahedral_maps,
     triangle,
 )
 
@@ -260,3 +263,86 @@ def test_sixj_tuples_match_filtered_box():
     assert list(sixj_tuples(bounds)) == want
     assert list(sixj_tuples(bounds, (2,))) == [tj for tj in want if tj[0] == 2]
     assert list(sixj_tuples(bounds, (2, 1))) == [tj for tj in want if tj[:2] == (2, 1)]
+
+
+def _tetrahedral_images(tj):
+    """The 24 images of a 6j tuple, written out from the symmetry rules:
+    permute the columns, then swap upper and lower in two columns or none."""
+    cols = [(tj[0], tj[3]), (tj[1], tj[4]), (tj[2], tj[5])]
+    out = []
+    for perm in itertools.permutations(cols):
+        for flipped in ((), (0, 1), (0, 2), (1, 2)):
+            flip = [(lo, up) if c in flipped else (up, lo) for c, (up, lo) in enumerate(perm)]
+            out.append(tuple(up for up, _ in flip) + tuple(lo for _, lo in flip))
+    return out
+
+
+def _box_images(tj, bounds):
+    """The images of tj under the tetrahedral maps that keep the box: those
+    that move entries only between slots of equal bound."""
+    keep = [image == tuple(bounds) for image in _tetrahedral_images(bounds)]
+    return [image for image, k in zip(_tetrahedral_images(tj), keep) if k]
+
+
+def _full_scan(bounds):
+    return [tj for tj in sixj_tuples(bounds) if sixj_is_zero(tj)]
+
+
+# boxes without the full symmetry: none, two equal columns, upper row equal
+# to the lower one, and mixes of those
+NON_CUBE_BOXES = [
+    (6, 4, 8, 5, 7, 3),
+    (8, 8, 6, 5, 5, 7),
+    (7, 5, 9, 7, 5, 9),
+    (4, 2, 4, 4, 6, 4),
+    (8, 8, 8, 6, 6, 6),
+    (9, 7, 9, 9, 7, 9),
+    (10, 6, 10, 6, 10, 6),
+]
+
+
+def test_tetrahedral_maps_keep_the_box():
+    assert len(tetrahedral_maps((5,) * 6)) == 24
+    assert tetrahedral_maps((6, 4, 8, 5, 7, 3)) == ((0, 1, 2, 3, 4, 5),)
+    tj = (1, 2, 3, 4, 5, 6)  # distinct entries, so images tell the maps apart
+    for bounds in [(5,) * 6, *NON_CUBE_BOXES]:
+        maps = tetrahedral_maps(bounds)
+        assert maps[0] == (0, 1, 2, 3, 4, 5)
+        assert sorted(tuple(tj[i] for i in p) for p in maps) == sorted(_box_images(tj, bounds))
+        composed = {tuple(p[q[i]] for i in range(6)) for p in maps for q in maps}
+        assert composed == set(maps), bounds  # a group
+
+
+@pytest.mark.parametrize("bounds", [(3,) * 6, (6,) * 6, *NON_CUBE_BOXES[:4]])
+def test_sixj_tuples_with_maps_are_the_least_of_their_orbits(bounds):
+    maps = tetrahedral_maps(bounds)
+    want = [tj for tj in sixj_tuples(bounds) if tj == min(_box_images(tj, bounds))]
+    assert list(sixj_tuples(bounds, (), maps)) == want
+    assert list(sixj_tuples(bounds, (2,), maps)) == [tj for tj in want if tj[0] == 2]
+
+
+def test_find_sixj_zeros_matches_full_scan_on_cubes():
+    for n in range(11):
+        assert find_sixj_zeros(n) == _full_scan((n,) * 6), n
+
+
+@pytest.mark.parametrize("bounds", NON_CUBE_BOXES)
+def test_find_sixj_zeros_matches_full_scan_on_other_boxes(bounds):
+    assert find_sixj_zeros(bounds) == _full_scan(bounds)
+
+
+@st.composite
+def _boxes(draw):
+    # few distinct bounds, so that many boxes keep some of the symmetries
+    values = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+    return tuple(draw(st.sampled_from(values)) for _ in range(6))
+
+
+@given(_boxes())
+@settings(max_examples=30, deadline=None)
+def test_find_sixj_zeros_independent_of_jobs_and_closed(bounds):
+    zeros = find_sixj_zeros(bounds, jobs=1)
+    assert find_sixj_zeros(bounds, jobs=2) == zeros
+    found = set(zeros)
+    for tj in zeros:
+        assert set(_box_images(tj, bounds)) <= found, tj

@@ -325,10 +325,10 @@ def _least_test(maps: Sequence[tuple[int, ...]]) -> Callable[[SixJInput], bool] 
         return None
 
     def is_least(tj: SixJInput) -> bool:
-        # an image can only be smaller if it starts with t1 again
+        # an image that starts with an entry above t1 is larger
         t1 = tj[0]
         for i, images in groups:
-            if tj[i] == t1:
+            if tj[i] <= t1:
                 for image in images:
                     if image(tj) < tj:
                         return False

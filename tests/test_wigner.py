@@ -319,6 +319,8 @@ def test_sixj_tuples_with_maps_are_the_least_of_their_orbits(bounds):
     want = [tj for tj in sixj_tuples(bounds) if tj == min(_box_images(tj, bounds))]
     assert list(sixj_tuples(bounds, (), maps)) == want
     assert list(sixj_tuples(bounds, (2,), maps)) == [tj for tj in want if tj[0] == 2]
+    for prefix in ((2, 1), (1, 2)):  # a fixed t2 may lie below the floor
+        assert list(sixj_tuples(bounds, prefix, maps)) == [tj for tj in want if tj[:2] == prefix]
 
 
 def test_find_sixj_zeros_matches_full_scan_on_cubes():

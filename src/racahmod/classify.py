@@ -87,17 +87,12 @@ def length3_condition4(a: int, b: int, c: int, m: int) -> bool:
 
     Both consecutive triangles with m must hold (domain error otherwise); the
     sequence is admissible iff, up to swapping a and c, either c = 0, b = m,
-    a = 2m mod 4 and a <= 2m, or b = c + m and a = c + 2m.
+    a = 2m mod 4 and a <= 2m, or b = c + m and a = c + 2m.  Those are the
+    length-3 cases of is_admissible, which decides it.
     """
     if not triangle(a, b, m) or not triangle(b, c, m):
         raise ValueError(f"triangle conditions fail for [{a}, {b}, {c}] with m={m}")
-
-    def oriented(x, y, z):
-        if z == 0 and y == m and (2 * m - x) % 4 == 0 and x <= 2 * m:
-            return True
-        return y == z + m and x == z + 2 * m
-
-    return oriented(a, b, c) or oriented(c, b, a)
+    return is_admissible([a, b, c], m).admissible
 
 
 def length3_condition3(a: int, b: int, c: int, m: int) -> bool:
@@ -127,16 +122,14 @@ def _graded_span_components(members: list[tuple[int, tuple[Fraction, ...]]]) -> 
     return set(sl2.constituents({w: len(rref(vecs)[0]) for w, vecs in by_weight.items()}))
 
 
-def compute_I_J(
-    a: int, b: int, c: int, p: int, q: int, cross_check: bool = True
-) -> tuple[list[int], list[int] | None]:
+def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list[int] | None]:
     """Constituents of the composite image V(p) x V(q) -> Hom(V(c), V(a)).
 
     I lists the k with V(k) in the image of the full product map; when p = q,
     J lists the constituents coming from the alternating square, which are
-    exactly the members of I with k = 2p-2 mod 4.  By default both are also
-    recomputed from the explicit span of products of embedding matrices, and
-    any mismatch raises.
+    exactly the members of I with k = 2p-2 mod 4.  Both are also recomputed
+    from the explicit span of products of embedding matrices, and any
+    mismatch raises.
     """
     if not triangle(p, a, b):
         raise ValueError(f"triangle condition fails for ({p}, {a}, {b})")
@@ -155,49 +148,35 @@ def compute_I_J(
     alternating = None
     if p == q:
         alternating = [k for k in image if (2 * p - 2 - k) % 4 == 0]
-    if cross_check:
-        f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
-        g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
+    f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
+    g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
 
-        def flat(mat):
-            return tuple(x for row in mat.to_fractions() for x in row)
+    def flat(mat):
+        return tuple(x for row in mat.to_fractions() for x in row)
 
-        products = {}
-        for i in range(p + 1):
-            for j in range(q + 1):
-                products[(i, j)] = f[i] * g[j]
-        members = [
-            ((p - 2 * i) + (q - 2 * j), flat(mat)) for (i, j), mat in products.items()
+    products = {}
+    for i in range(p + 1):
+        for j in range(q + 1):
+            products[(i, j)] = f[i] * g[j]
+    members = [((p - 2 * i) + (q - 2 * j), flat(mat)) for (i, j), mat in products.items()]
+    if set(image) != _graded_span_components(members):
+        raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
+    if p == q:
+        alt_members = [
+            ((p - 2 * i) + (q - 2 * j), flat(products[(i, j)] - products[(j, i)]))
+            for i in range(p + 1)
+            for j in range(i + 1, q + 1)
         ]
-        if set(image) != _graded_span_components(members):
-            raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
-        if p == q:
-            alt_members = [
-                ((p - 2 * i) + (q - 2 * j), flat(products[(i, j)] - products[(j, i)]))
-                for i in range(p + 1)
-                for j in range(i + 1, q + 1)
-            ]
-            if set(alternating) != _graded_span_components(alt_members):
-                raise AssertionError(
-                    f"alternating image mismatch at {(a, b, c, p, q)}"
-                )
+        if set(alternating) != _graded_span_components(alt_members):
+            raise AssertionError(f"alternating image mismatch at {(a, b, c, p, q)}")
     return image, alternating
 
 
 # -- the scalar of the composed map ----------------------------------------------
 
 
-def _four_triangles(a, b, c, p, q, k) -> bool:
-    return (
-        triangle(k, p, q)
-        and triangle(p, a, b)
-        and triangle(q, b, c)
-        and triangle(k, a, c)
-    )
-
-
 def _require_four_triangles(a, b, c, p, q, k) -> None:
-    if not _four_triangles(a, b, c, p, q, k):
+    if not (triangle(k, p, q) and triangle(p, a, b) and triangle(q, b, c) and triangle(k, a, c)):
         raise ValueError(
             f"the four triangle conditions fail for (a,b,c,p,q,k)={(a, b, c, p, q, k)}"
         )
@@ -338,28 +317,18 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
 # -- recoupling transition verification --------------------------------------------
 
 
-def _triple_tensor_lhs(a, b, c, k, p) -> dict:
-    """Coefficients of (iota_p^{a,b} tensor 1) after iota_k^{p,c} on e_k."""
-    x = (p + c - k) // 2
-    left = _f_power_images(iota(p, a, b), x)
+def _triple_tensor(a, b, c, k, mid, slot: int) -> dict:
+    """Coefficients on e_k of the map V(k) -> V(a) tensor V(b) tensor V(c)
+    coupled through V(mid): iota_k^{mid,c} then (iota_mid^{a,b} tensor 1) for
+    slot 0, iota_k^{a,mid} then (1 tensor iota_mid^{b,c}) for slot 1."""
+    outer = (mid, c) if slot == 0 else (a, mid)
+    inner = (a, b) if slot == 0 else (b, c)
+    images = _f_power_images(iota(mid, *inner), (sum(outer) - k) // 2)
     out: dict[tuple[int, int, int], Fraction] = {}
-    for (r, s), coeff in iota(k, p, c).coeffs.items():
-        for (i, j), cv in left[r].items():
+    for rs, coeff in iota(k, *outer).coeffs.items():
+        for pair, cv in images[rs[slot]].items():
             if cv:
-                key = (i, j, s)
-                out[key] = out.get(key, Fraction(0)) + coeff * cv
-    return out
-
-
-def _triple_tensor_rhs(a, b, c, k, q) -> dict:
-    """Coefficients of (1 tensor iota_q^{b,c}) after iota_k^{a,q} on e_k."""
-    x = (a + q - k) // 2
-    right = _f_power_images(iota(q, b, c), x)
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (r, s), coeff in iota(k, a, q).coeffs.items():
-        for (j, l), cv in right[s].items():
-            if cv:
-                key = (r, j, l)
+                key = rs[:slot] + pair + rs[slot + 1 :]
                 out[key] = out.get(key, Fraction(0)) + coeff * cv
     return out
 
@@ -390,10 +359,10 @@ def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
     )
     rhs_vectors = []
     for q in qs:
-        coeffs = _triple_tensor_rhs(a, b, c, k, q)
+        coeffs = _triple_tensor(a, b, c, k, q, 1)
         rhs_vectors.append(tuple(coeffs.get(key, Fraction(0)) for key in keys))
     for p in ps:
-        lhs = _triple_tensor_lhs(a, b, c, k, p)
+        lhs = _triple_tensor(a, b, c, k, p, 0)
         target = tuple(lhs.get(key, Fraction(0)) for key in keys)
         solved = solve_columns(rhs_vectors, target)
         if solved is None:
@@ -466,12 +435,10 @@ def classification_tuples(max_m: int, max_weight: int):
                     yield (m, a, b, c)
 
 
-def classification_row(
-    m: int, a: int, b: int, c: int, span_oracle: bool = True
-) -> ClassificationRow:
+def classification_row(m: int, a: int, b: int, c: int) -> ClassificationRow:
     closed = length3_condition4(a, b, c, m)
     vanishing = length3_condition3(a, b, c, m)
-    _, alternating = compute_I_J(a, b, c, m, m, cross_check=span_oracle)
+    _, alternating = compute_I_J(a, b, c, m, m)
     built = build_from_sequence([a, b, c], m)
     return ClassificationRow(
         m, a, b, c, closed, vanishing, alternating == [], isinstance(built, GRep)

@@ -14,10 +14,9 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import classify, constructions, gmod, wigner
-from .exact import rat_to_str
+from .exact import rat_from_str
 from .gmod import GRep
 
 
@@ -83,11 +82,7 @@ def _cmd_realize(args, error) -> int:
         rep = constructions.build_exceptional_len3(m, c)
     elif kind == "zfam":
         (m,) = _need(args, error, "m")
-        try:
-            z = Fraction(args.z) if args.z is not None else Fraction(0)
-        except ZeroDivisionError:
-            raise ValueError(f"--z {args.z} has a zero denominator") from None
-        rep = constructions.build_z_family(m, z)
+        rep = constructions.build_z_family(m, rat_from_str(args.z))
     else:  # argparse restricts --kind to the five choices
         m, b = _need(args, error, "m", "b")
         pair = constructions.build_symmetric_power(m, b)
@@ -166,7 +161,7 @@ def _cmd_verify_scalar(args) -> int:
     for r in reports:
         all_ok &= r.agrees
         print(
-            f"{r.a},{r.b},{r.c},{r.p},{r.q},{r.k},{rat_to_str(r.lam)},"
+            f"{r.a},{r.b},{r.c},{r.p},{r.q},{r.k},{r.lam!s},"
             f"{r.c_factor},{r.sixj},{r.product},{'true' if r.agrees else 'false'}"
         )
     return 0 if all_ok else 1
@@ -227,7 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
-    p.add_argument("--z", type=str, help="family parameter, an exact rational like 5/7")
+    p.add_argument(
+        "--z",
+        default="0",
+        help="family parameter, an exact rational [+-]p or [+-]p/q with q != 0, like 5/7",
+    )
     p.add_argument("--part", choices=["big", "sub"], default="sub")
     p.add_argument("--format", choices=["json", "latex"], default="json")
     p.set_defaults(func=functools.partial(_cmd_realize, error=parser.error))

@@ -13,6 +13,7 @@ from parallel workers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,14 +39,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def rat_from_str(text: str) -> Fraction:
-    """Parse the exact serialization "p/q" (or plain "p")."""
-    return Fraction(text.strip())
-
-
-def rat_to_str(value: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Parse "[+-]p" or "[+-]p/q" in decimal digits with q != 0, the form
+    str(Fraction) writes; anything else, such as a non-string, whitespace, a
+    decimal point or an exponent, raises ValueError.  The digits go to int,
+    so a short text never expands into a huge number."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r:.40} is not a rational [+-]p or [+-]p/q")
+    p, _, q = text.partition("/")
+    if q and not int(q):
+        raise ValueError(f"{text!r:.40} has a zero denominator")
+    return Fraction(int(p), int(q or 1))
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -161,16 +168,16 @@ class SqrtRational:
 
     def __str__(self) -> str:
         if self.radicand == 1:
-            return rat_to_str(self.coeff)
-        return f"{rat_to_str(self.coeff)}*sqrt({self.radicand})"
+            return str(self.coeff)
+        return f"{self.coeff!s}*sqrt({self.radicand})"
 
     @staticmethod
     def from_str(text: str) -> "SqrtRational":
         text = text.strip()
         if "*sqrt(" in text:
             coeff_part, rad_part = text.split("*sqrt(")
-            return SqrtRational(Fraction(coeff_part), int(rad_part.rstrip(")")))
-        return SqrtRational(Fraction(text), 1)
+            return SqrtRational(rat_from_str(coeff_part), int(rad_part.rstrip(")")))
+        return SqrtRational(rat_from_str(text), 1)
 
 
 def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
@@ -261,11 +268,9 @@ class RowSpace:
 
     __slots__ = ("ncols", "_rows")
 
-    def __init__(self, ncols: int, vectors: Iterable[Sequence] = ()):
+    def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: dict[int, dict[int, int]] = {}  # pivot -> row
-        for vec in vectors:
-            self.add(vec)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -410,7 +415,10 @@ class QMatrix:
 
     def _combine(self, other: "QMatrix", sign: int) -> "QMatrix":
         """self + sign * other."""
-        self._check_shape(other, same=True)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch: ({self.rows}x{self.cols}) vs ({other.rows}x{other.cols})"
+            )
         den = math.lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         num = []
@@ -477,12 +485,6 @@ class QMatrix:
             s = sum([a * x[j] for j, a in row.items() if j in x])
             out.append(Fraction(s, den) if s else _ZERO)
         return tuple(out)
-
-    def _check_shape(self, other: "QMatrix", same: bool):
-        if same and (self.rows != other.rows or self.cols != other.cols):
-            raise ValueError(
-                f"shape mismatch: ({self.rows}x{self.cols}) vs ({other.rows}x{other.cols})"
-            )
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
@@ -676,30 +678,3 @@ def solve_columns(columns: Sequence[Sequence], target: Sequence):
         if s != Fraction(target[i]):
             return None
     return coeffs
-
-
-def intersect_spans(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[Vector]:
-    """Echelonized basis of span(a) intersected with span(b)."""
-    a = [tuple(Fraction(x) for x in v) for v in a]
-    b = [tuple(Fraction(x) for x in v) for v in b]
-    if not a or not b:
-        return []
-    n = len(a[0])
-    if any(len(v) != n for v in a) or any(len(v) != n for v in b):
-        raise ValueError("vectors must share one dimension")
-    # columns: the a's then the b's; kernel rows give combinations with
-    # sum x_i a_i = sum y_j b_j, and the common value spans the intersection.
-    stacked = QMatrix.from_rows(
-        [[a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))] for i in range(n)]
-    )
-    members = []
-    for ker in kernel(stacked):
-        vec = [Fraction(0)] * n
-        for j, x in enumerate(ker[: len(a)]):
-            if x:
-                for i in range(n):
-                    vec[i] += x * a[j][i]
-        if any(vec):
-            members.append(vec)
-    reduced, _ = rref(members)
-    return [tuple(row) for row in reduced]

@@ -30,7 +30,6 @@ from .exact import (
     kernel,
     quotient_matrix,
     rat_from_str,
-    rat_to_str,
 )
 
 
@@ -110,6 +109,11 @@ class SocleStep:
     basis: tuple[Vector, ...]  # echelon basis of soc^i in original coordinates
     factors: dict[int, int]  # sl(2) decomposition of soc^i / soc^{i-1}
 
+    @property
+    def is_simple(self) -> bool:
+        """Whether soc^i / soc^{i-1} is a single irreducible: one factor, multiplicity 1."""
+        return list(self.factors.values()) == [1]
+
 
 @dataclass(frozen=True)
 class SocleSeries:
@@ -117,12 +121,9 @@ class SocleSeries:
 
     def factor_weights(self) -> list[int]:
         """Socle factors when every factor is a single irreducible."""
-        out = []
-        for step in self.steps:
-            if len(step.factors) != 1 or next(iter(step.factors.values())) != 1:
-                raise ValueError("a socle factor is not irreducible")
-            out.append(next(iter(step.factors)))
-        return out
+        if not all(step.is_simple for step in self.steps):
+            raise ValueError("a socle factor is not irreducible")
+        return [next(iter(step.factors)) for step in self.steps]
 
 
 def socle_series(rep: GRep) -> SocleSeries:
@@ -186,10 +187,7 @@ def _homogeneous_weight(vec, comp, weights) -> int:
 
 def is_uniserial(rep: GRep) -> bool:
     """Whether every socle factor is a single irreducible sl(2)-module."""
-    for step in socle_series(rep).steps:
-        if len(step.factors) != 1 or next(iter(step.factors.values())) != 1:
-            return False
-    return True
+    return all(step.is_simple for step in socle_series(rep).steps)
 
 
 def dual_rep(rep: GRep) -> GRep:
@@ -208,16 +206,14 @@ def dual_rep(rep: GRep) -> GRep:
 
 
 def _matrix_to_strings(mat: QMatrix) -> list[list[str]]:
-    return [[rat_to_str(x) for x in row] for row in mat.to_fractions()]
+    return [[str(x) for x in row] for row in mat.to_fractions()]
 
 
 def _rational(text, name: str) -> Fraction:
-    if isinstance(text, str):
-        try:
-            return rat_from_str(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{name} has an entry {text!r} that is not a rational string")
+    try:
+        return rat_from_str(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} has an entry that is not a rational: {exc}") from None
 
 
 def _matrix_from_strings(data, dim: int, name: str) -> QMatrix:

@@ -338,18 +338,17 @@ def _least_test(maps: Sequence[tuple[int, ...]]) -> Callable[[SixJInput], bool] 
 
 
 def sixj_tuples(
-    bounds: Sequence[int], prefix: Sequence[int] = (), maps: Sequence[tuple[int, ...]] = (IDENTITY,)
+    bounds: Sequence[int], t1: int | None = None, maps: Sequence[tuple[int, ...]] = (IDENTITY,)
 ) -> Iterator[SixJInput]:
     """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold and
     which is the lexicographically least of its images under `maps`.
 
     With the identity alone (the default) that is every triangle-valid tuple
     of the box; with tetrahedral_maps(bounds) it is one tuple per orbit.
-    Tuples come in lexicographic order.  `prefix` fixes t1, or t1 and t2.
+    Tuples come in lexicographic order.  A given t1 restricts the output to
+    the tuples that start with it, which is how the zero scan splits its box.
     """
     b1, b2, b3, b4, b5, b6 = bounds
-    if len(prefix) > 2:
-        raise ValueError("a prefix fixes at most t1 and t2")
     # A least tuple has no entry below t1 where a map moves that entry to the
     # front, and none below t2 where a map that keeps t1 in front moves it to
     # the second slot.  The loops start at those floors (u_i = 1 marks the
@@ -359,8 +358,8 @@ def sixj_tuples(
     u2, u3, u4, u5, u6 = (int(i in fronts) for i in range(1, 6))
     v3, v4, v5, v6 = (int(i in seconds) for i in range(2, 6))
     is_least = _least_test(maps)
-    for t1 in prefix[:1] or range(b1 + 1):
-        for t2 in prefix[1:2] or range(t1 * u2, b2 + 1):
+    for t1 in range(b1 + 1) if t1 is None else (t1,):
+        for t2 in range(t1 * u2, b2 + 1):
             lo, floor = abs(t1 - t2), max(t1 * u3, t2 * v3)
             if floor > lo:  # keep the parity of t1 + t2
                 lo = floor + ((floor - lo) & 1)
@@ -390,29 +389,24 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
     Runs in this process when at most one worker would have work: jobs is
     capped at the number of tasks and of cores.  Results keep the task order,
-    so output never depends on jobs.  fn and the tasks must pickle.  Tasks
-    travel in about sixteen chunks per worker: that cuts the round trips of
-    many small tasks, and chunks stay small enough to balance uneven tasks
-    and to keep each pickled chunk of results small.
+    so output never depends on jobs.  fn and the tasks must pickle.  Each
+    task travels on its own, so callers group their work into tasks of a
+    useful size: the zero scan sends one task per t1, the other sweeps one
+    per group of tuples that share their first entries.
     """
     workers = min(jobs, len(tasks), default_jobs())
     if workers <= 1:
         return [fn(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (16 * workers))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))
 
 
 def _zero_scan_task(args) -> list[SixJInput]:
-    prefix, bounds, maps = args
-    return [tj for tj in sixj_tuples(bounds, prefix, maps) if _alpha_sum(*tj)[0] == 0]
+    t1, bounds, maps = args
+    return [tj for tj in sixj_tuples(bounds, t1, maps) if _alpha_sum(*tj)[0] == 0]
 
 
-def find_sixj_zeros(
-    bounds: int | Sequence[int],
-    predicate: Callable[[SixJInput], bool] | None = None,
-    jobs: int = 1,
-) -> list[SixJInput]:
+def find_sixj_zeros(bounds: int | Sequence[int], jobs: int = 1) -> list[SixJInput]:
     """All non-trivial 6j zeros inside the box of twice-values.
 
     A zero is non-trivial when all four triangle triples hold yet the symbol
@@ -431,13 +425,10 @@ def find_sixj_zeros(
     if len(bounds) != 6 or any(b < 0 for b in bounds):
         raise ValueError("bounds must be one or six non-negative integers")
     maps = tetrahedral_maps(bounds)
-    tasks = [((t1,), bounds, maps) for t1 in range(bounds[0] + 1)]
+    tasks = [(t1, bounds, maps) for t1 in range(bounds[0] + 1)]
     images = [itemgetter(*p) for p in maps]
     reps = [tj for chunk in sweep(_zero_scan_task, tasks, jobs) for tj in chunk]
-    out = sorted({image(tj) for tj in reps for image in images})
-    if predicate is not None:
-        out = [tj for tj in out if predicate(tj)]
-    return out
+    return sorted({image(tj) for tj in reps for image in images})
 
 
 def dual_formula_agreement(max_twoj: int) -> int:

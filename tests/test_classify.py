@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racahmod.classify import (
     NOT_ADMISSIBLE,
@@ -22,7 +24,9 @@ from racahmod.classify import (
     verify_recoupling,
     verify_scalar_theorem,
 )
+from racahmod.constructions import build_from_sequence
 from racahmod.exact import SqrtRational
+from racahmod.gmod import GRep
 from racahmod.wigner import triangle
 
 
@@ -67,6 +71,24 @@ def test_is_admissible_validation():
         is_admissible([1, 2], 0)
     with pytest.raises(ValueError):
         is_admissible([-1], 2)
+
+
+@st.composite
+def _triangle_sequences(draw):
+    """(seq, m): 1 to 4 weights <= 12, each consecutive pair a triangle with m <= 6."""
+    m = draw(st.integers(1, 6))
+    seq = [draw(st.integers(0, 12))]
+    for _ in range(draw(st.integers(0, 3))):
+        seq.append(draw(st.sampled_from(range(abs(seq[-1] - m), min(seq[-1] + m, 12) + 1, 2))))
+    return seq, m
+
+
+@given(_triangle_sequences())
+@settings(max_examples=300, deadline=None)
+def test_assembly_succeeds_iff_admissible(case):
+    seq, m = case
+    built = build_from_sequence(seq, m)
+    assert isinstance(built, GRep) == is_admissible(seq, m).admissible, case
 
 
 def test_length3_condition4_examples():
@@ -218,5 +240,5 @@ def test_condition3_matches_alternating_emptiness():
         for b in range(9):
             for a in range(abs(b - m), min(b + m, 8) + 1, 2):
                 for c in range(abs(b - m), min(b + m, 8) + 1, 2):
-                    _, alternating = compute_I_J(a, b, c, m, m, cross_check=False)
+                    _, alternating = compute_I_J(a, b, c, m, m)
                     assert (alternating == []) == length3_condition3(a, b, c, m)

@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racahmod.cli import main
-from racahmod.constructions import build_z
-from racahmod.gmod import grep_from_json, grep_to_json, is_uniserial, socle_series
+from racahmod.constructions import build_z, build_z_family
+from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
 from racahmod.wigner import find_sixj_zeros
 
 
@@ -170,7 +178,13 @@ def test_uniserial_false_exit_code(tmp_path, capsys):
     assert code == 1 and out.strip() == "false"
 
 
-@pytest.mark.parametrize("content", ['{"m": 1, "dim": 1}', "[]", None])
+HUGE_ENTRY = (
+    '{"m": 0, "dim": 1, "h": [["1e1000000"]], "e": [["0"]], "f": [["0"]], "v": [[["0"]]], '
+    '"convention": "DividedPower"}'
+)
+
+
+@pytest.mark.parametrize("content", ['{"m": 1, "dim": 1}', "[]", None, HUGE_ENTRY])
 def test_malformed_module_input_exits_two(tmp_path, capsys, content):
     path = tmp_path / "module.json"
     if content is None:
@@ -198,11 +212,78 @@ def test_math_domain_error_exit_two(capsys):
     assert code == 2 and "error:" in captured.err
 
 
-@pytest.mark.parametrize("z", ["1/0", "-3/0", "x/2"])
+@pytest.mark.parametrize("z", ["1/0", "-3/0", "x/2", "1e20000000", "0.5", " 5/7", "5/7 ", "1_0"])
 def test_bad_family_parameter_exits_two(capsys, z):
     code = main(["realize", "--kind", "zfam", "--m", "8", f"--z={z}"])
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+
+def test_family_parameter_grammar(capsys):
+    code, out = run(capsys, "realize", "--kind", "zfam", "--m", "4", "--z=-05/07")
+    assert code == 0 and out == grep_to_json(build_z_family(4, Fraction(-5, 7))) + "\n"
+
+
+# every entry that is not "[+-]p" or "[+-]p/q" with q != 0
+_NOT_RATIONAL = st.one_of(
+    st.text(max_size=6).filter(lambda t: not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", t)),
+    st.sampled_from(["1e1000000", "0.5", "1/0", " 1", "1_0", "\u0663"]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+_NOT_A_LIST = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_VALID = grep_to_dict(build_z(0, 1, 1))  # m = 1, dim 3
+
+
+@st.composite
+def _off_schema(draw):
+    """JSON text of a module that is off the interchange schema in one way."""
+    data = copy.deepcopy(_VALID)
+    kind = draw(st.sampled_from(["missing", "type", "size", "shape", "row", "entry", "json"]))
+    key = draw(st.sampled_from(sorted(data)))
+    mats = [data["h"], data["e"], data["f"], *data["v"]]
+    mat = draw(st.sampled_from(mats))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if kind == "missing":
+        del data[key]
+    elif kind == "type":  # no key takes these: no int, no list, no known convention
+        data[key] = draw(_NOT_A_LIST)
+    elif kind == "size":
+        size = draw(st.sampled_from(["m", "dim"]))
+        data[size] = draw(st.integers().filter(lambda x: x != _VALID[size]))
+    elif kind == "shape":
+        shape = draw(st.sampled_from(["rows-", "rows+", "cols-", "cols+", "v-", "v+"]))
+        target = data["v"] if shape[0] == "v" else mat if shape[0] == "r" else mat[i]
+        if shape[-1] == "-":
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[0]))
+    elif kind == "row":
+        mat[i] = draw(_NOT_A_LIST)
+    elif kind == "entry":
+        mat[i][j] = draw(_NOT_RATIONAL)
+    text = json.dumps(data)
+    if kind == "json":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@given(_off_schema())
+@settings(max_examples=200, deadline=None)
+def test_off_schema_module_exits_two(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "module.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["uniserial", "--in", path])
+    assert code == 2 and err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
 def _raise(exc):

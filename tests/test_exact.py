@@ -12,17 +12,16 @@ from racahmod.exact import (
     binomial,
     coordinates,
     factorial,
-    intersect_spans,
     kernel,
     matrix_rank,
     rat_from_str,
-    rat_to_str,
     reduce_vector,
     rref,
     span_closure,
     sqrtrat_sum_is_zero,
     squarefree_split,
 )
+from racahmod.gmod import GRep, grep_to_dict
 
 
 def test_factorial_values():
@@ -109,10 +108,27 @@ def test_sqrtrat_product_invariants(c1, r1, c2, r2):
 
 
 def test_rational_serialization():
-    assert rat_to_str(Fraction(-3, 6)) == "-1/2"
-    assert rat_to_str(Fraction(4, 2)) == "2"
+    half = QMatrix.from_rows([[Fraction(-3, 6)]])
+    data = grep_to_dict(GRep(0, 1, half, half, half, (QMatrix.from_rows([[Fraction(4, 2)]]),)))
+    assert data["h"] == [["-1/2"]]
+    assert data["v"] == [[["2"]]]
     assert rat_from_str("-1/2") == Fraction(-1, 2)
     assert rat_from_str("7") == 7
+
+
+def test_rat_from_str_grammar():
+    for text, want in [("+3/4", Fraction(3, 4)), ("-0", 0), ("007/010", Fraction(7, 10))]:
+        assert rat_from_str(text) == want
+    bad = ["0.5", "1e5", "1e1000000", "1/0", "-3/000", " 1", "1 ", "1\n", "1_0", "\u0663"]
+    bad += ["", "/2", "1/", "1/-2", "--1", "+", "1/2/3", "inf", "nan", 1, None, Fraction(1)]
+    for text in bad:
+        with pytest.raises(ValueError):
+            rat_from_str(text)
+
+
+@given(st.fractions())
+def test_rat_from_str_reads_str_of_fraction(x):
+    assert rat_from_str(str(x)) == x
 
 
 def test_kernel_examples():
@@ -141,19 +157,6 @@ def test_rank_nullity(rows):
     assert matrix_rank(m) + len(kernel(m)) == m.cols
     for vec in kernel(m):
         assert all(x == 0 for x in m.apply(vec))
-
-
-def test_intersect_spans_examples():
-    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert intersect_spans([e1, e2], [e2, e3]) == [(0, 1, 0)]
-    assert intersect_spans([e1], [e2]) == []
-    got = intersect_spans([(1, 1, 0), (0, 1, 1)], [(1, 0, -1)])
-    assert got == [(1, 0, -1)]
-
-
-def test_intersect_spans_dimension_mismatch():
-    with pytest.raises(ValueError):
-        intersect_spans([(1, 0)], [(1, 0, 0)])
 
 
 def test_rref_determinism_and_pivots():

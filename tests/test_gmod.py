@@ -4,8 +4,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racahmod.constructions import build_z, build_z_dual, build_z_family
+from racahmod.constructions import build_exceptional_len3, build_z, build_z_dual, build_z_family
 from racahmod.exact import QMatrix
 from racahmod.gmod import (
     GRep,
@@ -18,7 +20,7 @@ from racahmod.gmod import (
     is_uniserial,
     socle_series,
 )
-from racahmod.sl2 import DIVIDED_POWER, irrep, tensor
+from racahmod.sl2 import DIVIDED_POWER, PLAIN_F, irrep, tensor
 
 
 def zero_radical_rep(base, m):
@@ -155,6 +157,33 @@ def test_json_schema_keys():
     assert sorted(data) == ["convention", "dim", "e", "f", "h", "m", "v"]
     assert isinstance(data["h"][0][0], str)
     assert len(data["v"]) == 3
+
+
+@st.composite
+def _interchange_modules(draw):
+    """Small built modules, and arbitrary rational matrices in the schema's shape."""
+    kind = draw(st.sampled_from(["z", "zdual", "len3", "zfam", "matrices"]))
+    if kind in ("z", "zdual"):
+        build = build_z if kind == "z" else build_z_dual
+        return build(draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 3)))
+    if kind == "len3":
+        m = draw(st.integers(1, 3))
+        return build_exceptional_len3(m, draw(st.sampled_from(range(2 * m % 4, 2 * m + 1, 4))))
+    if kind == "zfam":
+        return build_z_family(4, draw(st.fractions(max_denominator=10**6)))
+    m, dim = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    entry = st.fractions(max_denominator=10**6) | st.just(Fraction(0))
+    rows = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    mats = [QMatrix.from_rows(draw(rows)) for _ in range(m + 4)]
+    return GRep(m, dim, *mats[:3], tuple(mats[3:]), draw(st.sampled_from([PLAIN_F, DIVIDED_POWER])))
+
+
+@given(_interchange_modules())
+@settings(max_examples=60, deadline=None)
+def test_json_round_trip_keeps_every_matrix(rep):
+    back = grep_from_json(grep_to_json(rep))
+    assert (back.m, back.dim, back.convention) == (rep.m, rep.dim, rep.convention)
+    assert back.matrices() == rep.matrices()
 
 
 def _breaks_schema(data):

@@ -227,11 +227,6 @@ def test_find_sixj_zeros_family_members():
             assert member in zeros
 
 
-def test_find_sixj_zeros_predicate():
-    zeros = find_sixj_zeros(8, predicate=lambda tj: tj[1] == 2)
-    assert zeros and all(tj[1] == 2 for tj in zeros)
-
-
 def test_dual_formulas_agree_on_large_scatter():
     # deterministic scatter well beyond the exhaustive box
     import random
@@ -261,8 +256,7 @@ def test_sixj_tuples_match_filtered_box():
     box = itertools.product(*(range(b + 1) for b in bounds))
     want = [tj for tj in box if sixj_triangles_hold(tj)]
     assert list(sixj_tuples(bounds)) == want
-    assert list(sixj_tuples(bounds, (2,))) == [tj for tj in want if tj[0] == 2]
-    assert list(sixj_tuples(bounds, (2, 1))) == [tj for tj in want if tj[:2] == (2, 1)]
+    assert list(sixj_tuples(bounds, 2)) == [tj for tj in want if tj[0] == 2]
 
 
 def _tetrahedral_images(tj):
@@ -317,10 +311,9 @@ def test_tetrahedral_maps_keep_the_box():
 def test_sixj_tuples_with_maps_are_the_least_of_their_orbits(bounds):
     maps = tetrahedral_maps(bounds)
     want = [tj for tj in sixj_tuples(bounds) if tj == min(_box_images(tj, bounds))]
-    assert list(sixj_tuples(bounds, (), maps)) == want
-    assert list(sixj_tuples(bounds, (2,), maps)) == [tj for tj in want if tj[0] == 2]
-    for prefix in ((2, 1), (1, 2)):  # a fixed t2 may lie below the floor
-        assert list(sixj_tuples(bounds, prefix, maps)) == [tj for tj in want if tj[:2] == prefix]
+    assert list(sixj_tuples(bounds, maps=maps)) == want
+    for t1 in range(bounds[0] + 1):
+        assert list(sixj_tuples(bounds, t1, maps)) == [tj for tj in want if tj[0] == t1]
 
 
 def test_find_sixj_zeros_matches_full_scan_on_cubes():

@@ -389,8 +389,11 @@ def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, i
     """All (a,b,c,p,q,k) with entries <= max_val passing the four triangles.
 
     These are the tuples of {q k p; a b c}, relabelled and listed in the
-    order of (a, b, p, c, q, k).
+    order of (a, b, p, c, q, k).  A negative bound is an error, not an
+    empty box that every row vacuously satisfies.
     """
+    if max_val < 0:
+        raise ValueError(f"the twice-value bound must be non-negative, got {max_val}")
     tuples = [(a, b, c, p, q, k) for q, k, p, a, b, c in sixj_tuples((max_val,) * 6)]
     return sorted(tuples, key=lambda t: (t[0], t[1], t[3], t[2], t[4], t[5]))
 
@@ -427,12 +430,20 @@ class ClassificationRow:
         )
 
 
-def classification_tuples(max_m: int, max_weight: int):
-    for m in range(1, max_m + 1):
-        for b in range(max_weight + 1):
-            for a in range(abs(b - m), min(b + m, max_weight) + 1, 2):
-                for c in range(abs(b - m), min(b + m, max_weight) + 1, 2):
-                    yield (m, a, b, c)
+def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, int, int]]:
+    """Every (m, a, b, c) with 1 <= m <= max_m, weights <= max_weight and
+    a, c in the decomposition of V(b) x V(m).  An empty box is an error."""
+    if max_m < 1 or max_weight < 0:
+        raise ValueError(
+            f"need max_m >= 1 and max_weight >= 0, got max_m={max_m}, max_weight={max_weight}"
+        )
+    return [
+        (m, a, b, c)
+        for m in range(1, max_m + 1)
+        for b in range(max_weight + 1)
+        for a in range(abs(b - m), min(b + m, max_weight) + 1, 2)
+        for c in range(abs(b - m), min(b + m, max_weight) + 1, 2)
+    ]
 
 
 def classification_row(m: int, a: int, b: int, c: int) -> ClassificationRow:

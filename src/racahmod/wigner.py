@@ -12,30 +12,26 @@ single-sum form whose prefactor is a ratio of R factors.  With cross-checking
 on (the default) both are evaluated and compared exactly; sweep drivers turn
 the cross-check off after the equality has been established over their box.
 
+The Clebsch-Gordan sum and both 6j sums run through one integer routine,
+_ratio_sum, on their limits and term ratios; prefactors take their
+factorials from math.  Nothing is cached: memory stays flat in the input.
+
 The zero search scans one tuple per orbit of the tetrahedral symmetries that
 keep its box (24 maps for a cube box) and expands each zero to its orbit.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
 from fractions import Fraction
+from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .exact import SqrtRational, sqrtrat_sum_is_zero
 
 SixJInput = tuple[int, int, int, int, int, int]
-
-_FACT = [1]
-
-
-def _fact(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
 
 
 class FormulaDisagreement(RuntimeError):
@@ -51,6 +47,30 @@ def _check_twoj(*vals: int, signed: bool = False) -> None:
             raise ValueError(f"twice-values must be {kind}, got {v!r}")
 
 
+def _ratio_sum(lo: int, hi: int, num, den) -> tuple[int, int]:
+    """(n, d) with n/d = (x_lo + ... + x_hi) / x_lo, for the alternating
+    series with x_{t+1}/x_t = -P(t)/Q(t).  num = (rising, falling) gives
+    P(t) = prod(c + t for c in rising) * prod(c - t for c in falling); den
+    gives Q alike.  Horner's scheme from the last term (S_hi = 1,
+    S_t = 1 - P(t) S_{t+1} / Q(t)) stays in int; Q(t) != 0 for lo <= t < hi.
+    """
+    (num_up, num_down), (den_up, den_down) = num, den
+    n = d = 1
+    for t in range(hi - 1, lo - 1, -1):
+        p = q = 1
+        for c in num_up:
+            p *= c + t
+        for c in num_down:
+            p *= c - t
+        for c in den_up:
+            q *= c + t
+        for c in den_down:
+            q *= c - t
+        q *= d
+        n, d = q - p * n, q
+    return n, d
+
+
 def triangle(ta: int, tb: int, tc: int) -> bool:
     """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
     _check_twoj(ta, tb, tc)
@@ -59,10 +79,8 @@ def triangle(ta: int, tb: int, tc: int) -> bool:
 
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
     # assumes the triangle condition
-    return Fraction(
-        _fact((ta + tb - tc) // 2) * _fact((ta - tb + tc) // 2) * _fact((-ta + tb + tc) // 2),
-        _fact((ta + tb + tc) // 2 + 1),
-    )
+    s = (ta + tb + tc) // 2
+    return Fraction(factorial(s - tc) * factorial(s - tb) * factorial(s - ta), factorial(s + 1))
 
 
 def delta(ta: int, tb: int, tc: int) -> SqrtRational:
@@ -88,33 +106,19 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
             raise ValueError(f"j and m differ by a non-integer: (2j, 2m) = ({tj}, {tm})")
     if tm1 + tm2 != tm3 or not triangle(tj1, tj2, tj3):
         return SqrtRational(Fraction(0))
-    pref_sq = (
-        _delta_sq(tj1, tj2, tj3)
-        * (tj3 + 1)
-        * _fact((tj1 + tm1) // 2)
-        * _fact((tj1 - tm1) // 2)
-        * _fact((tj2 + tm2) // 2)
-        * _fact((tj2 - tm2) // 2)
-        * _fact((tj3 + tm3) // 2)
-        * _fact((tj3 - tm3) // 2)
-    )
+    pref_sq = _delta_sq(tj1, tj2, tj3) * (tj3 + 1)
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        pref_sq *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
+    # sum over r of (-1)^r / (r! (a12-r)! (a1m-r)! (a2m-r)! (b1+r)! (b2+r)!)
     a12 = (tj1 + tj2 - tj3) // 2
     a1m = (tj1 - tm1) // 2
     a2m = (tj2 + tm2) // 2
     b1 = (tj3 - tj2 + tm1) // 2  # may be negative
     b2 = (tj3 - tj1 - tm2) // 2  # may be negative
-    total = Fraction(0)
-    for r in range(max(0, -b1, -b2), min(a12, a1m, a2m) + 1):
-        denom = (
-            _fact(r)
-            * _fact(a12 - r)
-            * _fact(a1m - r)
-            * _fact(a2m - r)
-            * _fact(b1 + r)
-            * _fact(b2 + r)
-        )
-        total += Fraction((-1) ** r, denom)
-    return SqrtRational.sqrt_of(pref_sq) * total
+    lo = max(0, -b1, -b2)
+    n, d = _ratio_sum(lo, min(a12, a1m, a2m), ((), (a12, a1m, a2m)), ((1, b1 + 1, b2 + 1), ()))
+    d *= prod(map(factorial, (lo, a12 - lo, a1m - lo, a2m - lo, b1 + lo, b2 + lo)))
+    return SqrtRational.sqrt_of(pref_sq) * Fraction(-n if lo & 1 else n, d)
 
 
 # -- 6j-symbol ---------------------------------------------------------------
@@ -129,40 +133,26 @@ def sixj_triangles_hold(tj: SixJInput) -> bool:
     return all(triangle(*tri) for tri in _sixj_triples(tj))
 
 
-def _alpha_sum(t1, t2, t3, t4, t5, t6) -> tuple[int, int]:
-    """Integerized single sum of the Delta-prefactor formula.
+def _alpha_sum(t1, t2, t3, t4, t5, t6) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Single sum of the Delta-prefactor formula,
 
-    Returns (N, K) with the sum equal to N/K; the tuple's four triangles must
-    hold.  All arithmetic is bigint: each term is scaled by falling-factorial
-    ratios against the extreme summation limits.
+        sum over max(a) <= t <= min(b) of (-1)^t (t+1)! / (prod (t-a_i)! prod (b_j-t)!),
+
+    with a the four triangle sums and b the three column sums.  Returns
+    (a, b, n, d): the sum over its first term is n/d, so it vanishes exactly
+    when n == 0, which the zero test reads without leaving int.
     """
-    a0 = (t1 + t2 + t3) // 2
-    a1 = (t1 + t5 + t6) // 2
-    a2 = (t4 + t2 + t6) // 2
-    a3 = (t4 + t5 + t3) // 2
-    b1 = (t2 + t3 + t5 + t6) // 2
-    b2 = (t1 + t3 + t4 + t6) // 2
-    b3 = (t1 + t2 + t4 + t5) // 2
-    tmin = max(a0, a1, a2, a3)
-    tmax = min(b1, b2, b3)
-    fact = _fact
-    fact(tmax + 1)
-    f = _FACT
-    k_const = f[tmax - a0] * f[tmax - a1] * f[tmax - a2] * f[tmax - a3]
-    k_const *= f[b1 - tmin] * f[b2 - tmin] * f[b3 - tmin]
-    total = 0
-    for t in range(tmin, tmax + 1):
-        term = f[t + 1]
-        term *= (f[tmax - a0] // f[t - a0]) * (f[tmax - a1] // f[t - a1])
-        term *= (f[tmax - a2] // f[t - a2]) * (f[tmax - a3] // f[t - a3])
-        term *= (f[b1 - tmin] // f[b1 - t]) * (f[b2 - tmin] // f[b2 - t])
-        term *= f[b3 - tmin] // f[b3 - t]
-        total += -term if t & 1 else term
-    return total, k_const
+    a = ((t1 + t2 + t3) // 2, (t1 + t5 + t6) // 2, (t4 + t2 + t6) // 2, (t4 + t5 + t3) // 2)
+    a0, a1, a2, a3 = a
+    b = ((t2 + t3 + t5 + t6) // 2, (t1 + t3 + t4 + t6) // 2, (t1 + t2 + t4 + t5) // 2)
+    return a, b, *_ratio_sum(max(a), min(b), ((2,), b), ((1 - a0, 1 - a1, 1 - a2, 1 - a3), ()))
 
 
 def _def_sum(t1, t2, t3, t4, t5, t6) -> Fraction:
-    """Single sum of the R-ratio formula, as an exact fraction."""
+    """Single sum of the R-ratio formula, as an exact fraction:
+
+    sum over t of (-1)^t (n1+t)! (n2+t)! (n3-t)! / (t! (d2-t)! (d3-t)! (d4+t)! (d5+t)!).
+    """
     n1 = (-t1 + t5 + t6) // 2
     n2 = (t2 - t4 + t6) // 2
     n3 = (t1 + t3 + t4 - t6) // 2
@@ -170,22 +160,19 @@ def _def_sum(t1, t2, t3, t4, t5, t6) -> Fraction:
     d3 = (t2 + t4 - t6) // 2
     d4 = (-t1 + t3 - t4 + t6) // 2  # may be negative
     d5 = t6 + 1
-    total = Fraction(0)
-    for t in range(max(0, -d4), min(d2, d3, n3) + 1):
-        num = _fact(n1 + t) * _fact(n2 + t) * _fact(n3 - t)
-        den = _fact(t) * _fact(d2 - t) * _fact(d3 - t) * _fact(d4 + t) * _fact(d5 + t)
-        total += Fraction(-num if t & 1 else num, den)
-    return total
+    lo = max(0, -d4)
+    n, d = _ratio_sum(
+        lo, min(d2, d3, n3), ((n1 + 1, n2 + 1), (d2, d3)), ((1, d4 + 1, d5 + 1), (n3,))
+    )
+    n *= factorial(n1 + lo) * factorial(n2 + lo) * factorial(n3 - lo)
+    d *= prod(map(factorial, (lo, d2 - lo, d3 - lo, d4 + lo, d5 + lo)))
+    return Fraction(-n if lo & 1 else n, d)
 
 
 def _r_sq(tx: int, ty: int, tz: int) -> Fraction:
     """Square of R^z_{x,y} = sqrt((jx+jy-jz)! / ((jx-jy+jz)!(-jx+jy+jz)!(jx+jy+jz+1)!))."""
-    return Fraction(
-        _fact((tx + ty - tz) // 2),
-        _fact((tx - ty + tz) // 2)
-        * _fact((-tx + ty + tz) // 2)
-        * _fact((tx + ty + tz) // 2 + 1),
-    )
+    s = (tx + ty + tz) // 2
+    return Fraction(factorial(s - tz), factorial(s - ty) * factorial(s - tx) * factorial(s + 1))
 
 
 def _sign(x: Fraction) -> int:
@@ -205,8 +192,12 @@ def sixj(
     _check_twoj(*tj)
     if not sixj_triangles_hold(tj):
         return SqrtRational(Fraction(0))
-    n, k = _alpha_sum(*tj)
-    s_a = Fraction(n, k)
+    a, b, n, d = _alpha_sum(*tj)
+    lo = max(a)
+    n *= factorial(lo + 1)
+    first_den = (lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo)
+    d *= prod(map(factorial, first_den))
+    s_a = Fraction(-n if lo & 1 else n, d)
     p_a = Fraction(1)
     for tri in _sixj_triples(tj):
         p_a *= _delta_sq(*tri)
@@ -225,7 +216,7 @@ def sixj_is_zero(tj: SixJInput) -> bool:
     """Fast exact zero test (single formula, integer arithmetic only)."""
     if not sixj_triangles_hold(tj):
         return True
-    return _alpha_sum(*tj)[0] == 0
+    return _alpha_sum(*tj)[2] == 0
 
 
 # -- three-term recurrence ----------------------------------------------------
@@ -397,13 +388,15 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
     workers = min(jobs, len(tasks), default_jobs())
     if workers <= 1:
         return [fn(task) for task in tasks]
+    import concurrent.futures  # only a pool needs it; every launch would pay for it
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
 def _zero_scan_task(args) -> list[SixJInput]:
     t1, bounds, maps = args
-    return [tj for tj in sixj_tuples(bounds, t1, maps) if _alpha_sum(*tj)[0] == 0]
+    return [tj for tj in sixj_tuples(bounds, t1, maps) if _alpha_sum(*tj)[2] == 0]
 
 
 def find_sixj_zeros(bounds: int | Sequence[int], jobs: int = 1) -> list[SixJInput]:

@@ -212,6 +212,23 @@ def test_math_domain_error_exit_two(capsys):
     assert code == 2 and "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--max", "-1"],
+        ["verify-scalar", "--max", "-1"],
+        ["verify-classify", "--max-m", "-1", "--max-weight", "3"],
+        ["verify-classify", "--max-m", "0", "--max-weight", "3"],
+        ["verify-classify", "--max-m", "2", "--max-weight", "-4"],
+    ],
+)
+def test_negative_sweep_bound_exits_two(capsys, argv):
+    # an empty box would make every row vacuously true
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("z", ["1/0", "-3/0", "x/2", "1e20000000", "0.5", " 5/7", "5/7 ", "1_0"])
 def test_bad_family_parameter_exits_two(capsys, z):
     code = main(["realize", "--kind", "zfam", "--m", "8", f"--z={z}"])

@@ -1,10 +1,11 @@
 """Unit tests for the recoupling layer: triangle, Delta, CGC, 6j, recurrence."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racahmod.exact import SqrtRational, sqrtrat_sum_is_zero
@@ -108,6 +109,90 @@ def test_sixj_defined_zero_on_failed_triangle():
 def test_sixj_formula_cross_check_box():
     # acceptance runs the <=16 box; keep a fast version in the unit suite
     assert dual_formula_agreement(6) > 0
+
+
+@st.composite
+def _sixj_args(draw, cap=60):
+    """A 6j tuple with twice-values <= cap whose four triangles hold."""
+    t1, t2, t4 = (draw(st.integers(0, cap)) for _ in range(3))
+    t5 = draw(st.integers(0, cap - 1))
+    t5 += (t1 + t2 + t4 + t5) % 2  # the parities that t3 and t6 need then agree
+    lo3, hi3 = max(abs(t1 - t2), abs(t4 - t5)), min(t1 + t2, t4 + t5, cap)
+    lo6, hi6 = max(abs(t1 - t5), abs(t4 - t2)), min(t1 + t5, t4 + t2, cap)
+    assume(lo3 <= hi3 and lo6 <= hi6)
+    t3 = lo3 + 2 * draw(st.integers(0, (hi3 - lo3) // 2))
+    t6 = lo6 + 2 * draw(st.integers(0, (hi6 - lo6) // 2))
+    return (t1, t2, t3, t4, t5, t6)
+
+
+@st.composite
+def _cgc_args(draw, cap=60):
+    """(2j1, 2m1, 2j2, 2m2, 2j3, 2m3) with m1 + m2 = m3 and the triangle holding."""
+    tj1, tj2 = draw(st.integers(0, cap)), draw(st.integers(0, cap))
+    tj3 = draw(st.sampled_from(range(abs(tj1 - tj2), min(tj1 + tj2, cap) + 1, 2)))
+    tm1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+    tm2 = draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+    assume(abs(tm1 + tm2) <= tj3)
+    return (tj1, tm1, tj2, tm2, tj3, tm1 + tm2)
+
+
+def _equals_sympy(value: SqrtRational, expected) -> bool:
+    from sympy import Rational, sign
+
+    if value.is_zero:
+        return expected == 0
+    square = expected**2
+    return (
+        square.is_Rational
+        and Rational(value.coeff.numerator, value.coeff.denominator) ** 2 * value.radicand
+        == square
+        and int(sign(expected)) == (1 if value.coeff > 0 else -1)
+    )
+
+
+@given(_sixj_args())
+@settings(max_examples=40, deadline=None)
+def test_sixj_matches_sympy(tj):
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_6j
+
+    expected = wigner_6j(*(sympy.Rational(t, 2) for t in tj))
+    value = sixj(*tj)
+    assert sixj(*tj, cross_check=False) == value
+    assert _equals_sympy(value, expected), (tj, value, expected)
+
+
+@given(_cgc_args())
+@settings(max_examples=40, deadline=None)
+def test_cgc_matches_sympy(args):
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan
+
+    tj1, tm1, tj2, tm2, tj3, tm3 = args
+    expected = clebsch_gordan(*(sympy.Rational(t, 2) for t in (tj1, tj2, tj3, tm1, tm2, tm3)))
+    assert _equals_sympy(cgc(*args), expected), (args, expected)
+
+
+@given(_sixj_args())
+@settings(max_examples=60, deadline=None)
+def test_sixj_regge_symmetry(tj):
+    t1, t2, t3, t4, t5, t6 = tj
+    s = (t2 + t3 + t5 + t6) // 2
+    image = (t1, s - t2, s - t3, t4, s - t5, s - t6)
+    assert sixj(*image, cross_check=False) == sixj(*tj, cross_check=False), (tj, image)
+
+
+def test_sixj_keeps_no_memory():
+    # the sums run on term ratios; nothing grows with the arguments seen
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = sixj(2000, 2000, 2000, 2000, 2000, 2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not value.is_zero
+    assert held < 1_000_000, held
 
 
 def test_sixj_column_permutation_symmetry():

@@ -21,6 +21,7 @@ computations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +30,8 @@ from . import sl2
 from .constructions import build_from_sequence
 from .exact import SqrtRational, binomial, factorial, rref, solve_columns
 from .gmod import GRep
-from .sl2 import TensorVector, iota
-from .wigner import cgc, delta, sixj, sixj_tuples, sweep, triangle
+from .sl2 import iota
+from .wigner import _delta_sq, cgc, delta, sixj, sixj_tuples, sweep, triangle
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -182,11 +183,22 @@ def _require_four_triangles(a, b, c, p, q, k) -> None:
         )
 
 
-def _f_power_images(top: TensorVector, count: int) -> list[dict]:
-    out = [top]
-    for _ in range(count):
-        out.append(out[-1].apply_f())
-    return [t.coeffs for t in out]
+@functools.lru_cache(maxsize=1024)
+def _f_power_images(k: int, a: int, b: int) -> tuple[tuple[dict[int, tuple[int, int]], ...], int]:
+    """F^i iota(k, a, b) for i = 0..k, as integer numerators over one denominator.
+
+    Each image is a weight vector, so its first slot fixes its second: image
+    i maps r1 to (r2, numerator) for its nonzero coefficients.  Memoised,
+    since a sweep contracts the same few embeddings many times over; callers
+    must not mutate the shared result.
+    """
+    w = iota(k, a, b)
+    images = []
+    for i in range(k + 1):
+        images.append({r1: (r2, c) for (r1, r2), c in w.num.items()})
+        if i < k:
+            w = w.apply_f()
+    return tuple(images), w.den
 
 
 def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
@@ -195,42 +207,42 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
     Computed by brute tensor expansion: push the canonical highest weight
     vector through V(p) tensor V(q), embed both slots, contract the middle
     V(b) pair, and compare against the canonical highest weight vector of
-    V(a) tensor V(c) coefficient by coefficient.  Non-proportionality is an
-    internal error.
+    V(a) tensor V(c) coefficient by coefficient.  The expansion runs on
+    integer numerators; the comparison cross-multiplies them.
+    Non-proportionality is an internal error.
     """
     _require_four_triangles(a, b, c, p, q, k)
-    x1 = (p + q - k) // 2
-    left = _f_power_images(iota(p, a, b), x1)
-    right = _f_power_images(iota(q, b, c), x1)
-    phi: dict[tuple[int, int], Fraction] = {}
-    for (r1, r2), coeff in iota(k, p, q).coeffs.items():
-        for (i, r), ca in left[r1].items():
-            if ca == 0:
-                continue
-            t_needed = b - r
-            for (t, n), cb in right[r2].items():
-                if t != t_needed or cb == 0:
-                    continue
-                sign = -1 if r & 1 else 1
-                key = (i, n)
-                phi[key] = phi.get(key, Fraction(0)) + coeff * ca * cb * sign
-    target = iota(k, a, c).coeffs
-    lam = None
-    for key, tv in target.items():
-        pv = phi.get(key, Fraction(0))
-        if lam is None:
-            lam = pv / tv
-        elif pv != lam * tv:
+    left, left_den = _f_power_images(p, a, b)
+    right, right_den = _f_power_images(q, b, c)
+    top, top_den = _f_power_images(k, p, q)
+    target, target_den = _f_power_images(k, a, c)
+    phi: dict[tuple[int, int], int] = {}
+    for r1, (r2, coeff) in top[0].items():
+        lookup = right[r2]
+        for i, (r, ca) in left[r1].items():
+            hit = lookup.get(b - r)
+            if hit is not None:
+                n, cb = hit
+                term = coeff * ca * cb
+                phi[(i, n)] = phi.get((i, n), 0) + (-term if r & 1 else term)
+    (i0, (n0, tv0)), *rest = target[0].items()
+    pv0 = phi.pop((i0, n0), 0)
+    # phi / (top_den * left_den * right_den) = lam * target / target_den
+    for i, (n, tv) in rest:
+        if phi.pop((i, n), 0) * tv0 != pv0 * tv:
             raise RuntimeError(f"composed image is not proportional at {(a, b, c, p, q, k)}")
-    for key, pv in phi.items():
-        if key not in target and pv != 0:
-            raise RuntimeError(f"composed image is not proportional at {(a, b, c, p, q, k)}")
-    assert lam is not None
-    return lam
+    if any(phi.values()):
+        raise RuntimeError(f"composed image is not proportional at {(a, b, c, p, q, k)}")
+    return Fraction(pv0 * target_den, tv0 * top_den * left_den * right_den)
 
 
 def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
-    """The explicit non-zero factor C with lambda = C * {q/2 k/2 p/2; a/2 b/2 c/2}."""
+    """The explicit non-zero factor C with lambda = C * {q/2 k/2 p/2; a/2 b/2 c/2}.
+
+    C = sign * (p+q+k+2)(a+b+p+2)(b+c+q+2) / (4 (a+c+k+2))
+          * Delta(a,b,p) Delta(p,q,k) Delta(b,c,q) / Delta(a,c,k),
+    taken as one square root of the Delta^2 ratio.
+    """
     _require_four_triangles(a, b, c, p, q, k)
     x_ac = (a + c - k) // 2
     sign = -1 if (x_ac + b + k) & 1 else 1
@@ -238,8 +250,8 @@ def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
         sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2),
         4 * (a + c + k + 2),
     )
-    numerator = delta(a, b, p) * delta(p, q, k) * delta(b, c, q)
-    return rational * (numerator / delta(a, c, k))
+    ratio_sq = _delta_sq(a, b, p) * _delta_sq(p, q, k) * _delta_sq(b, c, q) / _delta_sq(a, c, k)
+    return SqrtRational.sqrt_of(ratio_sq) * rational
 
 
 @dataclass(frozen=True)
@@ -287,7 +299,7 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
     """
     if not triangle(a, b, k):
         raise ValueError(f"triangle condition fails for ({a}, {b}, {k})")
-    images = _f_power_images(iota(k, a, b), k)
+    images, den = _f_power_images(k, a, b)
     scale = (
         SqrtRational.sqrt_of(k + 1) * Fraction(2, a + b + k + 2)
     ) / delta(a, b, k)
@@ -297,9 +309,10 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
             Fraction(factorial((k + tmu) // 2), factorial((k - tmu) // 2))
         )
         for r1 in range(a + 1):
+            img_r2, img_num = img.get(r1, (None, 0))
             for r2 in range(b + 1):
                 tm1, tm2 = a - 2 * r1, b - 2 * r2
-                rhs = common * img.get((r1, r2), Fraction(0))
+                rhs = common * (Fraction(img_num, den) if r2 == img_r2 else 0)
                 if tm1 + tm2 != tmu:
                     lhs = SqrtRational(Fraction(0))
                 else:
@@ -323,14 +336,15 @@ def _triple_tensor(a, b, c, k, mid, slot: int) -> dict:
     slot 0, iota_k^{a,mid} then (1 tensor iota_mid^{b,c}) for slot 1."""
     outer = (mid, c) if slot == 0 else (a, mid)
     inner = (a, b) if slot == 0 else (b, c)
-    images = _f_power_images(iota(mid, *inner), (sum(outer) - k) // 2)
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for rs, coeff in iota(k, *outer).coeffs.items():
-        for pair, cv in images[rs[slot]].items():
-            if cv:
-                key = rs[:slot] + pair + rs[slot + 1 :]
-                out[key] = out.get(key, Fraction(0)) + coeff * cv
-    return out
+    images, den = _f_power_images(mid, *inner)
+    top = iota(k, *outer)
+    out: dict[tuple[int, int, int], int] = {}
+    for rs, coeff in top.num.items():
+        for r1, (r2, cv) in images[rs[slot]].items():
+            key = rs[:slot] + (r1, r2) + rs[slot + 1 :]
+            out[key] = out.get(key, 0) + coeff * cv
+    den *= top.den
+    return {key: Fraction(n, den) for key, n in out.items()}
 
 
 def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:

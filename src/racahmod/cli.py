@@ -11,6 +11,7 @@ an assertion fails), reported as "internal error: <message>" on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -31,10 +32,20 @@ def _twoj_args(parser: argparse.ArgumentParser, names: str) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=wigner.default_jobs(),
         help="worker processes, capped at the cores and the tasks; output does not depend on it",
     )
@@ -45,13 +56,33 @@ def _verdict(ok: bool) -> int:
     return 0 if ok else 1
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift Python's cap on int-to-str conversion (4300 digits by default).
+
+    The cap guards the parsing of untrusted input; an exact value the library
+    has computed must print whatever its size, so only formatting lifts it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons without the cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _cmd_value(args) -> int:
     """sixj, cgc and delta: the wigner function of the command's name."""
     value = getattr(wigner, args.command)(*args.twoj)
+    with _unlimited_int_str():
+        text = str(value)
     if args.format == "json":
-        print(json.dumps({"twoj": args.twoj, "value": str(value)}))
+        print(json.dumps({"twoj": args.twoj, "value": text}))
     else:
-        print(value)
+        print(text)
     return 0
 
 

@@ -145,7 +145,7 @@ class SqrtRational:
                 (self.radicand // g) * (other.radicand // g),
             )
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand if self.coeff * other else 1)
+            return SqrtRational(self.coeff * other, self.radicand)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -121,48 +122,58 @@ def tensor(a: Sl2Rep, b: Sl2Rep) -> Sl2Rep:
 
 @dataclass
 class TensorVector:
-    """Vector in V(a) tensor V(b), PlainF coordinates indexed by (r1, r2)."""
+    """Vector in V(a) tensor V(b), PlainF coordinates indexed by (r1, r2).
+
+    Stored as the integer numerators of the nonzero coefficients over one
+    positive denominator, so the F and E actions add and scale integers
+    only; ``coeffs`` reads the coefficients as Fractions.
+    """
 
     left_dim: int
     right_dim: int
-    coeffs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    num: dict[tuple[int, int], int] = field(default_factory=dict)
+    den: int = 1
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], Fraction]:
+        return {key: Fraction(c, self.den) for key, c in self.num.items()}
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs.values())
+        return not any(self.num.values())
+
+    def _shifted(self, terms) -> "TensorVector":
+        out: dict[tuple[int, int], int] = {}
+        for key, c in terms:
+            out[key] = out.get(key, 0) + c
+        num = {key: c for key, c in out.items() if c}
+        return TensorVector(self.left_dim, self.right_dim, num, self.den)
 
     def apply_f(self) -> "TensorVector":
         """Leibniz action of F in PlainF coordinates (F F^r e = F^{r+1} e)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r1, r2), c in self.coeffs.items():
-            if c == 0:
-                continue
-            if r1 + 1 < self.left_dim:
-                key = (r1 + 1, r2)
-                out[key] = out.get(key, Fraction(0)) + c
-            if r2 + 1 < self.right_dim:
-                key = (r1, r2 + 1)
-                out[key] = out.get(key, Fraction(0)) + c
-        return TensorVector(self.left_dim, self.right_dim, out)
+        da, db = self.left_dim, self.right_dim
+        terms = []
+        for (r1, r2), c in self.num.items():
+            if r1 + 1 < da:
+                terms.append(((r1 + 1, r2), c))
+            if r2 + 1 < db:
+                terms.append(((r1, r2 + 1), c))
+        return self._shifted(terms)
 
     def apply_e(self) -> "TensorVector":
         """Leibniz action of E (E F^r e_k = r(k+1-r) F^{r-1} e_k)."""
         ka, kb = self.left_dim - 1, self.right_dim - 1
-        out: dict[tuple[int, int], Fraction] = {}
-        for (r1, r2), c in self.coeffs.items():
-            if c == 0:
-                continue
+        terms = []
+        for (r1, r2), c in self.num.items():
             if r1 > 0:
-                key = (r1 - 1, r2)
-                out[key] = out.get(key, Fraction(0)) + c * r1 * (ka + 1 - r1)
+                terms.append(((r1 - 1, r2), c * r1 * (ka + 1 - r1)))
             if r2 > 0:
-                key = (r1, r2 - 1)
-                out[key] = out.get(key, Fraction(0)) + c * r2 * (kb + 1 - r2)
-        return TensorVector(self.left_dim, self.right_dim, out)
+                terms.append(((r1, r2 - 1), c * r2 * (kb + 1 - r2)))
+        return self._shifted(terms)
 
     def weight(self) -> int:
         """Common h-eigenvalue of the support; error if not homogeneous."""
         ka, kb = self.left_dim - 1, self.right_dim - 1
-        ws = {ka - 2 * r1 + kb - 2 * r2 for (r1, r2), c in self.coeffs.items() if c}
+        ws = {ka - 2 * r1 + kb - 2 * r2 for r1, r2 in self.num}
         if len(ws) != 1:
             raise ValueError("vector is not a weight vector")
         return ws.pop()
@@ -174,16 +185,18 @@ def iota(k: int, a: int, b: int) -> TensorVector:
     Coefficients in PlainF coordinates:
         sum_r (-1)^r  C(x, r) / C(x + k, a - r)  F^r e_a  tensor  F^{x-r} e_b
     with x = (a + b - k)/2.  Unique up to scale; this fixes the scale used by
-    every composite map in the package.
+    every composite map in the package.  The numerators share the lcm of the
+    C(x + k, a - r).
     """
     if not triangle(a, b, k):
         raise ValueError(f"triangle condition fails for ({a}, {b}, {k})")
     x = (a + b - k) // 2
-    coeffs = {
-        (r, x - r): Fraction((-1) ** r * binomial(x, r), binomial(x + k, a - r))
-        for r in range(x + 1)
+    dens = [binomial(x + k, a - r) for r in range(x + 1)]
+    den = math.lcm(*dens)
+    num = {
+        (r, x - r): (-1) ** r * binomial(x, r) * (den // d) for r, d in enumerate(dens)
     }
-    return TensorVector(a + 1, b + 1, coeffs)
+    return TensorVector(a + 1, b + 1, num, den)
 
 
 def dual_iso(k: int) -> QMatrix:
@@ -218,12 +231,10 @@ def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tu
     mats: list[QMatrix] = []
     w = top
     for i in range(m + 1):
-        rows = [[Fraction(0)] * (b + 1) for _ in range(a + 1)]
-        inv_fact = Fraction(1, factorial(i))
-        for (r1, r2), c in w.coeffs.items():
-            if c:
-                rows[r1][b - r2] += c * j_signs[r2] * inv_fact
-        mats.append(QMatrix.from_rows(rows))
+        grid = [[0] * (b + 1) for _ in range(a + 1)]
+        for (r1, r2), c in w.num.items():
+            grid[r1][b - r2] += c * j_signs[r2]
+        mats.append(QMatrix(a + 1, b + 1, grid, w.den * factorial(i)))
         if i < m:
             w = w.apply_f()
     if convention == DIVIDED_POWER:
@@ -307,12 +318,12 @@ def invariant_form(m: int) -> InvariantForm:
     otherwise.
     """
     inv = iota(0, m, m)
-    rows = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    for (r1, r2), c in inv.coeffs.items():
+    grid = [[0] * (m + 1) for _ in range(m + 1)]
+    for (r1, r2), c in inv.num.items():
         # j(F^r e) = (-1)^r (F^{m-r} e)*, so the (r1, r2) term evaluates the
         # pair (F^{m-r1} e, F^{m-r2} e).
-        rows[m - r1][m - r2] += c * (-1) ** (r1 + r2)
-    mat = QMatrix.from_rows(rows)
+        grid[m - r1][m - r2] += c * (-1) ** (r1 + r2)
+    mat = QMatrix(m + 1, m + 1, grid, inv.den)
     symmetric = mat == mat.transpose()
     skew = mat == -mat.transpose()
     if symmetric == skew:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racahmod import classify, wigner
 from racahmod.classify import (
     NOT_ADMISSIBLE,
     ONE_PARAMETER_FAMILY,
@@ -27,7 +28,8 @@ from racahmod.classify import (
 from racahmod.constructions import build_from_sequence
 from racahmod.exact import SqrtRational
 from racahmod.gmod import GRep
-from racahmod.wigner import triangle
+from racahmod.sl2 import iota
+from racahmod.wigner import sixj, triangle
 
 
 def test_is_admissible_examples():
@@ -147,6 +149,48 @@ def test_lambda_phi_trivial():
 def test_lambda_phi_triangle_error():
     with pytest.raises(ValueError):
         lambda_phi(1, 1, 4, 2, 1, 1)
+
+
+def test_lambda_route_calls_no_wigner_formula(monkeypatch):
+    tuples = [(1, 1, 0, 2, 1, 1), (4, 6, 4, 4, 4, 6), (4, 6, 4, 4, 4, 2), (5, 3, 4, 6, 5, 3)]
+    expected = [(c_factor(*t) * sixj(t[4], t[5], t[3], *t[:3])).as_fraction() for t in tuples]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the tensor route called a wigner formula")
+
+    for owner in (wigner, classify):
+        monkeypatch.setattr(owner, "sixj", forbidden)
+        monkeypatch.setattr(owner, "cgc", forbidden)
+    classify._f_power_images.cache_clear()
+    assert [lambda_phi(*t) for t in tuples] == expected
+    assert expected[1] != 0 and expected[2] == 0
+
+
+def test_f_power_images_memo_is_bounded():
+    assert classify._f_power_images.cache_info().maxsize is not None
+
+
+def _fraction_apply_f(coeffs, da, db):
+    out = {}
+    for (r1, r2), c in coeffs.items():
+        if r1 + 1 < da:
+            out[(r1 + 1, r2)] = out.get((r1 + 1, r2), 0) + c
+        if r2 + 1 < db:
+            out[(r1, r2 + 1)] = out.get((r1, r2 + 1), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def test_f_power_images_match_fraction_leibniz():
+    for a in range(13):
+        for b in range(13):
+            for k in range(abs(a - b), a + b + 1, 2):
+                images, den = classify._f_power_images(k, a, b)
+                assert len(images) == k + 1
+                expected = iota(k, a, b).coeffs
+                for i, image in enumerate(images):
+                    got = {(r1, r2): Fraction(c, den) for r1, (r2, c) in image.items()}
+                    assert got == expected, (a, b, k, i)
+                    expected = _fraction_apply_f(expected, a + 1, b + 1)
 
 
 def test_c_factor_values():

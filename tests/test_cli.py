@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
 from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
-from racahmod.wigner import find_sixj_zeros
+from racahmod.wigner import delta, find_sixj_zeros
 
 
 def run(capsys, *argv):
@@ -227,6 +228,39 @@ def test_negative_sweep_bound_exits_two(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+
+def test_value_past_int_str_limit_prints(capsys):
+    # the numerator and denominator of Delta(6000, 6000, 6000) have over 4300 digits
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "delta", "--twoj", "12000", "12000", "12000")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(delta(12000, 12000, 12000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected + "\n" and len(out) > 2 * 4300
+    # parsing keeps the limit: a 5,000-digit parameter is still bad input
+    code = main(["realize", "--kind", "zfam", "--m", "4", f"--z={'7' * 5000}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--max", "1"],
+        ["verify-scalar", "--max", "1"],
+        ["verify-classify", "--max-m", "1", "--max-weight", "1"],
+    ],
+)
+def test_jobs_below_one_exits_two(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"--jobs={jobs}"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and "--jobs" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("z", ["1/0", "-3/0", "x/2", "1e20000000", "0.5", " 5/7", "5/7 ", "1_0"])

@@ -31,7 +31,18 @@ from .constructions import build_from_sequence
 from .exact import SqrtRational, binomial, factorial, rref, solve_columns
 from .gmod import GRep
 from .sl2 import iota
-from .wigner import _delta_sq, cgc, delta, sixj, sixj_tuples, sweep, triangle
+from .wigner import (
+    _check_twoj,
+    _delta_surd,
+    _surd_product,
+    _triangle,
+    cgc,
+    delta,
+    sixj,
+    sixj_tuples,
+    sweep,
+    triangle,
+)
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -177,7 +188,10 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
 
 
 def _require_four_triangles(a, b, c, p, q, k) -> None:
-    if not (triangle(k, p, q) and triangle(p, a, b) and triangle(q, b, c) and triangle(k, a, c)):
+    _check_twoj(a, b, c, p, q, k)
+    if not (
+        _triangle(k, p, q) and _triangle(p, a, b) and _triangle(q, b, c) and _triangle(k, a, c)
+    ):
         raise ValueError(
             f"the four triangle conditions fail for (a,b,c,p,q,k)={(a, b, c, p, q, k)}"
         )
@@ -241,17 +255,19 @@ def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
 
     C = sign * (p+q+k+2)(a+b+p+2)(b+c+q+2) / (4 (a+c+k+2))
           * Delta(a,b,p) Delta(p,q,k) Delta(b,c,q) / Delta(a,c,k),
-    taken as one square root of the Delta^2 ratio.
+    assembled in int from the four memoised Delta surds.
     """
     _require_four_triangles(a, b, c, p, q, k)
     x_ac = (a + c - k) // 2
     sign = -1 if (x_ac + b + k) & 1 else 1
-    rational = Fraction(
-        sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2),
-        4 * (a + c + k + 2),
+    # 1 / (t/d sqrt(s)) = d/(t s) sqrt(s)
+    t4, d4, s4 = _delta_surd(a, c, k)
+    n, d, rad = _surd_product(
+        (_delta_surd(a, b, p), _delta_surd(p, q, k), _delta_surd(b, c, q), (d4, t4 * s4, s4))
     )
-    ratio_sq = _delta_sq(a, b, p) * _delta_sq(p, q, k) * _delta_sq(b, c, q) / _delta_sq(a, c, k)
-    return SqrtRational.sqrt_of(ratio_sq) * rational
+    n *= sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2)
+    d *= 4 * (a + c + k + 2)
+    return SqrtRational(Fraction(n, d), rad)
 
 
 @dataclass(frozen=True)

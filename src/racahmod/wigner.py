@@ -13,8 +13,9 @@ on (the default) both are evaluated and compared exactly; sweep drivers turn
 the cross-check off after the equality has been established over their box.
 
 The Clebsch-Gordan sum and both 6j sums run through one integer routine,
-_ratio_sum, on their limits and term ratios; prefactors take their
-factorials from math.  Nothing is cached: memory stays flat in the input.
+_ratio_sum, on their limits and term ratios.  Each Delta factor is an
+integer surd t/d*sqrt(s), memoised per triangle in a bounded cache, so the
+6j value and its cross-check stay in int up to the one Fraction returned.
 
 The zero search scans one tuple per orbit of the tetrahedral symmetries that
 keep its box (24 maps for a cube box) and expands each zero to its orbit.
@@ -22,10 +23,11 @@ keep its box (24 maps for a cube box) and expands each zero to its orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -71,10 +73,15 @@ def _ratio_sum(lo: int, hi: int, num, den) -> tuple[int, int]:
     return n, d
 
 
+def _triangle(ta: int, tb: int, tc: int) -> bool:
+    # triangle without the type check, for callers that checked already
+    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+
+
 def triangle(ta: int, tb: int, tc: int) -> bool:
     """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
     _check_twoj(ta, tb, tc)
-    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+    return _triangle(ta, tb, tc)
 
 
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
@@ -83,12 +90,68 @@ def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
     return Fraction(factorial(s - tc) * factorial(s - tb) * factorial(s - ta), factorial(s + 1))
 
 
+def _primes_upto(n: int) -> list[int]:
+    # sieve of Eratosthenes, for n >= 1
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _factorial_exponent(n: int, p: int) -> int:
+    # Legendre: the exponent of the prime p in n!
+    e = 0
+    while n:
+        n //= p
+        e += n
+    return e
+
+
+@functools.lru_cache(maxsize=4096)
+def _delta_surd(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
+    """Delta(ta, tb, tc) = t/d * sqrt(s) with t, d coprime and s squarefree.
+
+    Assumes the triangle condition.  The prime exponents of Delta^2 come from
+    Legendre's formula on its four factorials.  An exponent e >= 0 puts
+    p^(e//2) in t; e < 0 puts p^ceil(-e/2) in d; an odd e leaves one p under
+    the root (p^-(2f+1) = p^-(2f+2) * p).  Memoised, since a sweep meets each
+    triangle many times.
+    """
+    s2 = (ta + tb + tc) // 2
+    top = (s2 - tc, s2 - tb, s2 - ta)
+    t = d = s = 1
+    for p in _primes_upto(s2 + 1):
+        e = sum(_factorial_exponent(x, p) for x in top) - _factorial_exponent(s2 + 1, p)
+        if e >= 0:
+            t *= p ** (e >> 1)
+        else:
+            d *= p ** ((1 - e) >> 1)
+        if e & 1:
+            s *= p
+    return t, d, s
+
+
+def _surd_product(surds) -> tuple[int, int, int]:
+    """(n, d, rad) with n/d*sqrt(rad) the product of the surds (t, d, s),
+    each s squarefree; rad stays squarefree by taking out common factors."""
+    n = d = rad = 1
+    for t, dt, s in surds:
+        g = gcd(rad, s)
+        n *= t * g
+        d *= dt
+        rad = (rad // g) * (s // g)
+    return n, d, rad
+
+
 def delta(ta: int, tb: int, tc: int) -> SqrtRational:
     """Delta(j1,j2,j3) = sqrt((j1+j2-j3)!(j1-j2+j3)!(-j1+j2+j3)!/(j1+j2+j3+1)!),
     and exactly 0 when the triangle condition fails."""
     if not triangle(ta, tb, tc):
         return SqrtRational(Fraction(0))
-    return SqrtRational.sqrt_of(_delta_sq(ta, tb, tc))
+    t, d, s = _delta_surd(ta, tb, tc)
+    return SqrtRational(Fraction(t, d), s)
 
 
 def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRational:
@@ -124,13 +187,16 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
 # -- 6j-symbol ---------------------------------------------------------------
 
 
-def _sixj_triples(tj: SixJInput):
-    t1, t2, t3, t4, t5, t6 = tj
-    return ((t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))
-
-
 def sixj_triangles_hold(tj: SixJInput) -> bool:
-    return all(triangle(*tri) for tri in _sixj_triples(tj))
+    """Whether the four triangles of a 6j-symbol hold; tj must be six
+    non-negative ints (unchecked)."""
+    t1, t2, t3, t4, t5, t6 = tj
+    return (
+        _triangle(t1, t2, t3)
+        and _triangle(t1, t5, t6)
+        and _triangle(t4, t2, t6)
+        and _triangle(t4, t5, t3)
+    )
 
 
 def _alpha_sum(t1, t2, t3, t4, t5, t6) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
@@ -148,8 +214,8 @@ def _alpha_sum(t1, t2, t3, t4, t5, t6) -> tuple[tuple[int, ...], tuple[int, ...]
     return a, b, *_ratio_sum(max(a), min(b), ((2,), b), ((1 - a0, 1 - a1, 1 - a2, 1 - a3), ()))
 
 
-def _def_sum(t1, t2, t3, t4, t5, t6) -> Fraction:
-    """Single sum of the R-ratio formula, as an exact fraction:
+def _def_sum(t1, t2, t3, t4, t5, t6) -> tuple[int, int]:
+    """Single sum of the R-ratio formula, as (n, d) with d > 0:
 
     sum over t of (-1)^t (n1+t)! (n2+t)! (n3-t)! / (t! (d2-t)! (d3-t)! (d4+t)! (d5+t)!).
     """
@@ -166,17 +232,14 @@ def _def_sum(t1, t2, t3, t4, t5, t6) -> Fraction:
     )
     n *= factorial(n1 + lo) * factorial(n2 + lo) * factorial(n3 - lo)
     d *= prod(map(factorial, (lo, d2 - lo, d3 - lo, d4 + lo, d5 + lo)))
-    return Fraction(-n if lo & 1 else n, d)
+    return -n if lo & 1 else n, d
 
 
-def _r_sq(tx: int, ty: int, tz: int) -> Fraction:
-    """Square of R^z_{x,y} = sqrt((jx+jy-jz)! / ((jx-jy+jz)!(-jx+jy+jz)!(jx+jy+jz+1)!))."""
+def _r_sq_inv(tx: int, ty: int, tz: int) -> int:
+    """1/R^2 for R^z_{x,y} = sqrt((jx+jy-jz)! / ((jx-jy+jz)!(-jx+jy+jz)!(jx+jy+jz+1)!)),
+    an integer since (jx+jy-jz)! divides (jx+jy+jz+1)!."""
     s = (tx + ty + tz) // 2
-    return Fraction(factorial(s - tz), factorial(s - ty) * factorial(s - tx) * factorial(s + 1))
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    return factorial(s - ty) * factorial(s - tx) * (factorial(s + 1) // factorial(s - tz))
 
 
 def sixj(
@@ -186,34 +249,54 @@ def sixj(
 
     Returns exactly 0 when any of the four triangle triples fails.  With
     cross_check on, both independent formulas are evaluated and must agree
-    exactly; a mismatch raises FormulaDisagreement.
+    exactly: the square of the value returned must equal the R-formula's,
+    and so must the sign; a mismatch raises FormulaDisagreement.
     """
     tj = (tj1, tj2, tj3, tj4, tj5, tj6)
     _check_twoj(*tj)
     if not sixj_triangles_hold(tj):
         return SqrtRational(Fraction(0))
     a, b, n, d = _alpha_sum(*tj)
-    lo = max(a)
-    n *= factorial(lo + 1)
-    first_den = (lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo)
-    d *= prod(map(factorial, first_den))
-    s_a = Fraction(-n if lo & 1 else n, d)
-    p_a = Fraction(1)
-    for tri in _sixj_triples(tj):
-        p_a *= _delta_sq(*tri)
-    if cross_check:
-        s_b = _def_sum(*tj)
-        q_b = (_r_sq(tj2, tj3, tj1) * _r_sq(tj3, tj5, tj4)) / (
-            _r_sq(tj5, tj6, tj1) * _r_sq(tj2, tj6, tj4)
+    if not n:
+        value = SqrtRational(Fraction(0))
+    else:
+        # the sum times the four Delta factors, in int
+        lo = max(a)
+        first_den = (
+            lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo
         )
-        sign_b = -1 if ((tj1 + tj2 + tj4 + tj5) // 2) & 1 else 1
-        if p_a * s_a * s_a != q_b * s_b * s_b or _sign(s_a) != sign_b * _sign(s_b):
+        pn, pd, rad = _surd_product(
+            (
+                _delta_surd(tj1, tj2, tj3),
+                _delta_surd(tj1, tj5, tj6),
+                _delta_surd(tj4, tj2, tj6),
+                _delta_surd(tj4, tj5, tj3),
+            )
+        )
+        n *= factorial(lo + 1) * pn
+        d *= prod(map(factorial, first_den)) * pd
+        value = SqrtRational(Fraction(-n if lo & 1 else n, d), rad)
+    if cross_check:
+        # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the
+        # returned value; every denominator is positive, so once the squares
+        # agree the two sides vanish together
+        n, d = value.coeff.numerator, value.coeff.denominator
+        sn, sd = _def_sum(*tj)
+        g = gcd(sn, sd)  # keeps the products below small at large twice-values
+        sn, sd = sn // g, sd // g
+        q_num = _r_sq_inv(tj5, tj6, tj1) * _r_sq_inv(tj2, tj6, tj4)
+        q_den = _r_sq_inv(tj2, tj3, tj1) * _r_sq_inv(tj3, tj5, tj4)
+        if ((tj1 + tj2 + tj4 + tj5) // 2) & 1:
+            sn = -sn
+        lhs = n * n * value.radicand * q_den * sd * sd
+        if lhs != q_num * sn * sn * d * d or (n < 0) != (sn < 0):
             raise FormulaDisagreement(f"6j formulas disagree at {tj}")
-    return SqrtRational.sqrt_of(p_a) * s_a
+    return value
 
 
 def sixj_is_zero(tj: SixJInput) -> bool:
     """Fast exact zero test (single formula, integer arithmetic only)."""
+    _check_twoj(*tj)
     if not sixj_triangles_hold(tj):
         return True
     return _alpha_sum(*tj)[2] == 0

@@ -200,6 +200,22 @@ def test_c_factor_values():
         assert not c_factor(*tup).is_zero, tup
 
 
+def test_c_factor_matches_fraction_formula():
+    # C as it was first written: one square root of the Delta^2 ratio
+    for a, b, c, p, q, k in scalar_theorem_tuples(8):
+        sign = -1 if ((a + c - k) // 2 + b + k) & 1 else 1
+        rational = Fraction(
+            sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2), 4 * (a + c + k + 2)
+        )
+        ratio_sq = (
+            wigner._delta_sq(a, b, p)
+            * wigner._delta_sq(p, q, k)
+            * wigner._delta_sq(b, c, q)
+            / wigner._delta_sq(a, c, k)
+        )
+        assert c_factor(a, b, c, p, q, k) == SqrtRational.sqrt_of(ratio_sq) * rational
+
+
 def test_c_factor_zero_product_case():
     report = verify_scalar_theorem(4, 6, 4, 4, 4, 2)
     assert report.agrees and report.lam == 0 and report.sixj.is_zero

@@ -1,15 +1,21 @@
 """Unit tests for the recoupling layer: triangle, Delta, CGC, 6j, recurrence."""
 
+import importlib
 import itertools
+import pkgutil
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import racahmod
+from racahmod import wigner
 from racahmod.exact import SqrtRational, sqrtrat_sum_is_zero
 from racahmod.wigner import (
+    FormulaDisagreement,
     be_coefficients,
     be_recurrence_holds,
     cgc,
@@ -193,6 +199,52 @@ def test_sixj_keeps_no_memory():
         tracemalloc.stop()
     assert not value.is_zero
     assert held < 1_000_000, held
+
+
+def test_delta_surd_matches_sqrt_of_delta_sq():
+    for tri in itertools.product(range(17), repeat=3):
+        if triangle(*tri):
+            t, d, s = wigner._delta_surd(*tri)
+            assert t > 0 and d > 0 and gcd(t, d) == 1, tri
+            assert SqrtRational(Fraction(t, d), s) == SqrtRational.sqrt_of(
+                wigner._delta_sq(*tri)
+            ), tri
+
+
+def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch):
+    true_surd = wigner._delta_surd
+
+    def wrong_radicand(ta, tb, tc):
+        t, d, s = true_surd(ta, tb, tc)
+        return t, d, s // 3 if s % 3 == 0 else s * 3
+
+    tuples = [(2, 2, 2, 2, 2, 2), (4, 0, 4, 4, 6, 4), (3, 4, 5, 3, 4, 5), (3, 5, 6, 5, 3, 4)]
+    right = [sixj(*tj) for tj in tuples]
+    monkeypatch.setattr(wigner, "_delta_surd", wrong_radicand)
+    for tj, value in zip(tuples, right):
+        assert not value.is_zero
+        assert sixj(*tj, cross_check=False) != value, tj
+        with pytest.raises(FormulaDisagreement):
+            sixj(*tj, cross_check=True)
+
+
+def test_every_cache_is_bounded():
+    # memory must stay flat however many inputs a sweep meets
+    caches = {}
+    for info in pkgutil.iter_modules(racahmod.__path__):
+        module = importlib.import_module(f"racahmod.{info.name}")
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for obj in vars(owner).values():
+                obj = getattr(obj, "__func__", obj)
+                if hasattr(obj, "cache_info"):
+                    caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert {
+        "racahmod.wigner._delta_surd",
+        "racahmod.classify._f_power_images",
+        "racahmod.sl2.hom_embedding",
+    } <= set(caches)
+    assert all(size is not None for size in caches.values()), caches
 
 
 def test_sixj_column_permutation_symmetry():

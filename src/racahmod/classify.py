@@ -21,16 +21,15 @@ computations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sl2
 from .constructions import build_from_sequence
-from .exact import SqrtRational, binomial, factorial, rref, solve_columns
+from .exact import QMatrix, SqrtRational, binomial, factorial, matrix_rank, rref
 from .gmod import GRep
-from .sl2 import iota
+from .sl2 import _f_power_images, iota
 from .wigner import (
     _check_twoj,
     _delta_surd,
@@ -197,24 +196,6 @@ def _require_four_triangles(a, b, c, p, q, k) -> None:
         )
 
 
-@functools.lru_cache(maxsize=1024)
-def _f_power_images(k: int, a: int, b: int) -> tuple[tuple[dict[int, tuple[int, int]], ...], int]:
-    """F^i iota(k, a, b) for i = 0..k, as integer numerators over one denominator.
-
-    Each image is a weight vector, so its first slot fixes its second: image
-    i maps r1 to (r2, numerator) for its nonzero coefficients.  Memoised,
-    since a sweep contracts the same few embeddings many times over; callers
-    must not mutate the shared result.
-    """
-    w = iota(k, a, b)
-    images = []
-    for i in range(k + 1):
-        images.append({r1: (r2, c) for (r1, r2), c in w.num.items()})
-        if i < k:
-            w = w.apply_f()
-    return tuple(images), w.den
-
-
 def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
     """Proportionality scalar of the composed map V(k) -> V(a) tensor V(c).
 
@@ -347,7 +328,7 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
 
 
 def _triple_tensor(a, b, c, k, mid, slot: int) -> dict:
-    """Coefficients on e_k of the map V(k) -> V(a) tensor V(b) tensor V(c)
+    """Nonzero coefficients on e_k of the map V(k) -> V(a) tensor V(b) tensor V(c)
     coupled through V(mid): iota_k^{mid,c} then (iota_mid^{a,b} tensor 1) for
     slot 0, iota_k^{a,mid} then (1 tensor iota_mid^{b,c}) for slot 1."""
     outer = (mid, c) if slot == 0 else (a, mid)
@@ -360,17 +341,19 @@ def _triple_tensor(a, b, c, k, mid, slot: int) -> dict:
             key = rs[:slot] + (r1, r2) + rs[slot + 1 :]
             out[key] = out.get(key, 0) + coeff * cv
     den *= top.den
-    return {key: Fraction(n, den) for key, n in out.items()}
+    return {key: Fraction(n, den) for key, n in out.items() if n}
 
 
 def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
     """Check that 6j-symbols are the transition coefficients between the two
     coupled bases of maps V(k) -> V(a) tensor V(b) tensor V(c).
 
-    For each admissible intermediate p, the left-coupled map is expanded in
-    the right-coupled basis by an exact linear solve, and each coefficient is
-    compared with its predicted value built from the 6j-symbol, two Delta
-    ratios and the explicit sign and dimension factors.
+    The right-coupled maps, one per admissible intermediate q, must be
+    linearly independent.  For each admissible intermediate p, the
+    left-coupled map must then equal the sum over q of the right-coupled
+    maps times their predicted coefficients, each built from the 6j-symbol,
+    two Delta ratios and the explicit sign and dimension factors; an
+    irrational prediction fails.
     """
     ps = [
         p
@@ -384,31 +367,29 @@ def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
     ]
     if not ps or not qs:
         raise ValueError(f"V({k}) does not occur in V({a}) x V({b}) x V({c})")
-    keys = sorted(
-        {(i, j, l) for i in range(a + 1) for j in range(b + 1) for l in range(c + 1)}
-    )
-    rhs_vectors = []
-    for q in qs:
-        coeffs = _triple_tensor(a, b, c, k, q, 1)
-        rhs_vectors.append(tuple(coeffs.get(key, Fraction(0)) for key in keys))
+    right = [_triple_tensor(a, b, c, k, q, 1) for q in qs]
+    keys = sorted(set().union(*right))
+    if matrix_rank(QMatrix.from_rows([[v.get(key, 0) for key in keys] for v in right])) < len(qs):
+        return False
     for p in ps:
-        lhs = _triple_tensor(a, b, c, k, p, 0)
-        target = tuple(lhs.get(key, Fraction(0)) for key in keys)
-        solved = solve_columns(rhs_vectors, target)
-        if solved is None:
-            return False
         l_sign = -1 if ((a - b - c + k) // 2) & 1 else 1
         l_fac = SqrtRational(
             Fraction(l_sign * 4, (a + b + p + 2) * (p + c + k + 2))
         ) / (delta(a, b, p) * delta(p, c, k))
-        for q, got in zip(qs, solved):
+        combined: dict[tuple[int, int, int], Fraction] = {}
+        for q, vec in zip(qs, right):
             r_sign = -1 if q & 1 else 1
             r_fac = SqrtRational(
                 Fraction(r_sign * 4 * (q + 1), (b + c + q + 2) * (a + q + k + 2))
             ) / (delta(b, c, q) * delta(a, q, k))
             predicted = (r_fac * sixj(a, b, p, c, k, q)) / l_fac
-            if not predicted.is_rational or predicted.as_fraction() != got:
+            if not predicted.is_rational:
                 return False
+            coeff = predicted.as_fraction()
+            for key, x in vec.items():
+                combined[key] = combined.get(key, 0) + coeff * x
+        if {key: x for key, x in combined.items() if x} != _triple_tensor(a, b, c, k, p, 0):
+            return False
     return True
 
 
@@ -462,10 +443,12 @@ class ClassificationRow:
 
 def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, int, int]]:
     """Every (m, a, b, c) with 1 <= m <= max_m, weights <= max_weight and
-    a, c in the decomposition of V(b) x V(m).  An empty box is an error."""
-    if max_m < 1 or max_weight < 0:
+    a, c in the decomposition of V(b) x V(m).  An empty box is an error; it
+    is empty exactly when max_m < 1 or max_weight < 1 (b = 0 forces a >= m,
+    and (1, 1, 0, 1) lies in every other box)."""
+    if max_m < 1 or max_weight < 1:
         raise ValueError(
-            f"need max_m >= 1 and max_weight >= 0, got max_m={max_m}, max_weight={max_weight}"
+            f"need max_m >= 1 and max_weight >= 1, got max_m={max_m}, max_weight={max_weight}"
         )
     return [
         (m, a, b, c)

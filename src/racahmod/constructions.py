@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import gmod, sl2
 from .exact import (
@@ -30,29 +29,12 @@ from .exact import (
     binomial,
     commutator,
     coordinates,
+    primitive_family,
     reduce_vector,
     span_closure,
 )
 from .gmod import GRep
 from .wigner import triangle
-
-
-def _primitive_scale(mats: list[QMatrix]) -> Fraction:
-    """Positive-leading primitive rescale for a family of rational matrices."""
-    g, l = 0, 1
-    first = None
-    for mat in mats:
-        for row in mat.to_fractions():
-            for x in row:
-                if x:
-                    if first is None:
-                        first = x
-                    g = gcd(g, abs(x.numerator))
-                    l = l * x.denominator // gcd(l, x.denominator)
-    if first is None:
-        return Fraction(1)
-    sc = Fraction(l, g)
-    return -sc if first * sc < 0 else sc
 
 
 def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
@@ -61,9 +43,7 @@ def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
     hom_embedding fixes the maps projectively; the primitive normalization
     pins the scale and sign.
     """
-    mats = sl2.hom_embedding(m, target, source, sl2.DIVIDED_POWER)
-    sc = _primitive_scale(mats)
-    return [sc * mat for mat in mats]
+    return primitive_family(sl2.hom_embedding(m, target, source, sl2.DIVIDED_POWER))
 
 
 def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMatrix]]) -> GRep:
@@ -326,37 +306,26 @@ class SequenceObstruction:
         return False
 
 
-def build_from_sequence(seq, m: int, scalars=None):
+def build_from_sequence(seq, m: int):
     """Assemble a module candidate with the given socle-factor sequence.
 
-    Superdiagonal blocks are the canonical equivariant ones scaled by the
-    given nonzero rationals (default all 1).  Returns the GRep when every
-    radical commutator vanishes (then the module is uniserial with the given
-    factors); otherwise returns a SequenceObstruction carrying the first
-    nonvanishing commutator block.  This is the brute-force admissibility
-    oracle.
+    Superdiagonal blocks are the canonical equivariant ones.  Returns the
+    GRep when every radical commutator vanishes (then the module is
+    uniserial with the given factors); otherwise returns a
+    SequenceObstruction carrying the first nonvanishing commutator block.
+    This is the brute-force admissibility oracle.
     """
     seq = [int(a) for a in seq]
     if not seq:
         raise ValueError("the factor sequence must be non-empty")
     if m < 1:
         raise ValueError("the radical weight m must be positive")
-    if scalars is None:
-        scalars = [Fraction(1)] * (len(seq) - 1)
-    scalars = [Fraction(s) for s in scalars]
-    if len(scalars) != len(seq) - 1:
-        raise ValueError("need one scalar per consecutive pair")
-    if any(s == 0 for s in scalars):
-        raise ValueError("scalars must be non-zero")
     for i in range(len(seq) - 1):
         if not triangle(seq[i], seq[i + 1], m):
             raise ValueError(
                 f"triangle condition fails between factors {seq[i]} and {seq[i + 1]}"
             )
-    families = [
-        [scalars[i] * mat for mat in radical_blocks(m, seq[i + 1], seq[i])]
-        for i in range(len(seq) - 1)
-    ]
+    families = [radical_blocks(m, seq[i + 1], seq[i]) for i in range(len(seq) - 1)]
     # the only bracket obstructions sit two steps down the flag
     for w in range(len(seq) - 2):
         fam_a, fam_b = families[w], families[w + 1]

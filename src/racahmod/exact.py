@@ -490,6 +490,25 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+def primitive_family(mats: Sequence[QMatrix]) -> list[QMatrix]:
+    """The family times the one rational that makes its entries coprime
+    integers with the first nonzero entry positive (row-major, first matrix
+    first).  A family of zero matrices is returned as it is."""
+    den = math.lcm(*[mat._den for mat in mats])
+    num = [
+        [{j: x * (den // mat._den) for j, x in row.items()} for row in mat._num] for mat in mats
+    ]
+    g = math.gcd(*[x for rows in num for row in rows for x in row.values()])
+    if not g:
+        return list(mats)
+    lead = next(row[min(row)] for rows in num for row in rows if row)
+    g = -g if lead < 0 else g
+    return [
+        QMatrix._from_sparse(m.rows, m.cols, [{j: x // g for j, x in r.items()} for r in rows], 1)
+        for m, rows in zip(mats, num)
+    ]
+
+
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return a * b - b * a
 
@@ -658,23 +677,3 @@ def coordinates(
         if _reduce(basis, _int_vector(vec)[0])[0]:
             raise RuntimeError("vector lies outside the span of the basis")
     return QMatrix.from_rows([[vec[c] for vec in vectors] for c in columns])
-
-
-def solve_columns(columns: Sequence[Sequence], target: Sequence):
-    """Solve sum_j x_j * columns[j] = target exactly; None when inconsistent."""
-    n = len(target)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    reduced, pivots = rref(aug)
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(reduced, pivots):
-        if p == k:  # pivot in the augmented column: inconsistent
-            return None
-        coeffs[p] = row[k]
-    # consistency needs every non-pivot unknown forced only when independent;
-    # columns are assumed independent in all call sites, so verify the answer.
-    for i in range(n):
-        s = sum((coeffs[j] * Fraction(columns[j][i]) for j in range(k)), Fraction(0))
-        if s != Fraction(target[i]):
-            return None
-    return coeffs

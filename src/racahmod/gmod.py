@@ -147,6 +147,10 @@ def socle_series(rep: GRep) -> SocleSeries:
         quot_v = {(i, 0): quotient_matrix(vm, socle) for i, vm in enumerate(rep.v)}
         ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
         if not ker:
+            # for m >= 1 the radical lies in [g, rad g] and acts nilpotently;
+            # for m = 0 v_0 may act by a nonzero scalar, a fault of the input
+            if rep.m == 0:
+                raise ValueError("the radical v_0 does not act nilpotently: no socle series")
             raise RuntimeError("radical action has no common kernel on a nonzero quotient")
 
         factors = _factor_decomposition(rep, socle, comp, weights, ker)

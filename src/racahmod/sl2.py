@@ -212,6 +212,25 @@ def dual_iso(k: int) -> QMatrix:
 
 
 @functools.lru_cache(maxsize=1024)
+def _f_power_images(k: int, a: int, b: int) -> tuple[tuple[dict[int, tuple[int, int]], ...], int]:
+    """F^i iota(k, a, b) for i = 0..k, as integer numerators over one denominator.
+
+    Each image is a weight vector, so its first slot fixes its second: image
+    i maps r1 to (r2, numerator) for its nonzero coefficients.  This is the
+    one place where F acts on iota.  Memoised, since a sweep contracts the
+    same few embeddings many times over; callers must not mutate the shared
+    result.
+    """
+    w = iota(k, a, b)
+    images = []
+    for i in range(k + 1):
+        images.append({r1: (r2, c) for (r1, r2), c in w.num.items()})
+        if i < k:
+            w = w.apply_f()
+    return tuple(images), w.den
+
+
+@functools.lru_cache(maxsize=1024)
 def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tuple[QMatrix, ...]:
     """Equivariant map V(m) -> Hom(V(b), V(a)) as m+1 explicit matrices.
 
@@ -219,30 +238,31 @@ def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tu
     composing the embedding V(m) -> V(a) tensor V(b) with the contraction
     V(b) -> V(b)* from dual_iso.  The returned matrices satisfy
         [rep_a(x) , M_i] - M_i shifted = image of x . v_i
-    for every generator x, in the requested convention.
+    for every generator x, in the requested convention.  They are read in
+    int off the F-power images of iota: entry (r1, b - r2) of M_i is
+    (-1)^r2 times the (r1, r2) coefficient of F^i iota / i!, and the
+    DividedPower conjugation scales it by r1! / (b - r2)!, taken as the
+    integer r1! * b! / (b - r2)! over an extra b!.
 
     Memoised, since sweeps ask for the same few maps many times over; the
     result is a tuple of immutable matrices, so callers share it safely.
     """
-    if not triangle(a, b, m):
-        raise ValueError(f"triangle condition fails for ({a}, {b}, {m})")
-    top = iota(m, a, b)
-    j_signs = [(-1) ** r2 for r2 in range(b + 1)]
-    mats: list[QMatrix] = []
-    w = top
-    for i in range(m + 1):
-        grid = [[0] * (b + 1) for _ in range(a + 1)]
-        for (r1, r2), c in w.num.items():
-            grid[r1][b - r2] += c * j_signs[r2]
-        mats.append(QMatrix(a + 1, b + 1, grid, w.den * factorial(i)))
-        if i < m:
-            w = w.apply_f()
-    if convention == DIVIDED_POWER:
-        da = conversion_diagonal(a)
-        db_inv = QMatrix.diagonal([Fraction(1, factorial(r)) for r in range(b + 1)])
-        mats = [da * mat * db_inv for mat in mats]
-    elif convention != PLAIN_F:
+    images, den = _f_power_images(m, a, b)
+    if convention == PLAIN_F:
+        row_scale, col_scale = [1] * (a + 1), [1] * (b + 1)
+    elif convention == DIVIDED_POWER:
+        row_scale = [factorial(r) for r in range(a + 1)]
+        col_scale = [factorial(b) // factorial(s) for s in range(b + 1)]
+        den *= factorial(b)
+    else:
         raise ValueError(f"unknown convention {convention!r}")
+    mats = []
+    for i, image in enumerate(images):
+        grid = [[0] * (b + 1) for _ in range(a + 1)]
+        for r1, (r2, c) in image.items():
+            s = b - r2
+            grid[r1][s] = (-c if r2 & 1 else c) * row_scale[r1] * col_scale[s]
+        mats.append(QMatrix(a + 1, b + 1, grid, den * factorial(i)))
     return tuple(mats)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racahmod import classify, wigner
+from racahmod import classify, sl2, wigner
 from racahmod.classify import (
     NOT_ADMISSIBLE,
     ONE_PARAMETER_FAMILY,
@@ -161,13 +161,13 @@ def test_lambda_route_calls_no_wigner_formula(monkeypatch):
     for owner in (wigner, classify):
         monkeypatch.setattr(owner, "sixj", forbidden)
         monkeypatch.setattr(owner, "cgc", forbidden)
-    classify._f_power_images.cache_clear()
+    sl2._f_power_images.cache_clear()
     assert [lambda_phi(*t) for t in tuples] == expected
     assert expected[1] != 0 and expected[2] == 0
 
 
 def test_f_power_images_memo_is_bounded():
-    assert classify._f_power_images.cache_info().maxsize is not None
+    assert sl2._f_power_images.cache_info().maxsize is not None
 
 
 def _fraction_apply_f(coeffs, da, db):
@@ -184,7 +184,7 @@ def test_f_power_images_match_fraction_leibniz():
     for a in range(13):
         for b in range(13):
             for k in range(abs(a - b), a + b + 1, 2):
-                images, den = classify._f_power_images(k, a, b)
+                images, den = sl2._f_power_images(k, a, b)
                 assert len(images) == k + 1
                 expected = iota(k, a, b).coeffs
                 for i, image in enumerate(images):
@@ -247,6 +247,12 @@ def test_verify_recoupling():
     assert verify_recoupling(2, 4, 2, 4)
     with pytest.raises(ValueError):
         verify_recoupling(1, 0, 0, 2)
+
+
+def test_verify_recoupling_rejects_a_wrong_sixj(monkeypatch):
+    true_sixj = classify.sixj
+    monkeypatch.setattr(classify, "sixj", lambda *tj: 2 * true_sixj(*tj))
+    assert not verify_recoupling(2, 2, 2, 2)
 
 
 def test_binomial_identity():

@@ -198,6 +198,24 @@ def test_malformed_module_input_exits_two(tmp_path, capsys, content):
         assert code == 2 and "error:" in captured.err and captured.out == ""
 
 
+SCALAR_RADICAL = (
+    '{"m": 0, "dim": 1, "h": [["0"]], "e": [["0"]], "f": [["0"]], "v": [[["1"]]], '
+    '"convention": "DividedPower"}'
+)
+
+
+def test_non_nilpotent_radical_exits_two(tmp_path, capsys):
+    # a valid module: for m = 0, v_0 may act by a nonzero scalar, which is a
+    # property of the input, not an internal error
+    path = tmp_path / "scalar.json"
+    path.write_text(SCALAR_RADICAL)
+    for command in ("socle", "uniserial"):
+        code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "does not act nilpotently" in captured.err
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["not-a-command"])
@@ -221,6 +239,7 @@ def test_math_domain_error_exit_two(capsys):
         ["verify-classify", "--max-m", "-1", "--max-weight", "3"],
         ["verify-classify", "--max-m", "0", "--max-weight", "3"],
         ["verify-classify", "--max-m", "2", "--max-weight", "-4"],
+        ["verify-classify", "--max-m", "3", "--max-weight", "0"],
     ],
 )
 def test_negative_sweep_bound_exits_two(capsys, argv):

@@ -1,7 +1,7 @@
 """Unit tests for the explicit uniserial module builders."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -17,10 +17,11 @@ from racahmod.constructions import (
     build_z_family,
     check_z_characterization,
     grep_to_latex,
+    radical_blocks,
 )
 from racahmod.exact import QMatrix, span_closure
 from racahmod.gmod import check_rep, is_uniserial, socle_series
-from racahmod.sl2 import symmetric_power_components
+from racahmod.sl2 import DIVIDED_POWER, hom_embedding, symmetric_power_components
 
 
 def expected_z122_radical(gen: int) -> QMatrix:
@@ -350,13 +351,22 @@ def test_build_from_sequence_exceptional():
     assert is_uniserial(rep)
 
 
-def test_build_from_sequence_scalars_and_errors():
-    rep = build_from_sequence([1, 3], 2, scalars=[Fraction(5, 3)])
-    assert isinstance(rep, GRep)
-    with pytest.raises(ValueError):
-        build_from_sequence([1, 3, 5], 2, scalars=[1])
-    with pytest.raises(ValueError):
-        build_from_sequence([1, 3], 2, scalars=[0])
+def test_radical_blocks_are_primitive_multiples_of_the_embedding():
+    for m in range(7):
+        for source in range(11):
+            for target in range(abs(source - m), min(source + m, 10) + 1, 2):
+                blocks = radical_blocks(m, target, source)
+                entries = [x for mat in blocks for row in mat.to_fractions() for x in row]
+                assert all(x.denominator == 1 for x in entries)
+                assert gcd(*(x.numerator for x in entries)) == 1
+                assert next(x for x in entries if x) > 0
+                maps = hom_embedding(m, target, source, DIVIDED_POWER)
+                ref = [x for mat in maps for row in mat.to_fractions() for x in row]
+                scale = next(x / y for x, y in zip(entries, ref) if y)
+                assert list(blocks) == [scale * mat for mat in maps], (m, target, source)
+
+
+def test_build_from_sequence_errors():
     with pytest.raises(ValueError):
         build_from_sequence([0, 1], 3)  # triangle violation
 

@@ -14,6 +14,7 @@ from racahmod.exact import (
     factorial,
     kernel,
     matrix_rank,
+    primitive_family,
     rat_from_str,
     reduce_vector,
     rref,
@@ -175,6 +176,22 @@ def test_qmatrix_arithmetic():
     assert (-a + a).is_zero()
     assert a.transpose() == a
     assert 2 * a == QMatrix.from_rows([[1, 0], [0, 2]])
+
+
+def test_primitive_family():
+    # lcm of the denominators 9, gcd of the numerators 2, first nonzero -4/3 flips the sign
+    fam = [
+        QMatrix.from_rows([[0, Fraction(-4, 3)], [2, 0]]),
+        QMatrix.from_rows([[Fraction(2, 9), 0], [0, 0]]),
+    ]
+    assert primitive_family(fam) == [
+        QMatrix.from_rows([[0, 6], [-9, 0]]),
+        QMatrix.from_rows([[-1, 0], [0, 0]]),
+    ]
+    # a product stores the row {1: -1, 0: 1}: the first nonzero is at column 0
+    product = QMatrix.from_rows([[1, 1]]) * QMatrix.from_rows([[0, -1], [1, 0]])
+    assert primitive_family([product]) == [QMatrix.from_rows([[1, -1]])]
+    assert primitive_family([QMatrix.zero(2, 2)]) == [QMatrix.zero(2, 2)]
 
 
 def test_qmatrix_shape_errors():

@@ -155,6 +155,21 @@ def test_hom_embedding_equivariance():
                         assert ra.f * mats[i] - mats[i] * rb.f == want_f
 
 
+def test_hom_embedding_conventions_differ_by_factorials():
+    # DividedPower = diag(0!, ..., a!) * PlainF * diag(1/0!, ..., 1/b!)
+    for m in range(9):
+        for a in range(9):
+            for b in range(9):
+                if not triangle(a, b, m):
+                    continue
+                right = QMatrix.diagonal([Fraction(1, factorial(r)) for r in range(b + 1)])
+                plain = hom_embedding(m, b, a, PLAIN_F)
+                divided = hom_embedding(m, b, a, DIVIDED_POWER)
+                for i in range(m + 1):
+                    want = conversion_diagonal(a) * plain[i] * right
+                    assert divided[i] == want, (m, a, b, i)
+
+
 def test_decompose_examples():
     assert decompose(tensor(irrep(1, PLAIN_F), irrep(1, PLAIN_F))) == {2: 1, 0: 1}
     assert decompose(tensor(irrep(4, PLAIN_F), irrep(4, PLAIN_F))) == {

@@ -241,7 +241,7 @@ def test_every_cache_is_bounded():
                     caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
     assert {
         "racahmod.wigner._delta_surd",
-        "racahmod.classify._f_power_images",
+        "racahmod.sl2._f_power_images",
         "racahmod.sl2.hom_embedding",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches

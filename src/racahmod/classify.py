@@ -27,21 +27,20 @@ from fractions import Fraction
 
 from . import sl2
 from .constructions import build_from_sequence
-from .exact import QMatrix, SqrtRational, binomial, factorial, matrix_rank, rref
-from .gmod import GRep
-from .sl2 import _f_power_images, iota
-from .wigner import (
+from .exact import (
+    QMatrix,
+    SqrtRational,
     _check_twoj,
-    _delta_surd,
-    _surd_product,
     _triangle,
-    cgc,
-    delta,
-    sixj,
-    sixj_tuples,
-    sweep,
+    binomial,
+    factorial,
+    matrix_rank,
+    rref,
     triangle,
 )
+from .gmod import GRep
+from .sl2 import _f_power_images, iota
+from .wigner import _delta_surd, _surd_product, cgc, delta, sixj, sixj_tuples, sweep
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -413,7 +412,7 @@ def _scalar_task(tuples) -> list[LambdaReport]:
     return [verify_scalar_theorem(*t, cross_check_sixj=False) for t in tuples]
 
 
-def verify_scalar_sweep(max_val: int, jobs: int = 1) -> list[LambdaReport]:
+def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[LambdaReport]:
     """verify_scalar_theorem over the whole box; deterministic order."""
     tuples = scalar_theorem_tuples(max_val)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: t[:2])]
@@ -450,9 +449,10 @@ def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, i
         raise ValueError(
             f"need max_m >= 1 and max_weight >= 1, got max_m={max_m}, max_weight={max_weight}"
         )
+    # m > 2 * max_weight would need a, c >= m - b > max_weight: no tuple
     return [
         (m, a, b, c)
-        for m in range(1, max_m + 1)
+        for m in range(1, min(max_m, 2 * max_weight) + 1)
         for b in range(max_weight + 1)
         for a in range(abs(b - m), min(b + m, max_weight) + 1, 2)
         for c in range(abs(b - m), min(b + m, max_weight) + 1, 2)
@@ -473,7 +473,9 @@ def _classification_task(tuples) -> list[ClassificationRow]:
     return [classification_row(*t) for t in tuples]
 
 
-def classification_sweep(max_m: int, max_weight: int, jobs: int = 1) -> list[ClassificationRow]:
+def classification_sweep(
+    max_m: int, max_weight: int, jobs: int | None = 1
+) -> list[ClassificationRow]:
     """Three-way check of the length-3 classification over the whole box."""
     tuples = classification_tuples(max_m, max_weight)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: (t[0], t[2]))]

@@ -6,6 +6,11 @@ true result, 1 for a mathematically false/failed result, 2 for usage errors
 and malformed input, and 3 for an internal error: a failed self-check of the
 library (the two 6j formulas disagree, a socle or closure invariant breaks,
 an assertion fails), reported as "internal error: <message>" on stderr.
+
+Each command imports the layers it runs inside its own function, so a
+launch loads only those: `triangle` needs `exact` alone, `socle` and
+`uniserial` stop at `gmod`, and only `verify-scalar`, `verify-classify`,
+`admissible` and `recouple` load `classify`.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ import contextlib
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import classify, constructions, gmod, wigner
 from .exact import rat_from_str
-from .gmod import GRep
+
+if TYPE_CHECKING:
+    from .gmod import GRep
 
 
 def _twoj_args(parser: argparse.ArgumentParser, names: str) -> None:
@@ -46,7 +53,7 @@ def _jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        default=wigner.default_jobs(),
+        default=None,  # one per core, resolved by wigner.sweep
         help="worker processes, capped at the cores and the tasks; output does not depend on it",
     )
 
@@ -76,6 +83,8 @@ def _unlimited_int_str():
 
 def _cmd_value(args) -> int:
     """sixj, cgc and delta: the wigner function of the command's name."""
+    from . import wigner
+
     value = getattr(wigner, args.command)(*args.twoj)
     with _unlimited_int_str():
         text = str(value)
@@ -87,7 +96,9 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    return _verdict(wigner.triangle(*args.twoj))
+    from .exact import triangle
+
+    return _verdict(triangle(*args.twoj))
 
 
 def _need(args, error, *names) -> list[int]:
@@ -101,6 +112,8 @@ def _need(args, error, *names) -> list[int]:
 
 
 def _cmd_realize(args, error) -> int:
+    from . import constructions, gmod
+
     kind = args.kind
     if kind == "z":
         ell, b, m = _need(args, error, "ell", "b", "m")
@@ -126,11 +139,15 @@ def _cmd_realize(args, error) -> int:
 
 
 def _load_grep(path: str) -> GRep:
+    from . import gmod
+
     with open(path, "r", encoding="utf-8") as fh:
         return gmod.grep_from_json(fh.read())
 
 
 def _cmd_socle(args) -> int:
+    from . import gmod
+
     rep = _load_grep(getattr(args, "in"))
     series = gmod.socle_series(rep)
     if args.format == "json":
@@ -158,10 +175,14 @@ def _cmd_socle(args) -> int:
 
 
 def _cmd_uniserial(args) -> int:
+    from . import gmod
+
     return _verdict(gmod.is_uniserial(_load_grep(getattr(args, "in"))))
 
 
 def _cmd_admissible(args) -> int:
+    from . import classify
+
     seq = [int(x) for x in args.seq.split(",")]
     verdict = classify.is_admissible(seq, args.m)
     if verdict.witness:
@@ -172,6 +193,8 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    from . import wigner
+
     zeros = wigner.find_sixj_zeros(args.max, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([list(z) for z in zeros]))
@@ -186,6 +209,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify_scalar(args) -> int:
+    from . import classify
+
     reports = classify.verify_scalar_sweep(args.max, jobs=args.jobs)
     print("a,b,c,p,q,k,lambda,c_factor,sixj,product,agrees")
     all_ok = True
@@ -199,6 +224,8 @@ def _cmd_verify_scalar(args) -> int:
 
 
 def _cmd_verify_classify(args) -> int:
+    from . import classify
+
     rows = classify.classification_sweep(args.max_m, args.max_weight, jobs=args.jobs)
     print("m,a,b,c,closed_form,sixj_vanishing,alternating_image_empty,assembly_succeeds,consistent")
     all_ok = True
@@ -220,6 +247,8 @@ def _cmd_verify_classify(args) -> int:
 
 
 def _cmd_recouple(args) -> int:
+    from . import classify
+
     return _verdict(classify.verify_recoupling(*args.twoj))
 
 

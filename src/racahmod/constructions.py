@@ -32,9 +32,9 @@ from .exact import (
     primitive_family,
     reduce_vector,
     span_closure,
+    triangle,
 )
 from .gmod import GRep
-from .wigner import triangle
 
 
 def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:

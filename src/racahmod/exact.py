@@ -1,5 +1,5 @@
-"""Exact arithmetic building blocks: big rationals, quadratic surds and sparse
-rational linear algebra.
+"""Exact arithmetic building blocks: big rationals, quadratic surds, sparse
+rational linear algebra and the triangle condition on twice-values.
 
 Every value in the package funnels through this module, so no floating point
 ever enters a computation.  Matrices and echelon bases hold the integer
@@ -37,6 +37,26 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _check_twoj(*vals: int, signed: bool = False) -> None:
+    # the type comes first, so that a string fails here and not in the
+    # comparison, and `type` rather than isinstance, so that bool fails
+    for v in vals:
+        if type(v) is not int or (v < 0 and not signed):
+            kind = "integers" if signed else "non-negative integers"
+            raise ValueError(f"twice-values must be {kind}, got {v!r}")
+
+
+def _triangle(ta: int, tb: int, tc: int) -> bool:
+    # triangle without the type check, for callers that checked already
+    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
+
+
+def triangle(ta: int, tb: int, tc: int) -> bool:
+    """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
+    _check_twoj(ta, tb, tc)
+    return _triangle(ta, tb, tc)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

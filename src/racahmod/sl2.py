@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import QMatrix, binomial, commutator, factorial, matrix_rank
-from .wigner import triangle
+from .exact import QMatrix, binomial, commutator, factorial, matrix_rank, triangle
 
 PLAIN_F = "PlainF"
 DIVIDED_POWER = "DividedPower"

@@ -1,5 +1,7 @@
-"""Triangle condition, Delta factors, Clebsch-Gordan coefficients and the
-Racah-Wigner 6j-symbol, all in exact arithmetic.
+"""Delta factors, Clebsch-Gordan coefficients and the Racah-Wigner 6j-symbol,
+all in exact arithmetic.  The triangle condition lives in `exact`, so that
+the module layers can test it without loading this one; `wigner.triangle`
+is the same function.
 
 Every angular momentum crosses this API as a twice-value: the integer 2j.
 That keeps all intermediate quantities integral and makes half-integer inputs
@@ -31,22 +33,13 @@ from math import factorial, gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .exact import SqrtRational, sqrtrat_sum_is_zero
+from .exact import SqrtRational, _check_twoj, _triangle, sqrtrat_sum_is_zero, triangle
 
 SixJInput = tuple[int, int, int, int, int, int]
 
 
 class FormulaDisagreement(RuntimeError):
     """The two independent 6j evaluations differ: an implementation bug."""
-
-
-def _check_twoj(*vals: int, signed: bool = False) -> None:
-    # the type comes first, so that a string fails here and not in the
-    # comparison, and `type` rather than isinstance, so that bool fails
-    for v in vals:
-        if type(v) is not int or (v < 0 and not signed):
-            kind = "integers" if signed else "non-negative integers"
-            raise ValueError(f"twice-values must be {kind}, got {v!r}")
 
 
 def _ratio_sum(lo: int, hi: int, num, den) -> tuple[int, int]:
@@ -71,17 +64,6 @@ def _ratio_sum(lo: int, hi: int, num, den) -> tuple[int, int]:
         q *= d
         n, d = q - p * n, q
     return n, d
-
-
-def _triangle(ta: int, tb: int, tc: int) -> bool:
-    # triangle without the type check, for callers that checked already
-    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
-
-
-def triangle(ta: int, tb: int, tc: int) -> bool:
-    """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
-    _check_twoj(ta, tb, tc)
-    return _triangle(ta, tb, tc)
 
 
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
@@ -454,21 +436,19 @@ def sixj_tuples(
                                 yield tj
 
 
-def default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def sweep(fn: Callable, tasks: Sequence, jobs: int) -> list:
+def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     """[fn(task) for task in tasks], on up to `jobs` worker processes.
 
-    Runs in this process when at most one worker would have work: jobs is
-    capped at the number of tasks and of cores.  Results keep the task order,
-    so output never depends on jobs.  fn and the tasks must pickle.  Each
-    task travels on its own, so callers group their work into tasks of a
-    useful size: the zero scan sends one task per t1, the other sweeps one
-    per group of tuples that share their first entries.
+    jobs=None means one per core.  Runs in this process when at most one
+    worker would have work: jobs is capped at the number of tasks and of
+    cores.  Results keep the task order, so output never depends on jobs.
+    fn and the tasks must pickle.  Each task travels on its own, so callers
+    group their work into tasks of a useful size: the zero scan sends one
+    task per t1, the other sweeps one per group of tuples that share their
+    first entries.
     """
-    workers = min(jobs, len(tasks), default_jobs())
+    cores = os.cpu_count() or 1
+    workers = min(cores if jobs is None else jobs, len(tasks), cores)
     if workers <= 1:
         return [fn(task) for task in tasks]
     import concurrent.futures  # only a pool needs it; every launch would pay for it
@@ -482,7 +462,7 @@ def _zero_scan_task(args) -> list[SixJInput]:
     return [tj for tj in sixj_tuples(bounds, t1, maps) if _alpha_sum(*tj)[2] == 0]
 
 
-def find_sixj_zeros(bounds: int | Sequence[int], jobs: int = 1) -> list[SixJInput]:
+def find_sixj_zeros(bounds: int | Sequence[int], jobs: int | None = 1) -> list[SixJInput]:
     """All non-trivial 6j zeros inside the box of twice-values.
 
     A zero is non-trivial when all four triangle triples hold yet the symbol

@@ -1,5 +1,8 @@
 """Unit tests for admissibility, composite images and the scalar identity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from racahmod.classify import (
     c_factor,
     cgc_iota_bridge,
     classification_row,
+    classification_tuples,
     compute_I_J,
     is_admissible,
     lambda_phi,
@@ -114,6 +118,23 @@ def test_length3_conditions_agree_small_box():
                     assert length3_condition3(a, b, c, m) == length3_condition4(
                         a, b, c, m
                     ), (m, a, b, c)
+
+
+def test_classification_tuples_stop_at_twice_the_weight_bound():
+    # a, c >= m - b > max_weight once m > 2 * max_weight, so no larger m has a tuple
+    for w in range(1, 5):
+        box = classification_tuples(2 * w, w)
+        assert max(t[0] for t in box) == 2 * w
+        assert classification_tuples(2 * w + 5, w) == box
+        assert classification_tuples(2 * w - 1, w) == [t for t in box if t[0] < 2 * w]
+    # a loop over every m up to 10**9 would run for half an hour: give it a minute
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from racahmod.classify import classification_tuples as t; print(t(10**9, 2))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    ).stdout
+    assert out == f"{classification_tuples(4, 2)}\n"
 
 
 def test_classification_row_consistency_samples():

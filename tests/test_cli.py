@@ -8,6 +8,7 @@ import os
 import re
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,19 @@ def test_verify_classify_csv(capsys):
         "assembly_succeeds,consistent"
     )
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_verify_classify_m_beyond_twice_the_weight_bound(capsys):
+    # no m above 2 * max_weight has a tuple, so the sweep must not visit those m
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "verify-classify", "--max-m", "10000000", "--max-weight", "2", "--jobs", "1"
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out) == run(
+        capsys, "verify-classify", "--max-m", "4", "--max-weight", "2", "--jobs", "1"
+    )
+    assert len(out.splitlines()) == 16 and elapsed < 10
 
 
 def test_recouple(capsys):

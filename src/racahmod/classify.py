@@ -35,7 +35,7 @@ from .exact import (
     binomial,
     factorial,
     matrix_rank,
-    rref,
+    span_dimension,
     triangle,
 )
 from .gmod import GRep
@@ -124,12 +124,13 @@ def length3_condition3(a: int, b: int, c: int, m: int) -> bool:
 # -- composite images -----------------------------------------------------------
 
 
-def _graded_span_components(members: list[tuple[int, tuple[Fraction, ...]]]) -> set[int]:
-    """Irreducible constituents of a module spanned by weight vectors."""
-    by_weight: dict[int, list] = {}
-    for w, vec in members:
-        by_weight.setdefault(w, []).append(vec)
-    return set(sl2.constituents({w: len(rref(vecs)[0]) for w, vecs in by_weight.items()}))
+def _graded_span_components(members: list[tuple[int, QMatrix]]) -> set[int]:
+    """Irreducible constituents of a module spanned by weight vectors, given
+    as (weight, matrix) pairs; only the weights >= 0 are read."""
+    by_weight: dict[int, list[QMatrix]] = {}
+    for w, mat in members:
+        by_weight.setdefault(w, []).append(mat)
+    return set(sl2.constituents({w: span_dimension(mats) for w, mats in by_weight.items()}))
 
 
 def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list[int] | None]:
@@ -161,21 +162,17 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
     f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
     g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
 
-    def flat(mat):
-        return tuple(x for row in mat.to_fractions() for x in row)
-
-    products = {}
-    for i in range(p + 1):
-        for j in range(q + 1):
-            products[(i, j)] = f[i] * g[j]
-    members = [((p - 2 * i) + (q - 2 * j), flat(mat)) for (i, j), mat in products.items()]
+    # sl2.constituents reads no negative weight, so no product is built there
+    weights = {(i, j): (p - 2 * i) + (q - 2 * j) for i in range(p + 1) for j in range(q + 1)}
+    products = {(i, j): f[i] * g[j] for (i, j), w in weights.items() if w >= 0}
+    members = [(weights[ij], mat) for ij, mat in products.items()]
     if set(image) != _graded_span_components(members):
         raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
     if p == q:
         alt_members = [
-            ((p - 2 * i) + (q - 2 * j), flat(products[(i, j)] - products[(j, i)]))
-            for i in range(p + 1)
-            for j in range(i + 1, q + 1)
+            (weights[(i, j)], products[(i, j)] - products[(j, i)])
+            for i, j in products
+            if i < j
         ]
         if set(alternating) != _graded_span_components(alt_members):
             raise AssertionError(f"alternating image mismatch at {(a, b, c, p, q)}")
@@ -292,6 +289,10 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
     map M_{j,mu} -> sum C^{j,mu} M_{j1,mu1} x M_{j2,mu2} equals the canonical
     embedding scaled by sqrt(2j+1) / ((j1+j2+j+1) Delta(j1,j2,j)); this
     compares the two coefficient by coefficient for every mu.
+
+    The normalising roots here go through SqrtRational.sqrt_of on purpose:
+    cgc takes its prefactor from exact.factorial_surd, and the same routine
+    on both sides would make the check one route instead of two.
     """
     if not triangle(a, b, k):
         raise ValueError(f"triangle condition fails for ({a}, {b}, {k})")

@@ -78,9 +78,9 @@ def rat_from_str(text: str) -> Fraction:
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s * t**2 with s squarefree; return (s, t).
 
-    Uses trial division, which is fast for the integers arising here: they are
-    built from factorials of desk-scale integers and therefore only contain
-    small prime factors.
+    Uses trial division, so it is slow once n has a large prime factor.  The
+    recoupling values take their roots through factorial_surd instead; trial
+    division stays as the independent route that tests compare them with.
     """
     if n <= 0:
         raise ValueError(f"squarefree_split needs a positive integer, got {n}")
@@ -98,6 +98,50 @@ def squarefree_split(n: int) -> tuple[int, int]:
         p += 1 if p == 2 else 2
     # whatever is left is prime (or 1), hence squarefree
     return s * n, t
+
+
+def _primes_upto(n: int) -> list[int]:
+    # sieve of Eratosthenes, for n >= 1
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _factorial_exponent(n: int, p: int) -> int:
+    # Legendre: the exponent of the prime p in n!
+    e = 0
+    while n:
+        n //= p
+        e += n
+    return e
+
+
+def factorial_surd(top: Sequence[int], bottom: Sequence[int] = ()) -> tuple[int, int, int]:
+    """sqrt(prod(x! for x in top) / prod(x! for x in bottom)) = t/d * sqrt(s),
+    returned as (t, d, s) with t, d coprime and s squarefree.
+
+    The prime exponents come from Legendre's formula on each factorial, so
+    the factorials are never built (Johansson & Forssen, SIAM J. Sci. Comput.
+    38 (2016) A376).  An exponent e >= 0 puts p^(e//2) in t; e < 0 puts
+    p^ceil(-e/2) in d; an odd e leaves one p under the root
+    (p^-(2f+1) = p^-(2f+2) * p).
+    """
+    if min((*top, *bottom), default=0) < 0:
+        raise ValueError(f"factorial of a negative integer in {top} / {bottom}")
+    t = d = s = 1
+    for p in _primes_upto(max((*top, *bottom, 1))):
+        e = sum([_factorial_exponent(x, p) for x in top if x >= p])
+        e -= sum([_factorial_exponent(x, p) for x in bottom if x >= p])
+        if e >= 0:
+            t *= p ** (e >> 1)
+        else:
+            d *= p ** ((1 - e) >> 1)
+        if e & 1:
+            s *= p
+    return t, d, s
 
 
 @dataclass(frozen=True)
@@ -621,6 +665,23 @@ def _row_space(mat: QMatrix) -> RowSpace:
 
 def matrix_rank(mat: QMatrix) -> int:
     return len(_row_space(mat))
+
+
+def span_dimension(mats: Sequence[QMatrix]) -> int:
+    """Dimension of the span of equally shaped matrices, read as vectors.
+
+    Each matrix enters as its integer numerators, row after row: its own
+    denominator only scales it, which leaves the span as it is.
+    """
+    if not mats:
+        return 0
+    rows, cols = mats[0].rows, mats[0].cols
+    space = RowSpace(rows * cols)
+    for mat in mats:
+        if mat.rows != rows or mat.cols != cols:
+            raise ValueError(f"shape mismatch: ({rows}x{cols}) vs ({mat.rows}x{mat.cols})")
+        space._add({i * cols + j: x for i, row in enumerate(mat._num) for j, x in row.items()})
+    return len(space)
 
 
 def kernel(mat: QMatrix) -> list[Vector]:

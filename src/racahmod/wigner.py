@@ -15,9 +15,11 @@ on (the default) both are evaluated and compared exactly; sweep drivers turn
 the cross-check off after the equality has been established over their box.
 
 The Clebsch-Gordan sum and both 6j sums run through one integer routine,
-_ratio_sum, on their limits and term ratios.  Each Delta factor is an
-integer surd t/d*sqrt(s), memoised per triangle in a bounded cache, so the
-6j value and its cross-check stay in int up to the one Fraction returned.
+_ratio_sum, on their limits and term ratios.  Every square root taken here
+(each Delta factor, the Clebsch-Gordan prefactor and the E coefficient of
+the three-term recurrence) is an integer surd t/d*sqrt(s) from
+exact.factorial_surd; the Delta factors are memoised per triangle in a
+bounded cache.  So each value stays in int up to the one Fraction returned.
 
 The zero search scans one tuple per orbit of the tetrahedral symmetries that
 keep its box (24 maps for a cube box) and expands each zero to its orbit.
@@ -29,11 +31,18 @@ import functools
 import itertools
 import os
 from fractions import Fraction
-from math import factorial, gcd, isqrt, prod
+from math import factorial, gcd, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .exact import SqrtRational, _check_twoj, _triangle, sqrtrat_sum_is_zero, triangle
+from .exact import (
+    SqrtRational,
+    _check_twoj,
+    _triangle,
+    factorial_surd,
+    sqrtrat_sum_is_zero,
+    triangle,
+)
 
 SixJInput = tuple[int, int, int, int, int, int]
 
@@ -67,52 +76,21 @@ def _ratio_sum(lo: int, hi: int, num, den) -> tuple[int, int]:
 
 
 def _delta_sq(ta: int, tb: int, tc: int) -> Fraction:
-    # assumes the triangle condition
+    # Delta^2 as one Fraction, the tests' oracle for _delta_surd; assumes the
+    # triangle condition
     s = (ta + tb + tc) // 2
     return Fraction(factorial(s - tc) * factorial(s - tb) * factorial(s - ta), factorial(s + 1))
-
-
-def _primes_upto(n: int) -> list[int]:
-    # sieve of Eratosthenes, for n >= 1
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
-def _factorial_exponent(n: int, p: int) -> int:
-    # Legendre: the exponent of the prime p in n!
-    e = 0
-    while n:
-        n //= p
-        e += n
-    return e
 
 
 @functools.lru_cache(maxsize=4096)
 def _delta_surd(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
     """Delta(ta, tb, tc) = t/d * sqrt(s) with t, d coprime and s squarefree.
 
-    Assumes the triangle condition.  The prime exponents of Delta^2 come from
-    Legendre's formula on its four factorials.  An exponent e >= 0 puts
-    p^(e//2) in t; e < 0 puts p^ceil(-e/2) in d; an odd e leaves one p under
-    the root (p^-(2f+1) = p^-(2f+2) * p).  Memoised, since a sweep meets each
+    Assumes the triangle condition.  Memoised, since a sweep meets each
     triangle many times.
     """
     s2 = (ta + tb + tc) // 2
-    top = (s2 - tc, s2 - tb, s2 - ta)
-    t = d = s = 1
-    for p in _primes_upto(s2 + 1):
-        e = sum(_factorial_exponent(x, p) for x in top) - _factorial_exponent(s2 + 1, p)
-        if e >= 0:
-            t *= p ** (e >> 1)
-        else:
-            d *= p ** ((1 - e) >> 1)
-        if e & 1:
-            s *= p
-    return t, d, s
+    return factorial_surd((s2 - tc, s2 - tb, s2 - ta), (s2 + 1,))
 
 
 def _surd_product(surds) -> tuple[int, int, int]:
@@ -151,9 +129,6 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
             raise ValueError(f"j and m differ by a non-integer: (2j, 2m) = ({tj}, {tm})")
     if tm1 + tm2 != tm3 or not triangle(tj1, tj2, tj3):
         return SqrtRational(Fraction(0))
-    pref_sq = _delta_sq(tj1, tj2, tj3) * (tj3 + 1)
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
-        pref_sq *= factorial((tj + tm) // 2) * factorial((tj - tm) // 2)
     # sum over r of (-1)^r / (r! (a12-r)! (a1m-r)! (a2m-r)! (b1+r)! (b2+r)!)
     a12 = (tj1 + tj2 - tj3) // 2
     a1m = (tj1 - tm1) // 2
@@ -163,7 +138,15 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
     lo = max(0, -b1, -b2)
     n, d = _ratio_sum(lo, min(a12, a1m, a2m), ((), (a12, a1m, a2m)), ((1, b1 + 1, b2 + 1), ()))
     d *= prod(map(factorial, (lo, a12 - lo, a1m - lo, a2m - lo, b1 + lo, b2 + lo)))
-    return SqrtRational.sqrt_of(pref_sq) * Fraction(-n if lo & 1 else n, d)
+    # the prefactor Delta(j1, j2, j3) sqrt((2j3+1) prod (j+-m)!) as one
+    # factorial surd, with 2j3 + 1 = (2j3+1)! / (2j3)!
+    s = (tj1 + tj2 + tj3) // 2
+    top = [s - tj3, s - tj2, s - tj1, tj3 + 1]
+    for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+        top += ((tj + tm) // 2, (tj - tm) // 2)
+    pt, pd, rad = factorial_surd(top, (s + 1, tj3))
+    n *= pt
+    return SqrtRational(Fraction(-n if lo & 1 else n, d * pd), rad)
 
 
 # -- 6j-symbol ---------------------------------------------------------------
@@ -295,26 +278,27 @@ def be_coefficients(
     Inputs are twice-values of the half-integers i1..i6.  E is the square root
     of a product of four quadratic factors; outside the triangle windows that
     product can go negative, which raises rather than leaving the reals.
+
+    In twice-values 256 E^2 is a product of eight integers x, and
+    sqrt|x| = sqrt(|x|! / (|x|-1)!) is a factorial surd; 16 F is an integer
+    polynomial in C_k = t_k (t_k + 2) = 4 i_k (i_k + 1).
     """
-    i1, i2, i3, i4, i5, i6 = (Fraction(t, 2) for t in (ti1, ti2, ti3, ti4, ti5, ti6))
-    e_sq = (
-        (i1 * i1 - (i2 - i3) ** 2)
-        * ((i2 + i3 + 1) ** 2 - i1 * i1)
-        * (i1 * i1 - (i5 - i6) ** 2)
-        * ((i5 + i6 + 1) ** 2 - i1 * i1)
-    )
+    factors = []
+    for ta, tb in ((ti2, ti3), (ti5, ti6)):
+        factors += (ti1 - ta + tb, ti1 + ta - tb, ta + tb + 2 - ti1, ta + tb + 2 + ti1)
+    e_sq = prod(factors)
     if e_sq < 0:
         raise ValueError(f"E coefficient is imaginary at {(ti1, ti2, ti3, ti4, ti5, ti6)}")
-    c1 = i1 * (i1 + 1)
-    c2 = i2 * (i2 + 1)
-    c3 = i3 * (i3 + 1)
-    c4 = i4 * (i4 + 1)
-    c5 = i5 * (i5 + 1)
-    c6 = i6 * (i6 + 1)
-    f_val = (2 * i1 + 1) * (
+    if e_sq:
+        t, d, s = factorial_surd([abs(x) for x in factors], [abs(x) - 1 for x in factors])
+        e_val = SqrtRational(Fraction(t, 16 * d), s)
+    else:
+        e_val = SqrtRational(Fraction(0))
+    c1, c2, c3, c4, c5, c6 = (t * (t + 2) for t in (ti1, ti2, ti3, ti4, ti5, ti6))
+    f16 = (ti1 + 1) * (
         c1 * (-c1 + c2 + c3) + c5 * (c1 + c2 - c3) + c6 * (c1 - c2 + c3) - 2 * c1 * c4
     )
-    return SqrtRational.sqrt_of(e_sq), f_val
+    return e_val, Fraction(f16, 16)
 
 
 def be_recurrence_terms(

@@ -30,7 +30,7 @@ from racahmod.classify import (
     verify_scalar_theorem,
 )
 from racahmod.constructions import build_from_sequence
-from racahmod.exact import SqrtRational
+from racahmod.exact import QMatrix, SqrtRational
 from racahmod.gmod import GRep
 from racahmod.sl2 import iota
 from racahmod.wigner import sixj, triangle
@@ -156,6 +156,18 @@ def test_compute_I_J_distinct_pq():
     image, alternating = compute_I_J(2, 3, 1, 3, 2)
     assert alternating is None
     assert image  # non-empty by degenerate-triangle non-vanishing
+
+
+def test_compute_I_J_reads_integer_matrices(monkeypatch):
+    # the spans are taken on the integer numerators; no matrix is written
+    # out as Fractions
+    want = [compute_I_J(4, 6, 4, 4, 4), compute_I_J(2, 3, 1, 3, 2)]
+
+    def refuse(self):
+        raise AssertionError("QMatrix written out as Fractions")
+
+    monkeypatch.setattr(QMatrix, "to_fractions", refuse)
+    assert [compute_I_J(4, 6, 4, 4, 4), compute_I_J(2, 3, 1, 3, 2)] == want
 
 
 def test_compute_I_J_triangle_errors():

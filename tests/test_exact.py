@@ -1,5 +1,6 @@
 """Unit tests for the exact arithmetic layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from racahmod.exact import (
     binomial,
     coordinates,
     factorial,
+    factorial_surd,
     kernel,
     matrix_rank,
     primitive_family,
@@ -19,6 +21,7 @@ from racahmod.exact import (
     reduce_vector,
     rref,
     span_closure,
+    span_dimension,
     sqrtrat_sum_is_zero,
     squarefree_split,
 )
@@ -363,3 +366,42 @@ def test_sparse_span_closure_matches_dense(args):
     pairs, vec = args
     got = span_closure([mat for mat, _ in pairs], vec)
     assert got == _ref_closure([grid for _, grid in pairs], vec)
+
+
+_factorial_args = st.lists(st.integers(min_value=0, max_value=40), max_size=6)
+
+
+@given(_factorial_args, _factorial_args)
+@settings(max_examples=300, deadline=None)
+def test_factorial_surd_matches_trial_division(top, bottom):
+    t, d, s = factorial_surd(top, bottom)
+    assert t > 0 and d > 0 and math.gcd(t, d) == 1
+    assert squarefree_split(s) == (s, 1)
+    ratio = Fraction(math.prod(map(factorial, top)), math.prod(map(factorial, bottom)))
+    assert SqrtRational(Fraction(t, d), s) == SqrtRational.sqrt_of(ratio)
+
+
+def test_factorial_surd_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        factorial_surd((3, -1))
+    with pytest.raises(ValueError):
+        factorial_surd((3,), (-1,))
+
+
+@st.composite
+def _same_shape_family(draw):
+    r, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
+    return draw(st.lists(_matrices(r, c), max_size=6))
+
+
+@given(_same_shape_family())
+@settings(max_examples=150, deadline=None)
+def test_span_dimension_matches_dense_rank(family):
+    flat = [[x for line in grid for x in line] for _, grid in family]
+    assert span_dimension([mat for mat, _ in family]) == len(_ref_rref(flat)[0])
+
+
+def test_span_dimension_shapes():
+    assert span_dimension([]) == 0
+    with pytest.raises(ValueError):
+        span_dimension([QMatrix.identity(2), QMatrix.zero(2, 3)])

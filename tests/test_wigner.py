@@ -2,7 +2,10 @@
 
 import importlib
 import itertools
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -12,7 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import racahmod
-from racahmod import wigner
+from racahmod import exact, wigner
+from racahmod.classify import c_factor, verify_scalar_theorem
 from racahmod.exact import SqrtRational, sqrtrat_sum_is_zero
 from racahmod.wigner import (
     FormulaDisagreement,
@@ -199,6 +203,94 @@ def test_sixj_keeps_no_memory():
         tracemalloc.stop()
     assert not value.is_zero
     assert held < 1_000_000, held
+
+
+def test_cgc_keeps_no_memory():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = cgc(2000, 0, 2000, 0, 2000, 0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert not value.is_zero
+    assert held < 1_000_000, held
+
+
+def test_cgc_at_large_twice_values_is_fast():
+    # trial division of the factorial prefactor took about a minute at this size
+    src = os.path.dirname(os.path.dirname(wigner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from racahmod.wigner import cgc; print(cgc(20000, 0, 20000, 0, 20000, 0).is_zero)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20
+    ).stdout
+    assert out == "False\n"
+
+
+def test_value_routes_take_no_trial_division(monkeypatch):
+    def refuse(n):
+        raise AssertionError("trial division on a value route")
+
+    monkeypatch.setattr(exact, "squarefree_split", refuse)
+    wigner._delta_surd.cache_clear()
+    for tj1, tj2, tj3 in itertools.product(range(5), repeat=3):
+        delta(tj1, tj2, tj3)
+        if triangle(tj1, tj2, tj3):
+            for tm1, tm2 in itertools.product(range(-tj1, tj1 + 1, 2), range(-tj2, tj2 + 1, 2)):
+                if abs(tm1 + tm2) <= tj3:
+                    cgc(tj1, tm1, tj2, tm2, tj3, tm1 + tm2)
+    for tj in valid_sixj_tuples(4):
+        sixj(*tj, cross_check=True)
+        be_coefficients(*tj)
+        assert be_recurrence_holds(*tj), tj
+        q, k, p, a, b, c = tj  # the 6j {q k p; a b c} of the scalar theorem
+        c_factor(a, b, c, p, q, k)
+        assert verify_scalar_theorem(a, b, c, p, q, k).agrees, tj
+
+
+def test_be_coefficients_match_fraction_formula():
+    def reference(ti1, ti2, ti3, ti4, ti5, ti6):
+        i1, i2, i3, i4, i5, i6 = (Fraction(t, 2) for t in (ti1, ti2, ti3, ti4, ti5, ti6))
+        e_sq = (
+            (i1 * i1 - (i2 - i3) ** 2)
+            * ((i2 + i3 + 1) ** 2 - i1 * i1)
+            * (i1 * i1 - (i5 - i6) ** 2)
+            * ((i5 + i6 + 1) ** 2 - i1 * i1)
+        )
+        if e_sq < 0:
+            raise ValueError
+        c1 = i1 * (i1 + 1)
+        c2 = i2 * (i2 + 1)
+        c3 = i3 * (i3 + 1)
+        c4 = i4 * (i4 + 1)
+        c5 = i5 * (i5 + 1)
+        c6 = i6 * (i6 + 1)
+        f_val = (2 * i1 + 1) * (
+            c1 * (-c1 + c2 + c3) + c5 * (c1 + c2 - c3) + c6 * (c1 - c2 + c3) - 2 * c1 * c4
+        )
+        return SqrtRational.sqrt_of(e_sq), f_val
+
+    def agree(args):
+        try:
+            want = reference(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                be_coefficients(*args)
+            return 1
+        assert be_coefficients(*args) == want, args
+        return 0
+
+    # the recurrence's tuples, and every tuple of the box of the five entries
+    # that E reads (t4 enters F alone), each at i1 and i1 + 2; the whole
+    # six-entry box would take minutes with the Fraction formula
+    for tj in sixj_tuples((6,) * 6):
+        agree(tj)
+        agree((tj[0] + 2, *tj[1:]))
+    raised = 0
+    for t1, t2, t3, t5, t6 in itertools.product(range(7), repeat=5):
+        raised += agree((t1, t2, t3, t1, t5, t6)) + agree((t1 + 2, t2, t3, t1, t5, t6))
+    assert raised
 
 
 def test_delta_surd_matches_sqrt_of_delta_sq():

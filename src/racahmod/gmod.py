@@ -9,8 +9,10 @@ radical ([v_i, v_j] = 0) and the mixed relations
 
 with v_{-1} = v_{m+1} = 0.  Because the radical annihilates every irreducible
 module, the socle series of any module is computed step by step as the joint
-kernel of the v_i acting on successive quotients, and uniseriality is the
-statement that every socle factor is a single irreducible.
+kernel of the v_i acting on successive quotients.  Each layer is an
+sl(2)-module, hence semisimple, and its factors come from its weight
+multiplicities.  Uniseriality is the statement that every socle factor is a
+single irreducible.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .exact import (
     Vector,
     assemble_blocks,
     commutator,
-    coordinates,
     kernel,
     quotient_matrix,
     rat_from_str,
@@ -106,7 +107,7 @@ def check_rep(rep: GRep) -> RepCheck:
 
 @dataclass(frozen=True)
 class SocleStep:
-    basis: tuple[Vector, ...]  # echelon basis of soc^i in original coordinates
+    basis: tuple[Vector, ...]  # echelon basis of soc^i in the module's own basis
     factors: dict[int, int]  # sl(2) decomposition of soc^i / soc^{i-1}
 
     @property
@@ -129,9 +130,13 @@ class SocleSeries:
 def socle_series(rep: GRep) -> SocleSeries:
     """Socle series computed as joint kernels of the radical on quotients.
 
-    Quotients keep h diagonal by choosing complements out of standard basis
-    vectors (every subspace met here is spanned by weight-homogeneous
-    vectors, and distinct weights occupy disjoint coordinate supports).
+    Each layer soc^i / soc^{i-1} is the joint kernel of the radical on the
+    quotient by soc^{i-1}, an sl(2)-submodule and so semisimple: the weight
+    multiplicities of its kernel vectors fix its factors, and e and f are
+    read only by check_rep.  Quotients keep h diagonal by choosing
+    complements out of standard basis vectors (every subspace met here is
+    spanned by weight-homogeneous vectors, and distinct weights occupy
+    disjoint coordinate supports).
     """
     verdict = check_rep(rep)
     if not verdict:
@@ -143,6 +148,7 @@ def socle_series(rep: GRep) -> SocleSeries:
     while len(socle) < n:
         comp = socle.free_columns()
         nc = len(comp)
+        where = f"at socle step {len(steps) + 1}, on a quotient of dimension {nc}"
         # the joint kernel of the v_i on the quotient: stack them and take one kernel
         quot_v = {(i, 0): quotient_matrix(vm, socle) for i, vm in enumerate(rep.v)}
         ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
@@ -151,9 +157,25 @@ def socle_series(rep: GRep) -> SocleSeries:
             # for m = 0 v_0 may act by a nonzero scalar, a fault of the input
             if rep.m == 0:
                 raise ValueError("the radical v_0 does not act nilpotently: no socle series")
-            raise RuntimeError("radical action has no common kernel on a nonzero quotient")
+            raise RuntimeError(f"radical action has no common kernel {where}")
 
-        factors = _factor_decomposition(rep, socle, comp, weights, ker)
+        counts: dict[int, int] = {}
+        for kv in ker:
+            ws = {weights[comp[j]] for j, x in enumerate(kv) if x}
+            if len(ws) != 1:
+                raise RuntimeError(
+                    f"socle basis vector is not weight-homogeneous {where}: "
+                    f"weights {sorted(ws, reverse=True)}"
+                )
+            (w,) = ws
+            counts[w] = counts.get(w, 0) + 1
+        factors = sl2.constituents(counts)
+        layer_dim = sum((k + 1) * c for k, c in factors.items())
+        if min(factors.values(), default=0) < 0 or layer_dim != len(ker):
+            raise RuntimeError(
+                f"socle layer weights are not an sl(2)-character {where}: "
+                f"weight multiplicities {counts}"
+            )
         for kv in ker:
             vec = [0] * n
             for j, x in enumerate(kv):
@@ -162,31 +184,6 @@ def socle_series(rep: GRep) -> SocleSeries:
         rows, _ = socle.echelon()
         steps.append(SocleStep(tuple(map(tuple, rows)), factors))
     return SocleSeries(tuple(steps))
-
-
-def _factor_decomposition(rep, socle, comp, weights, ker) -> dict[int, int]:
-    """Decompose the span of the joint-kernel vectors as an sl(2)-module."""
-    h_fac = QMatrix.diagonal(
-        [_homogeneous_weight(kv, comp, weights) for kv in ker]
-    )
-    # kernel() puts each vector's 1 at its own free column, after every
-    # pivot entry, and 0 at the other free columns
-    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
-
-    def restrict(mat: QMatrix) -> QMatrix:
-        quotient = quotient_matrix(mat, socle)
-        return coordinates(ker, free, [quotient.apply(kv) for kv in ker])
-
-    e_fac = restrict(rep.e)
-    f_fac = restrict(rep.f)
-    return sl2.decompose(sl2.Sl2Rep(len(ker), h_fac, e_fac, f_fac, rep.convention))
-
-
-def _homogeneous_weight(vec, comp, weights) -> int:
-    ws = {weights[comp[j]] for j, x in enumerate(vec) if x}
-    if len(ws) != 1:
-        raise RuntimeError("socle basis vector is not weight-homogeneous")
-    return ws.pop()
 
 
 def is_uniserial(rep: GRep) -> bool:

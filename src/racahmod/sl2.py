@@ -270,6 +270,9 @@ def decompose(rep: Sl2Rep) -> dict[int, int]:
 
     Computed from highest weight vectors: the multiplicity of V(k) is the
     dimension of the kernel of e restricted to the weight-k eigenspace of h.
+    The library reads factors off weight multiplicities (`constituents`);
+    this e-rank route stays as the tests' independent reference for those
+    factors and as a traced target of the benchmark.
     """
     ws = rep.weights()
     e_fr = rep.e.to_fractions()

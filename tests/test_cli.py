@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
+from racahmod.exact import kernel
 from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
+from racahmod.sl2 import constituents
 from racahmod.wigner import delta, find_sixj_zeros
 
 
@@ -377,6 +379,25 @@ def _raise(exc):
     return broken
 
 
+def _fault_on_call(real, call, result):
+    """`real`, except that its call number `call` returns `result`."""
+    calls = []
+
+    def faulty(*args):
+        calls.append(args)
+        return result if len(calls) == call else real(*args)
+
+    return faulty
+
+
+# build_z(1, 2, 2) has dim 12 and layers V(1), V(3), V(5)
+WHERE_STEP_2 = "at socle step 2, on a quotient of dimension 10"
+NOT_A_CHARACTER = (
+    f"socle layer weights are not an sl(2)-character {WHERE_STEP_2}: "
+    "weight multiplicities {3: 1, 1: 1, -1: 1, -3: 1}"
+)
+
+
 @pytest.mark.parametrize(
     "target, fault, argv, message",
     [
@@ -398,6 +419,33 @@ def _raise(exc):
             _raise(AssertionError("composite image mismatch")),
             ["uniserial", "--in", "MODULE"],
             "composite image mismatch",
+        ),
+        # the real socle_series meets a fault and names the step it failed at
+        (
+            "racahmod.gmod.kernel",
+            _fault_on_call(kernel, 2, []),
+            ["socle", "--in", "MODULE"],
+            f"radical action has no common kernel {WHERE_STEP_2}",
+        ),
+        (
+            "racahmod.gmod.kernel",
+            _fault_on_call(kernel, 1, [[1] * 12]),
+            ["socle", "--in", "MODULE"],
+            "socle basis vector is not weight-homogeneous at socle step 1, on a quotient "
+            "of dimension 12: weights [5, 3, 1, -1, -3, -5]",
+        ),
+        # a wrong total, and a negative multiplicity with the right total
+        (
+            "racahmod.sl2.constituents",
+            _fault_on_call(constituents, 2, {3: 2}),
+            ["socle", "--in", "MODULE"],
+            NOT_A_CHARACTER,
+        ),
+        (
+            "racahmod.sl2.constituents",
+            _fault_on_call(constituents, 2, {5: 1, 1: -1}),
+            ["socle", "--in", "MODULE"],
+            NOT_A_CHARACTER,
         ),
     ],
 )

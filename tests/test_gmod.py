@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racahmod.constructions import build_exceptional_len3, build_z, build_z_dual, build_z_family
-from racahmod.exact import QMatrix
+from racahmod.constructions import (
+    build_exceptional_len3,
+    build_symmetric_power,
+    build_z,
+    build_z_dual,
+    build_z_family,
+)
+from racahmod.exact import (
+    QMatrix,
+    RowSpace,
+    assemble_blocks,
+    coordinates,
+    kernel,
+    quotient_matrix,
+)
 from racahmod.gmod import (
     GRep,
     check_rep,
@@ -20,7 +33,15 @@ from racahmod.gmod import (
     is_uniserial,
     socle_series,
 )
-from racahmod.sl2 import DIVIDED_POWER, PLAIN_F, irrep, tensor
+from racahmod.sl2 import (
+    DIVIDED_POWER,
+    PLAIN_F,
+    Sl2Rep,
+    decompose,
+    diagonal_weights,
+    irrep,
+    tensor,
+)
 
 
 def zero_radical_rep(base, m):
@@ -238,3 +259,59 @@ def test_socle_series_of_dim_81_module():
     assert series.factor_weights() == [0, 5, 10, 15, 20, 25]
     assert [len(step.basis) for step in series.steps] == [1, 7, 18, 34, 55, 81]
     assert is_uniserial(rep)
+
+
+def _layer_by_e_rank(rep, below):
+    """sl(2) factors of the layer over the socle `below`, by the e-rank route.
+
+    Restricts h, e and f to the joint radical kernel on the quotient by
+    `below` and decomposes that sl(2)-module with sl2.decompose.
+    """
+    comp = below.free_columns()
+    nc = len(comp)
+    quot_v = {(i, 0): quotient_matrix(vm, below) for i, vm in enumerate(rep.v)}
+    ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
+    weights = diagonal_weights(rep.h)
+    # each kernel vector is 1 at its own free column and 0 at the others
+    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
+    h_fac = QMatrix.diagonal([weights[comp[j]] for j in free])
+
+    def restrict(mat):
+        quotient = quotient_matrix(mat, below)
+        return coordinates(ker, free, [quotient.apply(kv) for kv in ker])
+
+    layer = Sl2Rep(len(ker), h_fac, restrict(rep.e), restrict(rep.f), rep.convention)
+    layer.validate()
+    return decompose(layer), len(ker)
+
+
+def test_socle_factors_match_sl2_decompose():
+    sympow = build_symmetric_power(2, 2)
+    modules = [
+        build_z(1, 2, 2),
+        build_z_dual(0, 2, 3),
+        build_exceptional_len3(2, 4),
+        build_z_family(4, Fraction(0)),
+        build_z_family(4, Fraction(-3, 7)),
+        sympow.big,
+        sympow.sub,
+        build_z(0, 5, 5),
+    ]
+    layers = 0
+    several = 0
+    for rep in modules:
+        below = RowSpace(rep.dim)
+        for step in socle_series(rep).steps:
+            factors, size = _layer_by_e_rank(rep, below)
+            # equal as dicts and in order, highest weight first
+            assert list(factors.items()) == list(step.factors.items())
+            assert len(below) + size == len(step.basis)
+            layers += 1
+            several += len(factors) > 1
+            below = RowSpace(rep.dim)
+            for vec in step.basis:
+                below.add(vec)
+    assert layers == 3 + 3 + 3 + 4 + 4 + 3 + 3 + 6
+    # the sympow big module is not uniserial: V(4) + V(0) in its third layer
+    assert several == 1
+    assert socle_series(sympow.big).steps[2].factors == {4: 1, 0: 1}

@@ -71,7 +71,6 @@ def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMa
         f=diagonal("f"),
         v=v,
         convention=sl2.DIVIDED_POWER,
-        blocks=tuple(dims),
     )
 
 
@@ -174,22 +173,17 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
 
 def _derivation_matrix(base: QMatrix, monos: list[tuple[int, ...]]) -> QMatrix:
     index = {d: i for i, d in enumerate(monos)}
-    n = len(monos)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    fr = base.to_fractions()
-    nvars = base.rows
+    rows: list[dict[int, Fraction]] = [{} for _ in monos]
+    entries = [(i, j, x) for i, row in enumerate(base.sparse_rows()) for j, x in row.items()]
     for col, d in enumerate(monos):
-        for j in range(nvars):
-            if d[j] == 0:
-                continue
-            for i in range(nvars):
-                if fr[i][j] == 0:
-                    continue
+        for i, j, x in entries:
+            if d[j]:
                 shifted = list(d)
                 shifted[j] -= 1
                 shifted[i] += 1
-                rows[index[tuple(shifted)]][col] += fr[i][j] * d[j]
-    return QMatrix.from_rows(rows)
+                out = rows[index[tuple(shifted)]]
+                out[col] = out.get(col, 0) + x * d[j]
+    return QMatrix.from_sparse_rows(len(monos), rows)
 
 
 def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
@@ -352,62 +346,46 @@ def _term_string(coeff: Fraction, symbol: str) -> str:
     return f"{coeff}{symbol}"
 
 
+def _layout(rep: GRep) -> list[int]:
+    """Sizes of the finest runs of consecutive basis vectors that h, e and f
+    map into themselves: no nonzero entry of theirs links two runs."""
+    reach = list(range(rep.dim))  # reach[k]: the largest index an entry links with k
+    for mat in (rep.h, rep.e, rep.f):
+        for i, row in enumerate(mat.sparse_rows()):
+            for j in row:
+                reach[min(i, j)] = max(reach[min(i, j)], i, j)
+    # a run ends at k when nothing below k + 1 reaches past k
+    ends = [k + 1 for k, end in enumerate(itertools.accumulate(reach, max)) if end == k]
+    return [b - a for a, b in zip([0, *ends], ends)]
+
+
 def grep_to_latex(rep: GRep) -> str:
     """Render the generic element as a block-partitioned LaTeX array.
 
-    Each entry shows the linear combination of h, e, f, v_0..v_m acting
-    there; blocks that are identically zero render blank.
+    The blocks are the runs of _layout.  Each entry shows the linear
+    combination of h, e, f, v_0..v_m acting there; blocks that are
+    identically zero render blank.
     """
-    blocks = rep.blocks
-    if blocks is None:
-        blocks = tuple(
-            sum((k + 1) * n for k, n in step.factors.items())
-            for step in gmod.socle_series(rep).steps
-        )
-    offsets = [0]
-    for d in blocks:
-        offsets.append(offsets[-1] + d)
-    named = rep.matrices()
-    symbols = [name for name, _ in named]
-    grids = [mat.to_fractions() for _, mat in named]
-
-    def entry_terms(i, j):
-        return [
-            _term_string(grids[g][i][j], symbols[g])
-            for g in range(len(named))
-            if grids[g][i][j]
-        ]
-
-    def block_active(bi, bj):
-        for i in range(offsets[bi], offsets[bi + 1]):
-            for j in range(offsets[bj], offsets[bj + 1]):
-                if entry_terms(i, j):
-                    return True
-        return bi == bj
-
-    active = {
-        (bi, bj): block_active(bi, bj) for bi in range(len(blocks)) for bj in range(len(blocks))
-    }
-    colspec = "|".join("r" * d for d in blocks)
+    layout = _layout(rep)
+    block = [b for b, d in enumerate(layout) for _ in range(d)]
+    cells: dict[tuple[int, int], str] = {}
+    for symbol, mat in rep.matrices():
+        for i, row in enumerate(mat.sparse_rows()):
+            for j, x in row.items():
+                term = _term_string(x, symbol)
+                if (i, j) in cells:
+                    term = cells[i, j] + (term if term.startswith("-") else f"+{term}")
+                cells[i, j] = term
+    active = {(block[i], block[j]) for i, j in cells} | {(b, b) for b in range(len(layout))}
+    colspec = "|".join("r" * d for d in layout)
     lines = [f"\\begin{{array}}{{{colspec}}}"]
-    for bi in range(len(blocks)):
-        for i in range(offsets[bi], offsets[bi + 1]):
-            cells = []
-            for bj in range(len(blocks)):
-                for j in range(offsets[bj], offsets[bj + 1]):
-                    if not active[(bi, bj)]:
-                        cells.append("")
-                        continue
-                    terms = entry_terms(i, j)
-                    if not terms:
-                        cells.append("0")
-                    else:
-                        text = terms[0]
-                        for t in terms[1:]:
-                            text += t if t.startswith("-") else f"+{t}"
-                        cells.append(text)
-            lines.append(" & ".join(cells) + r" \\")
-        if bi + 1 < len(blocks):
+    for i in range(rep.dim):
+        row = [
+            cells.get((i, j), "0") if (block[i], block[j]) in active else ""
+            for j in range(rep.dim)
+        ]
+        lines.append(" & ".join(row) + r" \\")
+        if i + 1 < rep.dim and block[i + 1] != block[i]:
             lines.append(r"\hline")
     lines.append(r"\end{array}")
     return "\n".join(lines)

@@ -271,9 +271,10 @@ _ONE = Fraction(1)
 
 def _int_vector(vec: Sequence) -> tuple[dict[int, int], int]:
     """The numerators of the nonzero entries of a rational vector over their
-    least common denominator, and that denominator."""
+    least common denominator, and that denominator.  A dict stands for the
+    vector with those {index: value} entries and zeros elsewhere."""
     entries = {}
-    for j, x in enumerate(vec):
+    for j, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
         if type(x) is not int and type(x) is not Fraction:
             x = Fraction(x)
         if x:
@@ -423,12 +424,17 @@ class QMatrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ValueError("entry grid does not match declared shape")
+        return QMatrix.from_sparse_rows(cols, data)
+
+    @staticmethod
+    def from_sparse_rows(cols: int, data: Sequence) -> "QMatrix":
+        """From one {column: value} dict per row (as sparse_rows gives) or dense rows."""
         parsed = [_int_vector(row) for row in data]
         den = math.lcm(*[d for _, d in parsed])
         num = [
             row if d == den else {j: x * (den // d) for j, x in row.items()} for row, d in parsed
         ]
-        return QMatrix._from_sparse(rows, cols, num, den)
+        return QMatrix._from_sparse(len(data), cols, num, den)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
@@ -450,6 +456,11 @@ class QMatrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self._num[i].get(j, 0), self._den)
+
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        """The nonzero entries of each row, as {column: value}."""
+        d = self._den
+        return [{j: Fraction(x, d) for j, x in row.items()} for row in self._num]
 
     def to_fractions(self) -> tuple[Vector, ...]:
         return tuple(tuple(_fractions(row, self._den, self.cols)) for row in self._num)

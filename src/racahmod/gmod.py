@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import sl2
 from .exact import (
@@ -36,12 +35,7 @@ from .exact import (
 
 @dataclass(frozen=True)
 class GRep:
-    """Matrices of h, e, f, v_0..v_m in a declared basis convention.
-
-    `blocks` optionally records the socle-factor block sizes of a built
-    realization (used by the LaTeX emitter); it is not part of the JSON
-    interchange schema.
-    """
+    """Matrices of h, e, f, v_0..v_m in a declared basis convention."""
 
     m: int
     dim: int
@@ -50,7 +44,6 @@ class GRep:
     f: QMatrix
     v: tuple[QMatrix, ...]
     convention: str = sl2.DIVIDED_POWER
-    blocks: tuple[int, ...] | None = None
 
     def matrices(self) -> list[tuple[str, QMatrix]]:
         named = [("h", self.h), ("e", self.e), ("f", self.f)]
@@ -73,7 +66,6 @@ def check_rep(rep: GRep) -> RepCheck:
     Returns the first violated relation by name; all pairs [v_i, v_j] are
     checked even though the (v_0, v_j) pairs would suffice by equivariance.
     """
-    mats = [rep.h, rep.e, rep.f, *rep.v]
     n = rep.dim
     for _, mat in rep.matrices():
         if mat.rows != n or mat.cols != n:
@@ -199,7 +191,6 @@ def dual_rep(rep: GRep) -> GRep:
         e=-rep.e.transpose(),
         f=-rep.f.transpose(),
         v=tuple(-vi.transpose() for vi in rep.v),
-        blocks=tuple(reversed(rep.blocks)) if rep.blocks else None,
     )
 
 
@@ -207,14 +198,13 @@ def dual_rep(rep: GRep) -> GRep:
 
 
 def _matrix_to_strings(mat: QMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in mat.to_fractions()]
-
-
-def _rational(text, name: str) -> Fraction:
-    try:
-        return rat_from_str(text)
-    except ValueError as exc:
-        raise ValueError(f"{name} has an entry that is not a rational: {exc}") from None
+    out = []
+    for row in mat.sparse_rows():
+        cells = ["0"] * mat.cols
+        for j, x in row.items():
+            cells[j] = str(x)
+        out.append(cells)
+    return out
 
 
 def _matrix_from_strings(data, dim: int, name: str) -> QMatrix:
@@ -222,7 +212,11 @@ def _matrix_from_strings(data, dim: int, name: str) -> QMatrix:
         raise ValueError(f"{name} must be a list of {dim} rows")
     if any(not isinstance(row, list) or len(row) != dim for row in data):
         raise ValueError(f"every row of {name} must have {dim} entries")
-    return QMatrix.from_rows([[_rational(x, name) for x in row] for row in data])
+    try:  # "0" is in the grammar, so skipping it accepts exactly the same input
+        rows = [{j: rat_from_str(x) for j, x in enumerate(row) if x != "0"} for row in data]
+    except ValueError as exc:
+        raise ValueError(f"{name} has an entry that is not a rational: {exc}") from None
+    return QMatrix.from_sparse_rows(dim, rows)
 
 
 def grep_to_dict(rep: GRep) -> dict:

@@ -14,6 +14,13 @@ its tag:
 
 Conjugating PlainF matrices by diag(0!, 1!, ..., k!) gives the DividedPower
 matrices; mixing conventions in one operation is an error.
+
+The library calls none of the following; each is a route a test compares
+against: tensor and decompose (test_decompose_clebsch_gordan_sweep,
+test_socle_factors_match_sl2_decompose), conversion_diagonal
+(test_hom_embedding_conventions_differ_by_factorials), Sl2Rep.validate
+(test_irrep_relations_hold), exterior_square_components (against decompose of
+V(m)xV(m)) and invariant_form (test_invariant_form_is_invariant).
 """
 
 from __future__ import annotations
@@ -59,13 +66,15 @@ class Sl2Rep:
 def diagonal_weights(h: QMatrix) -> list[int]:
     """The weights on the diagonal of h; ValueError unless h is diagonal with
     integer entries."""
-    rows = h.to_fractions()
-    for i, row in enumerate(rows):
-        if any(x for j, x in enumerate(row) if j != i):
+    weights = []
+    for i, row in enumerate(h.sparse_rows()):
+        if any(j != i for j in row):
             raise ValueError("h is not diagonal")
-        if row[i].denominator != 1:
+        w = row.get(i, 0)
+        if w.denominator != 1:
             raise ValueError("h has a non-integer weight")
-    return [int(row[i]) for i, row in enumerate(rows)]
+        weights.append(int(w))
+    return weights
 
 
 def irrep(k: int, convention: str = DIVIDED_POWER) -> Sl2Rep:

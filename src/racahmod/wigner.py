@@ -270,6 +270,12 @@ def sixj_is_zero(tj: SixJInput) -> bool:
 # -- three-term recurrence ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def _sqrt_surd(x: int) -> tuple[int, int, int]:
+    """sqrt(x) = sqrt(x! / (x-1)!) as a factorial surd, for an integer x >= 1."""
+    return factorial_surd((x,), (x - 1,))
+
+
 def be_coefficients(
     ti1: int, ti2: int, ti3: int, ti4: int, ti5: int, ti6: int
 ) -> tuple[SqrtRational, Fraction]:
@@ -279,9 +285,9 @@ def be_coefficients(
     of a product of four quadratic factors; outside the triangle windows that
     product can go negative, which raises rather than leaving the reals.
 
-    In twice-values 256 E^2 is a product of eight integers x, and
-    sqrt|x| = sqrt(|x|! / (|x|-1)!) is a factorial surd; 16 F is an integer
-    polynomial in C_k = t_k (t_k + 2) = 4 i_k (i_k + 1).
+    In twice-values 256 E^2 is a product of eight integers x, whose memoised
+    surds sqrt|x| multiply in int; 16 F is an integer polynomial in
+    C_k = t_k (t_k + 2) = 4 i_k (i_k + 1).
     """
     factors = []
     for ta, tb in ((ti2, ti3), (ti5, ti6)):
@@ -290,7 +296,7 @@ def be_coefficients(
     if e_sq < 0:
         raise ValueError(f"E coefficient is imaginary at {(ti1, ti2, ti3, ti4, ti5, ti6)}")
     if e_sq:
-        t, d, s = factorial_surd([abs(x) for x in factors], [abs(x) - 1 for x in factors])
+        t, d, s = _surd_product(_sqrt_surd(abs(x)) for x in factors)
         e_val = SqrtRational(Fraction(t, 16 * d), s)
     else:
         e_val = SqrtRational(Fraction(0))

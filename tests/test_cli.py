@@ -92,6 +92,28 @@ def test_realize_latex(capsys):
     assert "-2v_1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, layout",
+    [
+        (["--kind", "z", "--ell", "1", "--b", "2", "--m", "2"], [2, 4, 6]),
+        (["--kind", "zdual", "--ell", "0", "--b", "2", "--m", "2"], [1, 3, 5]),
+        (["--kind", "len3", "--m", "3", "--c", "2"], [1, 4, 3]),
+        (["--kind", "zfam", "--m", "4", "--z", "5/7"], [1, 5, 5, 1]),
+        (["--kind", "sympow", "--m", "2", "--b", "2", "--part", "big"], [1, 3, 6]),
+        (["--kind", "sympow", "--m", "2", "--b", "3"], [1, 3, 5, 7]),
+    ],
+)
+def test_realize_latex_blocks_follow_the_basis(capsys, argv, layout):
+    # the column cuts and the \hline rows sit between the irreducible
+    # sl(2) blocks in the order the basis lists them
+    code, out = run(capsys, "realize", *argv, "--format", "latex")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "\\begin{array}{" + "|".join("r" * d for d in layout) + "}"
+    hlines = [i for i, line in enumerate(lines) if line == "\\hline"]
+    assert hlines == [sum(layout[: k + 1]) + k + 1 for k in range(len(layout) - 1)]
+
+
 def test_realize_other_kinds(capsys):
     code, out = run(capsys, "realize", "--kind", "len3", "--m", "3", "--c", "2")
     assert code == 0 and grep_from_json(out).dim == 8

@@ -16,6 +16,7 @@ from racahmod.constructions import (
     build_z_dual,
     build_z_family,
     check_z_characterization,
+    _layout,
     grep_to_latex,
     radical_blocks,
 )
@@ -40,7 +41,7 @@ def expected_z122_radical(gen: int) -> QMatrix:
 
 def test_build_z_m2_twelve_dim_regression():
     rep = build_z(1, 2, 2)
-    assert rep.dim == 12 and rep.blocks == (2, 4, 6)
+    assert rep.dim == 12 and _layout(rep) == [2, 4, 6]
     assert [int(rep.h.entry(i, i)) for i in range(12)] == [
         1, -1, 3, 1, -1, -3, 5, 3, 1, -1, -3, -5,
     ]
@@ -89,7 +90,7 @@ def test_build_z_rejects_bad_arguments():
 
 def test_len3_displayed_example_up_to_block_scaling():
     rep = build_exceptional_len3(3, 2)
-    assert rep.blocks == (1, 4, 3)
+    assert _layout(rep) == [1, 4, 3]
     # frozen from the displayed 8x8 realization with socle factors
     # V(0), V(3), V(2)
     shown_12 = {
@@ -156,7 +157,7 @@ def test_len3_parity_rejected():
 def test_z_family_displayed_example():
     z = Fraction(5, 7)
     rep = build_z_family(4, z)
-    assert rep.blocks == (1, 5, 5, 1)
+    assert _layout(rep) == [1, 5, 5, 1]
     shown_23 = {
         0: {(0, 2): 6, (1, 3): 3, (2, 4): 1},
         1: {(0, 1): -12, (1, 2): -3, (2, 3): 2, (3, 4): 3},
@@ -384,6 +385,29 @@ def test_latex_rendering():
 def test_latex_recovers_blocks_from_plain_json():
     from racahmod.gmod import grep_from_json, grep_to_json
 
-    rep = grep_from_json(grep_to_json(build_z(1, 2, 2)))
-    assert rep.blocks is None
-    assert grep_to_latex(rep) == grep_to_latex(build_z(1, 2, 2))
+    # one module of every realize kind, with its irreducible sl(2) blocks in
+    # basis order; the layout is read off h, e and f, so JSON keeps it
+    layouts = [
+        (build_z(1, 2, 2), [2, 4, 6]),
+        (build_z_dual(0, 2, 2), [1, 3, 5]),
+        (build_z_dual(1, 3, 2), [2, 4, 6, 8]),
+        (build_exceptional_len3(3, 2), [1, 4, 3]),
+        (build_z_family(4, Fraction(5, 7)), [1, 5, 5, 1]),
+        (build_symmetric_power(2, 2).big, [1, 3, 6]),
+        (build_symmetric_power(2, 3).sub, [1, 3, 5, 7]),
+    ]
+    for built, layout in layouts:
+        rep = grep_from_json(grep_to_json(built))
+        assert _layout(rep) == _layout(built) == layout
+        assert grep_to_latex(rep) == grep_to_latex(built)
+
+
+def test_layout_splits_where_nothing_links_the_runs():
+    # V(1) + V(1) splits into two runs; one entry of e linking them joins them
+    n = 4
+    h = QMatrix.diagonal([1, -1, 1, -1])
+    e = QMatrix.from_rows([[0, 1, 0, 0], [0] * n, [0, 0, 0, 1], [0] * n])
+    rep = GRep(m=0, dim=n, h=h, e=e, f=e.transpose(), v=(QMatrix.zero(n, n),))
+    assert _layout(rep) == [2, 2]
+    linked = QMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0] * n])
+    assert _layout(GRep(m=0, dim=n, h=h, e=linked, f=e.transpose(), v=rep.v)) == [4]

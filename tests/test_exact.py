@@ -289,8 +289,11 @@ def _vectors(n):
 def _same(mat, grid):
     """mat holds exactly the entries of grid, in the canonical stored form."""
     assert mat.to_fractions() == tuple(tuple(row) for row in grid)
+    sparse = mat.sparse_rows()
+    assert sparse == [{j: x for j, x in enumerate(row) if x} for row in grid]
     twin = QMatrix.from_rows(grid) if grid else QMatrix.zero(0, mat.cols)
-    assert mat == twin and hash(mat) == hash(twin)
+    assert mat == twin == QMatrix.from_sparse_rows(mat.cols, sparse)
+    assert hash(mat) == hash(twin)
 
 
 @st.composite

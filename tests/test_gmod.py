@@ -21,6 +21,7 @@ from racahmod.exact import (
     coordinates,
     kernel,
     quotient_matrix,
+    rat_from_str,
 )
 from racahmod.gmod import (
     GRep,
@@ -223,6 +224,23 @@ def _breaks_schema(data):
         h = [list(row) for row in data["h"]]
         h[0][0] = entry
         yield {**data, "h": h}
+
+
+def test_reading_parses_only_the_nonzero_entries(monkeypatch):
+    from racahmod import gmod
+
+    rep = build_z_family(4, Fraction(5, 7))
+    text = grep_to_json(rep)
+    parsed = []
+
+    def counting(entry):
+        parsed.append(entry)
+        return rat_from_str(entry)
+
+    monkeypatch.setattr(gmod, "rat_from_str", counting)
+    assert grep_from_json(text) == rep
+    nonzero = sum(len(row) for _, mat in rep.matrices() for row in mat.sparse_rows())
+    assert len(parsed) == nonzero and "0" not in parsed
 
 
 def test_grep_from_dict_rejects_schema_breaks():

@@ -11,6 +11,7 @@ from racahmod.sl2 import (
     Sl2Rep,
     conversion_diagonal,
     decompose,
+    diagonal_weights,
     dual_iso,
     exterior_square_components,
     hom_embedding,
@@ -236,3 +237,11 @@ def test_symmetric_power_components_small():
     assert symmetric_power_components(2, 1) == {2: 1}
     assert symmetric_power_components(2, 2) == {4: 1, 0: 1}
     assert symmetric_power_components(1, 3) == {3: 1}
+
+
+def test_diagonal_weights_refuses_a_non_diagonal_or_half_integer_h():
+    assert diagonal_weights(QMatrix.diagonal([2, 0, -2])) == [2, 0, -2]
+    with pytest.raises(ValueError, match="not diagonal"):
+        diagonal_weights(QMatrix.from_rows([[1, 1], [0, -1]]))
+    with pytest.raises(ValueError, match="non-integer weight"):
+        diagonal_weights(QMatrix.diagonal([Fraction(1, 2), Fraction(-1, 2)]))

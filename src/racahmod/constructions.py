@@ -28,9 +28,7 @@ from .exact import (
     assemble_blocks,
     binomial,
     commutator,
-    coordinates,
     primitive_family,
-    reduce_vector,
     span_closure,
     triangle,
 )
@@ -208,21 +206,22 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
     gen = [Fraction(0)] * n
     gen_exp = tuple(b if i == 1 else 0 for i in range(m + 2))
     gen[monos.index(gen_exp)] = Fraction(1)
-    rows, pivots = span_closure([big.e, big.f, big.h, *big.v], gen)
+    space = span_closure([big.e, big.f, big.h, *big.v], gen)
+    rows, _ = space.echelon()
 
     def restrict(mat: QMatrix) -> QMatrix:
-        return coordinates(rows, pivots, [mat.apply(row) for row in rows])
+        return space.coordinates([mat.apply(row) for row in rows])
 
     sub = GRep(
         m=m,
-        dim=len(rows),
+        dim=len(space),
         h=restrict(big.h),
         e=restrict(big.e),
         f=restrict(big.f),
         v=tuple(restrict(vi) for vi in big.v),
         convention=sl2.DIVIDED_POWER,
     )
-    gen_sub = coordinates(rows, pivots, [gen]).column(0)
+    gen_sub = space.coordinates([gen]).column(0)
     return SymmetricPowerModule(big, sub, tuple(gen), gen_sub)
 
 
@@ -260,8 +259,7 @@ def check_z_characterization(
 
     is_weight = rep.h.apply(vec) == tuple(weight * x for x in vec)
     killed = not any(rep.e.apply(vec))
-    rows, _ = span_closure([rep.h, rep.e, rep.f, *rep.v], vec)
-    generates = len(rows) == rep.dim
+    generates = len(span_closure([rep.h, rep.e, rep.f, *rep.v], vec)) == rep.dim
     c1 = is_weight and killed and generates
 
     powers = [vec]
@@ -273,15 +271,8 @@ def check_z_characterization(
         bracket = commutator(rep.e, rep.v[rep.m])
         c3 = not any(bracket.apply(vec))
     else:
-        c3 = True
-        for i in range(b + 1):
-            span_rows, span_pivots = span_closure([rep.h, rep.e, rep.f], powers[i + 1])
-            for vj in rep.v:
-                img = vj.apply(powers[i])
-                if any(img) and (
-                    not span_rows or any(reduce_vector(span_rows, span_pivots, img))
-                ):
-                    c3 = False
+        spans = [span_closure([rep.h, rep.e, rep.f], p) for p in powers[1:]]
+        c3 = all(vj.apply(p) in span for p, span in zip(powers, spans) for vj in rep.v)
     return CharacterizationReport(c1, c2, c3)
 
 

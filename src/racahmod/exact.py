@@ -5,9 +5,12 @@ Every value in the package funnels through this module, so no floating point
 ever enters a computation.  Matrices and echelon bases hold the integer
 numerators of their nonzero entries only, so products and eliminations skip
 zeros and never build a Fraction; Fractions appear where values enter or
-leave.  Every type except the growing RowSpace is immutable after
-construction and all functions are pure, which makes everything safe to use
-from parallel workers.
+leave.  A subspace is read only through its RowSpace (membership,
+coordinates, echelon rows, the complement at the free columns), against the
+integer rows it holds, so no basis is parsed back from Fractions.  Every
+type except the growing RowSpace is immutable after construction and all
+functions are pure, which makes everything safe to use from parallel
+workers.
 """
 
 from __future__ import annotations
@@ -328,7 +331,8 @@ class RowSpace:
     The row with pivot p is a primitive sparse integer row, positive at p
     and zero at every other pivot; divided by its entry at p it is the
     unit-pivot echelon row.  That basis is unique to the subspace, so it
-    does not depend on the order in which vectors join.
+    does not depend on the order in which vectors join.  The subspace is
+    read only through the methods below, against these integer rows.
     """
 
     __slots__ = ("ncols", "_rows")
@@ -371,6 +375,45 @@ class RowSpace:
         pivots = self.pivots()
         rows = [self._rows[p] for p in pivots]
         return [_fractions(row, row[p], self.ncols) for row, p in zip(rows, pivots)], pivots
+
+    def __contains__(self, vec: Sequence) -> bool:
+        return not _reduce(self._rows, _int_vector(vec)[0])[0]
+
+    def coordinates(self, vectors: Sequence[Sequence]) -> "QMatrix":
+        """The len(self) x len(vectors) matrix whose j-th column holds the
+        coordinates of vectors[j] in the echelon rows, ordered by pivot.
+
+        Each echelon row is 1 at its own pivot and 0 at the others, so a
+        vector that leaves no residual has its entries at the pivots as
+        coordinates.  A vector outside the subspace raises RuntimeError.
+        """
+        parsed = []
+        for j, vec in enumerate(vectors):
+            x, den = _int_vector(vec)
+            if _reduce(self._rows, x)[0]:
+                raise RuntimeError(f"vector {j} lies outside the subspace of dimension {len(self)}")
+            parsed.append((x, den))
+        den = math.lcm(*[d for _, d in parsed])
+        num = [
+            {j: x[p] * (den // d) for j, (x, d) in enumerate(parsed) if p in x}
+            for p in self.pivots()
+        ]
+        return QMatrix._from_sparse(len(num), len(parsed), num, den)
+
+    def _complement(self) -> tuple[dict[int, list[tuple[int, int]]], int]:
+        """The echelon entries off the pivots, over one common denominator.
+
+        Returns {free column c: [(pivot p, the entry at c of the echelon row
+        of p, times scale)]} and scale, the lcm of the entries at the pivots.
+        """
+        scale = math.lcm(*[row[p] for p, row in self._rows.items()])
+        by_free: dict[int, list[tuple[int, int]]] = {}
+        for p, row in self._rows.items():
+            f = scale // row[p]
+            for c, x in row.items():
+                if c != p:
+                    by_free.setdefault(c, []).append((p, x * f))
+        return by_free, scale
 
 
 class QMatrix:
@@ -623,17 +666,9 @@ def quotient_matrix(mat: QMatrix, space: RowSpace) -> QMatrix:
     """
     if mat.rows != space.ncols or mat.cols != space.ncols:
         raise ValueError("matrix and subspace live in different dimensions")
-    basis = space._rows
     free = space.free_columns()
     index = {c: k for k, c in enumerate(free)}
-    scale = math.lcm(*[row[p] for p, row in basis.items()])
-    # (row of the basis, the entry of its echelon row at free column c, times scale)
-    by_free: dict[int, list[tuple[int, int]]] = {}
-    for p, row in basis.items():
-        f = scale // row[p]
-        for c, x in row.items():
-            if c != p:
-                by_free.setdefault(c, []).append((p, x * f))
+    by_free, scale = space._complement()
     mrows = mat._num
     num = []
     for c in free:
@@ -703,40 +738,21 @@ def kernel(mat: QMatrix) -> list[Vector]:
     positions; the list is ordered by f, which makes the output reproducible.
     """
     space = _row_space(mat)
-    # free column -> (pivot, minus the echelon entry there)
-    by_free: dict[int, list[tuple[int, Fraction]]] = {}
-    for p, row in space._rows.items():
-        for f, x in row.items():
-            if f != p:
-                by_free.setdefault(f, []).append((p, Fraction(-x, row[p])))
-    n = mat.cols
+    by_free, scale = space._complement()
     basis: list[Vector] = []
     for f in space.free_columns():
-        vec = [_ZERO] * n
+        vec = [_ZERO] * mat.cols
         vec[f] = _ONE
         for p, x in by_free.get(f, ()):
-            vec[p] = x
+            vec[p] = Fraction(-x, scale)
         basis.append(tuple(vec))
     return basis
 
 
-def reduce_vector(
-    reduced: Sequence[Sequence[Fraction]], pivots: Sequence[int], vec: Sequence
-) -> list[Fraction]:
-    """Residual of vec after elimination against an echelonized row set.
-
-    Row i must be nonzero at pivots[i] and zero at every other pivot: an rref
-    with its pivots, or a kernel basis with its free columns.
-    """
-    basis = {p: _int_vector(row)[0] for row, p in zip(reduced, pivots)}
-    x, den = _int_vector(vec)
-    resid, scale = _reduce(basis, x)
-    return _fractions(resid, den * scale, len(vec))
-
-
-def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Fraction]], list[int]]:
-    """Echelon basis (rows, pivots) of the smallest subspace that contains vec
-    and is mapped into itself by every matrix in mats.
+def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> RowSpace:
+    """The smallest subspace that contains vec and is mapped into itself by
+    every matrix in mats, as its RowSpace; callers test membership and take
+    coordinates there.
 
     Each matrix is applied once to each vector that joins the span: those
     vectors span it, so their images lying in it make it invariant.  The
@@ -751,21 +767,5 @@ def span_closure(mats: Sequence[QMatrix], vec: Sequence) -> tuple[list[list[Frac
             image = mat.apply(joined)
             if space.add(image):
                 todo.append(image)
-    return space.echelon()
+    return space
 
-
-def coordinates(
-    rows: Sequence[Sequence[Fraction]], columns: Sequence[int], vectors: Sequence[Sequence]
-) -> QMatrix:
-    """Matrix whose j-th column holds the coordinates of vectors[j] in the basis rows.
-
-    Row i must be 1 at columns[i] and 0 at every other listed column: an rref
-    with its pivots, or a kernel basis with its free columns.  Once
-    reduce_vector leaves no residual, the coordinates are the entries at
-    those columns.  A vector outside the span raises RuntimeError.
-    """
-    basis = {c: _int_vector(row)[0] for row, c in zip(rows, columns)}
-    for vec in vectors:
-        if _reduce(basis, _int_vector(vec)[0])[0]:
-            raise RuntimeError("vector lies outside the span of the basis")
-    return QMatrix.from_rows([[vec[c] for vec in vectors] for c in columns])

@@ -262,4 +262,8 @@ def grep_to_json(rep: GRep) -> str:
 
 
 def grep_from_json(text: str) -> GRep:
-    return grep_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:  # a RuntimeError, but a fault of the input
+        raise ValueError(f"module JSON is nested too deeply: {exc}") from None
+    return grep_from_dict(data)

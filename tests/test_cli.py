@@ -223,7 +223,12 @@ HUGE_ENTRY = (
 )
 
 
-@pytest.mark.parametrize("content", ['{"m": 1, "dim": 1}', "[]", None, HUGE_ENTRY])
+# json.loads raises RecursionError, a RuntimeError, on the nested file: a fault
+# of the input all the same
+NESTED = pytest.param("[" * 100_000 + "]" * 100_000, id="nested")
+
+
+@pytest.mark.parametrize("content", ['{"m": 1, "dim": 1}', "[]", None, HUGE_ENTRY, NESTED])
 def test_malformed_module_input_exits_two(tmp_path, capsys, content):
     path = tmp_path / "module.json"
     if content is None:

@@ -4,21 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racahmod.exact import (
     QMatrix,
+    RowSpace,
     SqrtRational,
     binomial,
-    coordinates,
     factorial,
     factorial_surd,
     kernel,
     matrix_rank,
     primitive_family,
     rat_from_str,
-    reduce_vector,
     rref,
     span_closure,
     span_dimension,
@@ -248,6 +247,21 @@ def _ref_reduce(reduced, pivots, vec):
     return work
 
 
+def _space(ncols, vectors):
+    space = RowSpace(ncols)
+    for vec in vectors:
+        space.add(vec)
+    return space
+
+
+def _rebuilt(coords, rows, j, ncols):
+    """Column j of coords read as a combination of the echelon rows."""
+    return tuple(
+        sum((coords.entry(i, j) * row[k] for i, row in enumerate(rows)), Fraction(0))
+        for k in range(ncols)
+    )
+
+
 def _ref_apply(grid, vec):
     return tuple(sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in grid)
 
@@ -334,7 +348,9 @@ def test_sparse_apply_and_elimination_match_dense(pair, data):
     )
     assert kernel(mat) == _ref_kernel(grid, mat.cols)
     assert matrix_rank(mat) == len(pivots)
-    assert reduce_vector(reduced, pivots, vec) == _ref_reduce(reduced, pivots, vec)
+    space = _space(mat.cols, grid)
+    assert space.echelon() == (reduced, pivots)
+    assert (vec in space) == (not any(_ref_reduce(reduced, pivots, vec)))
 
 
 @given(_matrices(), st.data())
@@ -342,21 +358,26 @@ def test_sparse_apply_and_elimination_match_dense(pair, data):
 def test_sparse_coordinates_match_dense(pair, data):
     mat, grid = pair
     ker = kernel(mat)
-    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
     combination = st.lists(st.fractions(max_denominator=5), min_size=len(ker), max_size=len(ker))
     weights = data.draw(st.lists(combination, max_size=3))
     members = [
         tuple(sum((w * kv[j] for w, kv in zip(ws, ker)), Fraction(0)) for j in range(mat.cols))
         for ws in weights
     ]
-    got = coordinates(ker, free, members)
-    assert got.to_fractions() == tuple(tuple(ws[i] for ws in weights) for i in range(len(ker)))
+    space = _space(mat.cols, ker)
+    got = space.coordinates(members)
+    assert (got.rows, got.cols) == (len(ker), len(members))
+    rows, _ = space.echelon()
+    for j, member in enumerate(members):
+        assert _rebuilt(got, rows, j, mat.cols) == member
     reduced, pivots = rref(grid)
+    span = _space(mat.cols, grid)
+    outside = f"vector 1 lies outside the subspace of dimension {len(pivots)}"
     for vec in data.draw(st.lists(_vectors(mat.cols), max_size=3)):
         if not any(_ref_reduce(reduced, pivots, vec)):
             continue
-        with pytest.raises(RuntimeError):
-            coordinates(reduced, pivots, [vec])
+        with pytest.raises(RuntimeError, match=outside):
+            span.coordinates([[0] * mat.cols, vec])
 
 
 @given(
@@ -368,7 +389,47 @@ def test_sparse_coordinates_match_dense(pair, data):
 def test_sparse_span_closure_matches_dense(args):
     pairs, vec = args
     got = span_closure([mat for mat, _ in pairs], vec)
-    assert got == _ref_closure([grid for _, grid in pairs], vec)
+    assert got.echelon() == _ref_closure([grid for _, grid in pairs], vec)
+
+
+@st.composite
+def _joining(draw):
+    """Vectors of one length, and the same vectors in a random order."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    vectors = draw(st.lists(_vectors(n), max_size=5))
+    return n, vectors, draw(st.permutations(vectors))
+
+
+@given(_joining())
+@example((2, [[1, 1], [0, 1]], [[0, 1], [1, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_row_space_reads_the_same_in_any_joining_order(args):
+    n, vectors, shuffled = args
+    members = [*vectors, [sum((vec[k] for vec in vectors), Fraction(0)) for k in range(n)]]
+    rows, pivots = _ref_rref(vectors)
+    for order in (vectors, shuffled):
+        space = _space(n, order)
+        assert space.echelon() == (rows, pivots)
+        assert all(vec in space for vec in members)
+        got = space.coordinates(members)
+        for j, vec in enumerate(members):
+            assert _rebuilt(got, rows, j, n) == tuple(map(Fraction, vec))
+
+
+def test_row_space_coordinates_shape_and_failure():
+    # [1, 2] = [1, 1] + [0, 1], although [1, 1] joined first
+    space = _space(2, [[1, 1], [0, 1]])
+    assert [1, 2] in space
+    assert space.coordinates([[1, 2]]).to_fractions() == ((1,), (2,))
+    zero = RowSpace(3)
+    assert [0, 0, 0] in zero and [0, 1, 0] not in zero
+    empty = zero.coordinates([[0, 0, 0], [0, 0, 0]])
+    assert (empty.rows, empty.cols) == (0, 2)
+    with pytest.raises(RuntimeError, match="vector 1 lies outside the subspace of dimension 0"):
+        zero.coordinates([[0, 0, 0], [0, 1, 0]])
+    line = _space(3, [[1, 1, 0]])
+    with pytest.raises(RuntimeError, match="vector 0 lies outside the subspace of dimension 1"):
+        line.coordinates([[1, 0, 0]])
 
 
 _factorial_args = st.lists(st.integers(min_value=0, max_value=40), max_size=6)

@@ -18,7 +18,6 @@ from racahmod.exact import (
     QMatrix,
     RowSpace,
     assemble_blocks,
-    coordinates,
     kernel,
     quotient_matrix,
     rat_from_str,
@@ -120,12 +119,13 @@ def test_socle_invariance_of_steps():
     series = socle_series(rep)
     mats = [mat for _, mat in rep.matrices()]
     for step in series.steps:
-        from racahmod.exact import rref, reduce_vector
-
-        rows, pivots = rref(step.basis)
+        space = RowSpace(rep.dim)
+        for vec in step.basis:
+            space.add(vec)
+        assert len(space) == len(step.basis)
         for vec in step.basis:
             for mat in mats:
-                assert not any(reduce_vector(rows, pivots, mat.apply(vec)))
+                assert mat.apply(vec) in space
 
 
 def test_is_uniserial():
@@ -288,19 +288,23 @@ def _layer_by_e_rank(rep, below):
     comp = below.free_columns()
     nc = len(comp)
     quot_v = {(i, 0): quotient_matrix(vm, below) for i, vm in enumerate(rep.v)}
-    ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
+    layer = RowSpace(nc)
+    for kv in kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v)):
+        layer.add(kv)
+    rows, pivots = layer.echelon()
     weights = diagonal_weights(rep.h)
-    # each kernel vector is 1 at its own free column and 0 at the others
-    free = [max(j for j, x in enumerate(kv) if x) for kv in ker]
-    h_fac = QMatrix.diagonal([weights[comp[j]] for j in free])
+    # each echelon row is weight-homogeneous, so h is diagonal in their basis
+    for row, p in zip(rows, pivots):
+        assert {weights[comp[j]] for j, x in enumerate(row) if x} == {weights[comp[p]]}
+    h_fac = QMatrix.diagonal([weights[comp[p]] for p in pivots])
 
     def restrict(mat):
         quotient = quotient_matrix(mat, below)
-        return coordinates(ker, free, [quotient.apply(kv) for kv in ker])
+        return layer.coordinates([quotient.apply(row) for row in rows])
 
-    layer = Sl2Rep(len(ker), h_fac, restrict(rep.e), restrict(rep.f), rep.convention)
-    layer.validate()
-    return decompose(layer), len(ker)
+    sl2_layer = Sl2Rep(len(layer), h_fac, restrict(rep.e), restrict(rep.f), rep.convention)
+    sl2_layer.validate()
+    return decompose(sl2_layer), len(layer)
 
 
 def test_socle_factors_match_sl2_decompose():

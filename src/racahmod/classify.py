@@ -92,19 +92,6 @@ def is_admissible(seq, m: int) -> AdmissibleVerdict:
     return AdmissibleVerdict(*hit)
 
 
-def length3_condition4(a: int, b: int, c: int, m: int) -> bool:
-    """Closed form for admissibility of the length-3 sequence V(a), V(b), V(c).
-
-    Both consecutive triangles with m must hold (domain error otherwise); the
-    sequence is admissible iff, up to swapping a and c, either c = 0, b = m,
-    a = 2m mod 4 and a <= 2m, or b = c + m and a = c + 2m.  Those are the
-    length-3 cases of is_admissible, which decides it.
-    """
-    if not triangle(a, b, m) or not triangle(b, c, m):
-        raise ValueError(f"triangle conditions fail for [{a}, {b}, {c}] with m={m}")
-    return is_admissible([a, b, c], m).admissible
-
-
 def length3_condition3(a: int, b: int, c: int, m: int) -> bool:
     """6j-vanishing form of length-3 admissibility.
 
@@ -461,7 +448,7 @@ def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, i
 
 
 def classification_row(m: int, a: int, b: int, c: int) -> ClassificationRow:
-    closed = length3_condition4(a, b, c, m)
+    closed = is_admissible([a, b, c], m).admissible
     vanishing = length3_condition3(a, b, c, m)
     _, alternating = compute_I_J(a, b, c, m, m)
     built = build_from_sequence([a, b, c], m)

@@ -1,18 +1,18 @@
 """Builders for the uniserial modules of sl(2) semidirect V(m).
 
-The main family Z(ell, b) has socle factors V(ell), V(ell+m), ..., V(ell+bm)
-and an explicit block realization: divided-power sl(2) blocks on the diagonal
-and scaled shifted-identity blocks on the first superdiagonal for the radical
-generators.  Beyond it and its duals there are exceptional uniserial modules
-of length 3 (socle factors V(0), V(m), V(c) with c <= 2m, c = 2m mod 4) and a
+Every block builder assembles a socle-factor sequence V(a_0), ..., V(a_n)
+the same way: divided-power sl(2) blocks on the diagonal, and between
+neighbouring factors the radical blocks radical_blocks(m, a_{j+1}, a_j), the
+primitive integer normalization of the equivariant map from sl2.hom_embedding
+(entries coprime integers, leading entry positive).  The main family Z(ell, b)
+has socle factors V(ell), V(ell+m), ..., V(ell+bm); its blocks are
+(-1)^i C(m, i) times a shifted identity, the closed form the tests compare
+against.  Beyond it and its duals there are exceptional uniserial modules of
+length 3 (socle factors V(0), V(m), V(c) with c <= 2m, c = 2m mod 4) and a
 one-parameter length-4 family (V(0), V(m), V(m), V(0) for m divisible by 4),
-plus a polynomial-module construction realizing Z(0, b) inside the b-th
-symmetric power of the (m+2)-dimensional module.
-
-Superdiagonal radical blocks are always the primitive integer normalization
-of the equivariant maps from sl2.hom_embedding (entries coprime integers,
-leading entry positive); that normalization reproduces the explicit block
-matrices above verbatim.
+whose members alone carry a block outside that chain, plus a polynomial-module
+construction realizing Z(0, b) inside the b-th symmetric power of the
+(m+2)-dimensional module.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .exact import (
     QMatrix,
     Vector,
     assemble_blocks,
-    binomial,
     commutator,
     primitive_family,
     span_closure,
@@ -42,6 +41,12 @@ def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
     pins the scale and sign.
     """
     return primitive_family(sl2.hom_embedding(m, target, source, sl2.DIVIDED_POWER))
+
+
+def _chain(seq: list[int], m: int) -> dict[tuple[int, int], list[QMatrix]]:
+    """The canonical superdiagonal of a factor sequence: factor j + 1 maps
+    into factor j by radical_blocks(m, seq[j + 1], seq[j])."""
+    return {(j, j + 1): radical_blocks(m, seq[j + 1], seq[j]) for j in range(len(seq) - 1)}
 
 
 def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMatrix]]) -> GRep:
@@ -75,26 +80,14 @@ def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMa
 # -- the main family -----------------------------------------------------------
 
 
-def _w_block(a: int, m: int, i: int) -> QMatrix:
-    rows = [[0] * (a + m + 1) for _ in range(a + 1)]
-    for r in range(a + 1):
-        rows[r][m - i + r] = 1
-    return QMatrix.from_rows(rows)
-
-
-def v_block(a: int, m: int, i: int) -> QMatrix:
-    """The (a+1) x (a+m+1) radical block (-1)^i C(m,i) times a shifted identity."""
-    return ((-1) ** i * binomial(m, i)) * _w_block(a, m, i)
-
-
 def build_z(ell: int, b: int, m: int) -> GRep:
     """The uniserial module with socle factors V(ell), V(ell+m), ..., V(ell+bm)."""
     if m < 1:
         raise ValueError("the radical weight m must be positive")
     if ell < 0 or b < 0:
         raise ValueError("ell and b must be non-negative")
-    blocks = {(j, j + 1): [v_block(ell + j * m, m, i) for i in range(m + 1)] for j in range(b)}
-    return _assemble([ell + j * m for j in range(b + 1)], m, blocks)
+    seq = [ell + j * m for j in range(b + 1)]
+    return _assemble(seq, m, _chain(seq, m))
 
 
 def build_z_dual(ell: int, b: int, m: int) -> GRep:
@@ -116,27 +109,25 @@ def build_exceptional_len3(m: int, c: int) -> GRep:
         raise ValueError("the radical weight m must be positive")
     if c < 0 or c > 2 * m or (2 * m - c) % 4 != 0:
         raise ValueError(f"socle factors [0, {m}, {c}] need c <= 2m and c = 2m mod 4")
-    blocks = {(0, 1): radical_blocks(m, m, 0), (1, 2): radical_blocks(m, c, m)}
-    return _assemble([0, m, c], m, blocks)
+    seq = [0, m, c]
+    return _assemble(seq, m, _chain(seq, m))
 
 
 def build_z_family(m: int, z) -> GRep:
     """The one-parameter family with socle factors V(0), V(m), V(m), V(0).
 
-    Valid for m divisible by 4; the member is uniserial for every z, and z
-    scales the extra block mapping the top factor into the second one.
+    Valid for m divisible by 4; the member is uniserial for every z, an int
+    or a Fraction, and z times the (2, 3) blocks maps the top factor into the
+    second one.
     """
     if m < 1 or m % 4 != 0:
         raise ValueError("the one-parameter family needs m = 0 mod 4")
-    z = Fraction(z)
-    f34 = radical_blocks(m, 0, m)
-    blocks = {
-        (0, 1): radical_blocks(m, m, 0),
-        (1, 2): radical_blocks(m, m, m),
-        (2, 3): f34,
-        (1, 3): [z * mat for mat in f34],
-    }
-    return _assemble([0, m, m, 0], m, blocks)
+    if type(z) is bool or not isinstance(z, (int, Fraction)):
+        raise ValueError(f"the parameter z must be an int or a Fraction, got {z!r}")
+    seq = [0, m, m, 0]
+    blocks = _chain(seq, m)
+    blocks[1, 3] = [z * mat for mat in blocks[2, 3]]
+    return _assemble(seq, m, blocks)
 
 
 # -- symmetric powers of the (m+2)-dimensional module ---------------------------
@@ -310,16 +301,16 @@ def build_from_sequence(seq, m: int):
             raise ValueError(
                 f"triangle condition fails between factors {seq[i]} and {seq[i + 1]}"
             )
-    families = [radical_blocks(m, seq[i + 1], seq[i]) for i in range(len(seq) - 1)]
+    blocks = _chain(seq, m)
     # the only bracket obstructions sit two steps down the flag
     for w in range(len(seq) - 2):
-        fam_a, fam_b = families[w], families[w + 1]
+        fam_a, fam_b = blocks[w, w + 1], blocks[w + 1, w + 2]
         for i in range(m + 1):
             for j in range(i + 1, m + 1):
                 block = fam_a[i] * fam_b[j] - fam_a[j] * fam_b[i]
                 if not block.is_zero():
                     return SequenceObstruction(w, (i, j), block)
-    rep = _assemble(seq, m, {(w, w + 1): fam for w, fam in enumerate(families)})
+    rep = _assemble(seq, m, blocks)
     verdict = gmod.check_rep(rep)
     if not verdict:
         raise RuntimeError(f"assembled module fails a relation: {verdict.failure}")

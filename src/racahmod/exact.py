@@ -344,9 +344,19 @@ class RowSpace:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _parse(self, vec: Sequence) -> tuple[dict[int, int], int]:
+        """_int_vector of a vector in Q^ncols: ValueError for a dense vector
+        of another length or a dict with a key outside range(ncols)."""
+        if isinstance(vec, dict):
+            if any(j not in range(self.ncols) for j in vec):
+                raise ValueError(f"vector has an index outside range({self.ncols})")
+        elif len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} in a space of {self.ncols} columns")
+        return _int_vector(vec)
+
     def add(self, vec: Sequence) -> bool:
         """Extend the subspace by a rational vector; whether it grew."""
-        return self._add(_int_vector(vec)[0])
+        return self._add(self._parse(vec)[0])
 
     def _add(self, vec: dict[int, int]) -> bool:
         resid, _ = _reduce(self._rows, vec)
@@ -377,7 +387,7 @@ class RowSpace:
         return [_fractions(row, row[p], self.ncols) for row, p in zip(rows, pivots)], pivots
 
     def __contains__(self, vec: Sequence) -> bool:
-        return not _reduce(self._rows, _int_vector(vec)[0])[0]
+        return not _reduce(self._rows, self._parse(vec)[0])[0]
 
     def coordinates(self, vectors: Sequence[Sequence]) -> "QMatrix":
         """The len(self) x len(vectors) matrix whose j-th column holds the
@@ -385,11 +395,12 @@ class RowSpace:
 
         Each echelon row is 1 at its own pivot and 0 at the others, so a
         vector that leaves no residual has its entries at the pivots as
-        coordinates.  A vector outside the subspace raises RuntimeError.
+        coordinates.  A vector outside the subspace raises RuntimeError, and
+        one outside Q^ncols ValueError.
         """
         parsed = []
         for j, vec in enumerate(vectors):
-            x, den = _int_vector(vec)
+            x, den = self._parse(vec)
             if _reduce(self._rows, x)[0]:
                 raise RuntimeError(f"vector {j} lies outside the subspace of dimension {len(self)}")
             parsed.append((x, den))

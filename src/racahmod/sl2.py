@@ -266,11 +266,11 @@ def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tu
         raise ValueError(f"unknown convention {convention!r}")
     mats = []
     for i, image in enumerate(images):
-        grid = [[0] * (b + 1) for _ in range(a + 1)]
+        rows: list[dict[int, int]] = [{} for _ in range(a + 1)]
         for r1, (r2, c) in image.items():
             s = b - r2
-            grid[r1][s] = (-c if r2 & 1 else c) * row_scale[r1] * col_scale[s]
-        mats.append(QMatrix(a + 1, b + 1, grid, den * factorial(i)))
+            rows[r1][s] = (-c if r2 & 1 else c) * row_scale[r1] * col_scale[s]
+        mats.append(QMatrix._from_sparse(a + 1, b + 1, rows, den * factorial(i)))
     return tuple(mats)
 
 

@@ -24,7 +24,6 @@ from racahmod.classify import (
     is_admissible,
     lambda_phi,
     length3_condition3,
-    length3_condition4,
     scalar_theorem_tuples,
     verify_recoupling,
     verify_scalar_theorem,
@@ -98,11 +97,14 @@ def test_assembly_succeeds_iff_admissible(case):
 
 
 def test_length3_condition4_examples():
-    assert length3_condition4(5, 3, 1, 2)  # b = c + m, a = c + 2m
-    assert length3_condition4(2, 3, 0, 3)  # c = 0, b = m, a = 2m mod 4
-    assert not length3_condition4(4, 6, 4, 4)
-    with pytest.raises(ValueError):
-        length3_condition4(1, 1, 1, 1)
+    # the closed form of length-3 admissibility is the length-3 case of is_admissible
+    assert is_admissible([5, 3, 1], 2).admissible  # b = c + m, a = c + 2m
+    assert is_admissible([2, 3, 0], 3).admissible  # c = 0, b = m, a = 2m mod 4
+    assert not is_admissible([4, 6, 4], 4).admissible
+    with pytest.raises(ValueError, match=r"triangle conditions fail for \[1, 1, 1\] with m=1"):
+        length3_condition3(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="triangle conditions fail"):
+        classification_row(1, 1, 1, 1)
 
 
 def test_length3_condition3_examples():
@@ -115,9 +117,9 @@ def test_length3_conditions_agree_small_box():
         for b in range(11):
             for a in range(abs(b - m), min(b + m, 10) + 1, 2):
                 for c in range(abs(b - m), min(b + m, 10) + 1, 2):
-                    assert length3_condition3(a, b, c, m) == length3_condition4(
-                        a, b, c, m
-                    ), (m, a, b, c)
+                    assert length3_condition3(a, b, c, m) == is_admissible(
+                        [a, b, c], m
+                    ).admissible, (m, a, b, c)
 
 
 def test_classification_tuples_stop_at_twice_the_weight_bound():

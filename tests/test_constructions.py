@@ -190,6 +190,13 @@ def test_z_family_rejects_other_m():
         build_z_family(2, 0)
 
 
+@pytest.mark.parametrize("z", [0.1, 1.0, True, "5/7", None])
+def test_z_family_takes_only_an_exact_parameter(z):
+    # a float would enter the module as its binary expansion
+    with pytest.raises(ValueError, match="z must be an int or a Fraction"):
+        build_z_family(4, z)
+
+
 def test_symmetric_power_whole_space_for_m1():
     pair = build_symmetric_power(1, 3)
     assert pair.big.dim == pair.sub.dim == comb(1 + 1 + 3, 3)
@@ -306,21 +313,14 @@ def test_build_from_sequence_success_matches_main_family():
     rep = build_from_sequence([1, 3, 5], 2)
     assert isinstance(rep, GRep)
     assert socle_series(rep).factor_weights() == [1, 3, 5]
-    z = build_z(1, 2, 2)
-    # equal up to one scalar per superdiagonal block
-    for (r0, rn, c0, cn) in [(0, 2, 2, 6), (2, 6, 6, 12)]:
-        scale = None
-        for gen in range(3):
-            got = rep.v[gen].to_fractions()
-            want = z.v[gen].to_fractions()
-            for r in range(r0, rn):
-                for c in range(c0, cn):
-                    if want[r][c] == 0:
-                        assert got[r][c] == 0
-                        continue
-                    ratio = got[r][c] / want[r][c]
-                    scale = scale or ratio
-                    assert ratio == scale != 0
+    # the builders and the generic assembly share one block recipe: equal exactly
+    for m in range(1, 7):
+        for ell in range(5):
+            for b in range(4):
+                seq = [ell + j * m for j in range(b + 1)]
+                assert build_from_sequence(seq, m) == build_z(ell, b, m), (ell, b, m)
+        for c in range(2 * m % 4, 2 * m + 1, 4):
+            assert build_from_sequence([0, m, c], m) == build_exceptional_len3(m, c), (m, c)
 
 
 def test_build_from_sequence_failure():

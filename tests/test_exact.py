@@ -432,6 +432,20 @@ def test_row_space_coordinates_shape_and_failure():
         line.coordinates([[1, 0, 0]])
 
 
+def test_row_space_refuses_vectors_outside_its_columns():
+    space = RowSpace(2)
+    for vec in ([0, 0, 1], [1], {2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            space.add(vec)
+        with pytest.raises(ValueError):
+            vec in space
+        with pytest.raises(ValueError):
+            space.coordinates([vec])
+    assert len(space) == 0 and space.free_columns() == [0, 1]
+    assert space.add({1: 3}) and [0, 5] in space and {1: 1} in space
+    assert space.coordinates([[0, 2]]).to_fractions() == ((2,),)
+
+
 _factorial_args = st.lists(st.integers(min_value=0, max_value=40), max_size=6)
 
 

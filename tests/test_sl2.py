@@ -1,9 +1,11 @@
 """Unit tests for the sl(2) representation layer."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from racahmod.constructions import radical_blocks
 from racahmod.exact import QMatrix, factorial
 from racahmod.sl2 import (
     DIVIDED_POWER,
@@ -118,14 +120,24 @@ def test_hom_embedding_schur():
     assert mats[0].entry(0, 0) != 0
 
 
+def _shifted_identity_family(a, m):
+    """The closed form of the main family's radical blocks: v_i maps V(a + m)
+    into V(a) by (-1)^i C(m, i) times the shifted identity (r, m - i + r)."""
+    family = []
+    for i in range(m + 1):
+        rows = [[0] * (a + m + 1) for _ in range(a + 1)]
+        for r in range(a + 1):
+            rows[r][m - i + r] = (-1) ** i * comb(m, i)
+        family.append(QMatrix.from_rows(rows))
+    return family
+
+
 def test_hom_embedding_block_family_comparison():
     # target = source + m: the image must be the canonical shifted-identity
     # family up to one global scalar
-    from racahmod.constructions import v_block
-
     for m, a in [(1, 0), (1, 2), (2, 0), (2, 1), (3, 2), (4, 1)]:
         mats = hom_embedding(m, a + m, a, DIVIDED_POWER)
-        expected = [v_block(a, m, i) for i in range(m + 1)]
+        expected = _shifted_identity_family(a, m)
         scale = None
         for r in range(a + 1):
             for c in range(a + m + 1):
@@ -136,6 +148,12 @@ def test_hom_embedding_block_family_comparison():
                 break
         assert scale
         assert all(mats[i] == scale * expected[i] for i in range(m + 1))
+
+
+def test_radical_blocks_are_the_shifted_identity_closed_form():
+    for m in range(1, 9):
+        for a in range(13):
+            assert radical_blocks(m, a + m, a) == _shifted_identity_family(a, m), (m, a)
 
 
 def test_hom_embedding_equivariance():

@@ -15,8 +15,9 @@ The bridge to recoupling theory: for f: V(p) -> Hom(V(b), V(a)) and
 g: V(q) -> Hom(V(c), V(b)), the composite image contains V(k) iff the
 6j-symbol {q/2 k/2 p/2; a/2 b/2 c/2} is non-zero, and the proportionality
 scalar of the composed equivariant map is that 6j-symbol times an explicit
-non-zero factor C.  Both facts are verified here by independent tensor
-computations.
+non-zero factor C.  compute_I_J reads the composite image off lambda, an
+integer tensor contraction, and checks it against the non-zero 6j-symbols;
+verify_scalar_theorem compares lambda with C times the 6j-symbol.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import sl2
 from .constructions import build_from_sequence
 from .exact import (
     QMatrix,
@@ -35,7 +35,6 @@ from .exact import (
     binomial,
     factorial,
     matrix_rank,
-    span_dimension,
     triangle,
 )
 from .gmod import GRep
@@ -79,7 +78,8 @@ def _oriented_rule(seq: list[int], m: int) -> tuple[str, str] | None:
 
 def is_admissible(seq, m: int) -> AdmissibleVerdict:
     """Closed-form admissibility decision, up to reversal of the sequence."""
-    seq = [int(a) for a in seq]
+    seq = list(seq)
+    _check_twoj(*seq, m, signed=True)
     if not seq:
         raise ValueError("the sequence must be non-empty")
     if any(a < 0 for a in seq):
@@ -111,23 +111,15 @@ def length3_condition3(a: int, b: int, c: int, m: int) -> bool:
 # -- composite images -----------------------------------------------------------
 
 
-def _graded_span_components(members: list[tuple[int, QMatrix]]) -> set[int]:
-    """Irreducible constituents of a module spanned by weight vectors, given
-    as (weight, matrix) pairs; only the weights >= 0 are read."""
-    by_weight: dict[int, list[QMatrix]] = {}
-    for w, mat in members:
-        by_weight.setdefault(w, []).append(mat)
-    return set(sl2.constituents({w: span_dimension(mats) for w, mats in by_weight.items()}))
-
-
 def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list[int] | None]:
     """Constituents of the composite image V(p) x V(q) -> Hom(V(c), V(a)).
 
-    I lists the k with V(k) in the image of the full product map; when p = q,
-    J lists the constituents coming from the alternating square, which are
-    exactly the members of I with k = 2p-2 mod 4.  Both are also recomputed
-    from the explicit span of products of embedding matrices, and any
-    mismatch raises.
+    The composite acts on V(k) by the scalar lambda_phi, which is C times
+    {q/2 k/2 p/2; a/2 b/2 c/2} with C non-zero, so I lists the k with lambda
+    non-zero.  When p = q, J lists the constituents coming from the
+    alternating square of V(p), which holds each V(k) with k = 2p-2 mod 4
+    once: the members of I in that class.  I is checked against the k with
+    a non-zero 6j-symbol, and a mismatch raises.
     """
     if not triangle(p, a, b):
         raise ValueError(f"triangle condition fails for ({p}, {a}, {b})")
@@ -140,30 +132,12 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
         for k in range(lo, hi + 1)
         if triangle(k, p, q) and triangle(k, a, c)
     ]
-    image = [
-        k for k in candidates if not sixj(q, k, p, a, b, c, cross_check=False).is_zero
-    ]
-    alternating = None
-    if p == q:
-        alternating = [k for k in image if (2 * p - 2 - k) % 4 == 0]
-    f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
-    g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
-
-    # sl2.constituents reads no negative weight, so no product is built there
-    weights = {(i, j): (p - 2 * i) + (q - 2 * j) for i in range(p + 1) for j in range(q + 1)}
-    products = {(i, j): f[i] * g[j] for (i, j), w in weights.items() if w >= 0}
-    members = [(weights[ij], mat) for ij, mat in products.items()]
-    if set(image) != _graded_span_components(members):
+    image = [k for k in candidates if lambda_phi(a, b, c, p, q, k)]
+    if image != [k for k in candidates if not sixj(q, k, p, a, b, c, cross_check=False).is_zero]:
         raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
-    if p == q:
-        alt_members = [
-            (weights[(i, j)], products[(i, j)] - products[(j, i)])
-            for i, j in products
-            if i < j
-        ]
-        if set(alternating) != _graded_span_components(alt_members):
-            raise AssertionError(f"alternating image mismatch at {(a, b, c, p, q)}")
-    return image, alternating
+    if p != q:
+        return image, None
+    return image, [k for k in image if (2 * p - 2 - k) % 4 == 0]
 
 
 # -- the scalar of the composed map ----------------------------------------------

@@ -25,6 +25,7 @@ from . import gmod, sl2
 from .exact import (
     QMatrix,
     Vector,
+    _check_twoj,
     assemble_blocks,
     commutator,
     primitive_family,
@@ -291,7 +292,8 @@ def build_from_sequence(seq, m: int):
     SequenceObstruction carrying the first nonvanishing commutator block.
     This is the brute-force admissibility oracle.
     """
-    seq = [int(a) for a in seq]
+    seq = list(seq)
+    _check_twoj(*seq, m, signed=True)
     if not seq:
         raise ValueError("the factor sequence must be non-empty")
     if m < 1:

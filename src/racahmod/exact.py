@@ -701,15 +701,14 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
 
     Returns the nonzero rows (ordered by pivot column) and the pivot columns.
     The reduced echelon form of a row space is unique, so the result does not
-    depend on the order of the rows.
+    depend on the order of the rows.  Every row must have the length of the
+    first; any other length is a ValueError.
     """
     space = None
     for row in rows:
-        vec, _ = _int_vector(row)
-        if vec:
-            if space is None:
-                space = RowSpace(len(row))
-            space._add(vec)
+        if space is None:
+            space = RowSpace(len(row))
+        space.add(row)
     return space.echelon() if space is not None else ([], [])
 
 
@@ -722,23 +721,6 @@ def _row_space(mat: QMatrix) -> RowSpace:
 
 def matrix_rank(mat: QMatrix) -> int:
     return len(_row_space(mat))
-
-
-def span_dimension(mats: Sequence[QMatrix]) -> int:
-    """Dimension of the span of equally shaped matrices, read as vectors.
-
-    Each matrix enters as its integer numerators, row after row: its own
-    denominator only scales it, which leaves the span as it is.
-    """
-    if not mats:
-        return 0
-    rows, cols = mats[0].rows, mats[0].cols
-    space = RowSpace(rows * cols)
-    for mat in mats:
-        if mat.rows != rows or mat.cols != cols:
-            raise ValueError(f"shape mismatch: ({rows}x{cols}) vs ({mat.rows}x{mat.cols})")
-        space._add({i * cols + j: x for i, row in enumerate(mat._num) for j, x in row.items()})
-    return len(space)
 
 
 def kernel(mat: QMatrix) -> list[Vector]:

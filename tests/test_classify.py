@@ -1,5 +1,6 @@
 """Unit tests for admissibility, composite images and the scalar identity."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from racahmod.classify import (
     verify_scalar_theorem,
 )
 from racahmod.constructions import build_from_sequence
-from racahmod.exact import QMatrix, SqrtRational
+from racahmod.exact import QMatrix, RowSpace, SqrtRational
 from racahmod.gmod import GRep
 from racahmod.sl2 import iota
 from racahmod.wigner import sixj, triangle
@@ -70,12 +71,22 @@ def test_admissible_windows_property():
 
 
 def test_is_admissible_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         is_admissible([], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         is_admissible([1, 2], 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         is_admissible([-1], 2)
+
+
+@pytest.mark.parametrize(
+    "seq, m",
+    [([0, 3.9, 2], 3), ([0, 3, 2], 3.0), ([0, True, 2], 1), ([1, 2], True), ([Fraction(3)], 3)],
+)
+def test_is_admissible_refuses_non_integers(seq, m):
+    # a float or bool is refused, not truncated into a verdict
+    with pytest.raises(ValueError, match="integers"):
+        is_admissible(seq, m)
 
 
 @st.composite
@@ -161,15 +172,59 @@ def test_compute_I_J_distinct_pq():
 
 
 def test_compute_I_J_reads_integer_matrices(monkeypatch):
-    # the spans are taken on the integer numerators; no matrix is written
-    # out as Fractions
+    # the image is read off the integer scalar lambda: no embedding matrix
+    # is built and no matrix product is taken
     want = [compute_I_J(4, 6, 4, 4, 4), compute_I_J(2, 3, 1, 3, 2)]
 
-    def refuse(self):
-        raise AssertionError("QMatrix written out as Fractions")
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_I_J built a matrix")
 
-    monkeypatch.setattr(QMatrix, "to_fractions", refuse)
+    monkeypatch.setattr(QMatrix, "__mul__", refuse)
+    monkeypatch.setattr(sl2, "hom_embedding", refuse)
     assert [compute_I_J(4, 6, 4, 4, 4), compute_I_J(2, 3, 1, 3, 2)] == want
+
+
+def _product_span_image(a, b, c, p, q):
+    """I and J from the span of the products f[i] * g[j] of embedding
+    matrices, and of their alternating differences when p = q: the reference
+    route for compute_I_J."""
+    f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
+    g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
+    # sl2.constituents reads no negative weight, so no product is built there
+    products = {
+        (i, j): f[i] * g[j] for i in range(p + 1) for j in range(q + 1) if 2 * (i + j) <= p + q
+    }
+
+    def constituents(members):
+        spaces = {}
+        for (i, j), mat in members:
+            space = spaces.setdefault(p + q - 2 * (i + j), RowSpace(mat.rows * mat.cols))
+            rows = enumerate(mat.sparse_rows())
+            space.add({r * mat.cols + col: x for r, row in rows for col, x in row.items()})
+        return sorted(sl2.constituents({w: len(space) for w, space in spaces.items()}))
+
+    image = constituents(products.items())
+    if p != q:
+        return image, None
+    return image, constituents(
+        ((i, j), products[i, j] - products[j, i]) for i, j in products if i < j
+    )
+
+
+def test_compute_I_J_matches_product_span_on_classify_box():
+    for m, a, b, c in classification_tuples(3, 8):
+        assert compute_I_J(a, b, c, m, m) == _product_span_image(a, b, c, m, m), (a, b, c, m)
+
+
+def test_compute_I_J_matches_product_span_with_distinct_pq():
+    box = [
+        (a, b, c, p, q)
+        for a, b, c, p, q in itertools.product(range(7), repeat=5)
+        if triangle(p, a, b) and triangle(q, b, c)
+    ]
+    assert len(box) == 1714 and any(p != q for *_, p, q in box)
+    for t in box:
+        assert compute_I_J(*t) == _product_span_image(*t), t
 
 
 def test_compute_I_J_triangle_errors():

@@ -372,6 +372,13 @@ def test_build_from_sequence_errors():
         build_from_sequence([0, 1], 3)  # triangle violation
 
 
+@pytest.mark.parametrize("seq, m", [([0, 3.7, 2], 3), ([0, 3, 2], 3.0), ([0, True, 2], 1)])
+def test_build_from_sequence_refuses_non_integers(seq, m):
+    # a float or bool is refused, not truncated into a module
+    with pytest.raises(ValueError, match="integers"):
+        build_from_sequence(seq, m)
+
+
 def test_latex_rendering():
     text = grep_to_latex(build_z(1, 2, 2))
     assert text.startswith(r"\begin{array}{rr|rrrr|rrrrrr}")

@@ -20,7 +20,6 @@ from racahmod.exact import (
     rat_from_str,
     rref,
     span_closure,
-    span_dimension,
     sqrtrat_sum_is_zero,
     squarefree_split,
 )
@@ -168,6 +167,18 @@ def test_rref_determinism_and_pivots():
     assert pivots == [0, 1]
     assert reduced[0][0] == 1 and reduced[1][1] == 1
     assert reduced == rref(rows)[0]
+
+
+def test_rref_refuses_rows_of_other_lengths():
+    # every row is read at the length of the first, never padded or cut
+    with pytest.raises(ValueError):
+        rref([[0, 0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        rref([[1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        rref([[0, 0], [0, 0, 0]])
+    assert rref([]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
 
 
 def test_qmatrix_arithmetic():
@@ -464,22 +475,3 @@ def test_factorial_surd_rejects_negative_entries():
         factorial_surd((3, -1))
     with pytest.raises(ValueError):
         factorial_surd((3,), (-1,))
-
-
-@st.composite
-def _same_shape_family(draw):
-    r, c = (draw(st.integers(min_value=0, max_value=4)) for _ in range(2))
-    return draw(st.lists(_matrices(r, c), max_size=6))
-
-
-@given(_same_shape_family())
-@settings(max_examples=150, deadline=None)
-def test_span_dimension_matches_dense_rank(family):
-    flat = [[x for line in grid for x in line] for _, grid in family]
-    assert span_dimension([mat for mat, _ in family]) == len(_ref_rref(flat)[0])
-
-
-def test_span_dimension_shapes():
-    assert span_dimension([]) == 0
-    with pytest.raises(ValueError):
-        span_dimension([QMatrix.identity(2), QMatrix.zero(2, 3)])

@@ -364,6 +364,7 @@ def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, i
     order of (a, b, p, c, q, k).  A negative bound is an error, not an
     empty box that every row vacuously satisfies.
     """
+    _check_twoj(max_val, signed=True)  # the type; the sign has its own message
     if max_val < 0:
         raise ValueError(f"the twice-value bound must be non-negative, got {max_val}")
     tuples = [(a, b, c, p, q, k) for q, k, p, a, b, c in sixj_tuples((max_val,) * 6)]
@@ -407,6 +408,7 @@ def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, i
     a, c in the decomposition of V(b) x V(m).  An empty box is an error; it
     is empty exactly when max_m < 1 or max_weight < 1 (b = 0 forces a >= m,
     and (1, 1, 0, 1) lies in every other box)."""
+    _check_twoj(max_m, max_weight, signed=True)
     if max_m < 1 or max_weight < 1:
         raise ValueError(
             f"need max_m >= 1 and max_weight >= 1, got max_m={max_m}, max_weight={max_weight}"

@@ -21,8 +21,11 @@ the three-term recurrence) is an integer surd t/d*sqrt(s) from
 exact.factorial_surd; the Delta factors are memoised per triangle in a
 bounded cache.  So each value stays in int up to the one Fraction returned.
 
-The zero search scans one tuple per orbit of the tetrahedral symmetries that
-keep its box (24 maps for a cube box) and expands each zero to its orbit.
+The zero search evaluates one Racah sum per Regge class: the sum depends only
+on the multisets of the four triangle sums and the three column sums, which
+all 144 Regge images of a tuple share (T. Regge, Nuovo Cimento 11 (1959) 116;
+J. Rasch and A. C. H. Yu, SIAM J. Sci. Comput. 25 (2003) 1416).  It walks the
+sorted sums and expands each zero class to its images in the box.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import itertools
 import os
 from fractions import Fraction
 from math import factorial, gcd, prod
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .exact import (
@@ -334,96 +336,22 @@ def be_recurrence_holds(ti1, ti2, ti3, ti4, ti5, ti6) -> bool:
 
 # -- tuple enumeration and sweeps ----------------------------------------------
 
-IDENTITY = (0, 1, 2, 3, 4, 5)
 
-
-def tetrahedral_maps(bounds: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The tetrahedral symmetries of the 6j-symbol that carry the box onto itself.
-
-    A map is a permutation p of the six positions; it sends t to
-    (t[p[0]], ..., t[p[5]]).  The 24 tetrahedral maps permute the three
-    columns and exchange the upper and lower entries in two of them; the
-    symbol and its four triangles are invariant under each.  A map keeps the
-    box when it moves entries only between slots of equal bound: all 24 do
-    for a cube, only the identity does for six different bounds.  The maps
-    that keep a box form a group; the identity comes first.
-    """
-    maps = []
-    for cols in itertools.permutations(range(3)):
-        for flipped in ((), (1, 2), (0, 2), (0, 1)):
-            p = [0] * 6
-            for c, src in enumerate(cols):
-                p[c], p[c + 3] = (src + 3, src) if c in flipped else (src, src + 3)
-            if all(bounds[p[i]] == bounds[i] for i in range(6)):
-                maps.append(tuple(p))
-    return tuple(maps)
-
-
-def _least_test(maps: Sequence[tuple[int, ...]]) -> Callable[[SixJInput], bool] | None:
-    """Whether a tuple is the least of its images under maps; None when the
-    identity is the only map, so that every tuple is."""
-    groups = []  # (i, the maps that move t[i] to the front)
-    for i in range(6):
-        images = tuple(itemgetter(*p) for p in maps if p[0] == i and p != IDENTITY)
-        if images:
-            groups.append((i, images))
-    if not groups:
-        return None
-
-    def is_least(tj: SixJInput) -> bool:
-        # an image that starts with an entry above t1 is larger
-        t1 = tj[0]
-        for i, images in groups:
-            if tj[i] <= t1:
-                for image in images:
-                    if image(tj) < tj:
-                        return False
-        return True
-
-    return is_least
-
-
-def sixj_tuples(
-    bounds: Sequence[int], t1: int | None = None, maps: Sequence[tuple[int, ...]] = (IDENTITY,)
-) -> Iterator[SixJInput]:
-    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold and
-    which is the lexicographically least of its images under `maps`.
-
-    With the identity alone (the default) that is every triangle-valid tuple
-    of the box; with tetrahedral_maps(bounds) it is one tuple per orbit.
-    Tuples come in lexicographic order.  A given t1 restricts the output to
-    the tuples that start with it, which is how the zero scan splits its box.
-    """
+def sixj_tuples(bounds: Sequence[int]) -> Iterator[SixJInput]:
+    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold,
+    in lexicographic order."""
     b1, b2, b3, b4, b5, b6 = bounds
-    # A least tuple has no entry below t1 where a map moves that entry to the
-    # front, and none below t2 where a map that keeps t1 in front moves it to
-    # the second slot.  The loops start at those floors (u_i = 1 marks the
-    # first kind, v_i = 1 the second); the full test sees the rest.
-    fronts = {p[0] for p in maps}
-    seconds = {p[1] for p in maps if p[0] == 0}
-    u2, u3, u4, u5, u6 = (int(i in fronts) for i in range(1, 6))
-    v3, v4, v5, v6 = (int(i in seconds) for i in range(2, 6))
-    is_least = _least_test(maps)
-    for t1 in range(b1 + 1) if t1 is None else (t1,):
-        for t2 in range(t1 * u2, b2 + 1):
-            lo, floor = abs(t1 - t2), max(t1 * u3, t2 * v3)
-            if floor > lo:  # keep the parity of t1 + t2
-                lo = floor + ((floor - lo) & 1)
-            for t3 in range(lo, min(t1 + t2, b3) + 1, 2):
-                for t4 in range(max(t1 * u4, t2 * v4), b4 + 1):
-                    lo, floor = abs(t4 - t3), max(t1 * u5, t2 * v5)
-                    if floor > lo:  # keep the parity of t4 + t3
-                        lo = floor + ((floor - lo) & 1)
-                    for t5 in range(lo, min(t4 + t3, b5) + 1, 2):
+    for t1 in range(b1 + 1):
+        for t2 in range(b2 + 1):
+            for t3 in range(abs(t1 - t2), min(t1 + t2, b3) + 1, 2):
+                for t4 in range(b4 + 1):
+                    for t5 in range(abs(t4 - t3), min(t4 + t3, b5) + 1, 2):
                         if (t1 + t5 + t4 + t2) % 2:  # the two t6 parities conflict
                             continue
-                        lo = max(abs(t1 - t5), abs(t4 - t2), t1 * u6, t2 * v6)
-                        hi = min(t1 + t5, t4 + t2, b6)
-                        start = lo if (lo + t1 + t5) % 2 == 0 else lo + 1
-                        for t6 in range(start, hi + 1, 2):
-                            tj = (t1, t2, t3, t4, t5, t6)
-                            if is_least is None or is_least(tj):
-                                yield tj
+                        # both lower limits have the parity of t1 + t5
+                        lo = max(abs(t1 - t5), abs(t4 - t2))
+                        for t6 in range(lo, min(t1 + t5, t4 + t2, b6) + 1, 2):
+                            yield (t1, t2, t3, t4, t5, t6)
 
 
 def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
@@ -434,8 +362,8 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     cores.  Results keep the task order, so output never depends on jobs.
     fn and the tasks must pickle.  Each task travels on its own, so callers
     group their work into tasks of a useful size: the zero scan sends one
-    task per t1, the other sweeps one per group of tuples that share their
-    first entries.
+    task per largest triangle sum, the other sweeps one per group of tuples
+    that share their first entries.
     """
     cores = os.cpu_count() or 1
     workers = min(cores if jobs is None else jobs, len(tasks), cores)
@@ -447,9 +375,43 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _zero_scan_task(args) -> list[SixJInput]:
-    t1, bounds, maps = args
-    return [tj for tj in sixj_tuples(bounds, t1, maps) if _alpha_sum(*tj)[2] == 0]
+def _regge_images(a: Sequence[int], b: Sequence[int]) -> set[SixJInput]:
+    """The tuples whose triangle sums are an ordering of a and whose column
+    sums are an ordering of b: for each, t = (a1+a2-b1, a1+a3-b2, a1+a4-b3,
+    a3+a4-b1, a2+a4-b2, a2+a3-b3), as _alpha_sum numbers the sums."""
+    return {
+        (p + q - u, p + r - v, p + s - w, r + s - u, q + s - v, q + r - w)
+        for p, q, r, s in itertools.permutations(a)
+        for u, v, w in itertools.permutations(b)
+    }
+
+
+def _zero_class_task(args) -> list[SixJInput]:
+    """The zeros in the box whose largest triangle sum is a4, from one Racah
+    sum per Regge class: a1 <= a2 <= a3 <= a4 <= b1 <= b2 <= b3 with equal
+    totals.  The loops keep the classes with an image in the cube of the
+    largest bound (sorted triangle sums paired with sorted column sums give
+    the least largest entry) and a total within the sum of the bounds."""
+    a4, bounds = args
+    n, total = max(bounds), sum(bounds)
+    zeros = []
+    for a3 in range(a4 + 1):
+        for a2 in range(a3 + 1):
+            # 3 a4 <= 3 b1 <= s sets the floor of a1, s <= total its ceiling
+            for a1 in range(max(0, 2 * a4 - a2 - a3), min(a2, total - a2 - a3 - a4) + 1):
+                s = a1 + a2 + a3 + a4
+                den = ((1 - a1, 1 - a2, 1 - a3, 1 - a4), ())
+                for b1 in range(max(a4, a1 + a4 - n, a2 + a3 - n), s // 3 + 1):
+                    hi = min((s - b1) // 2, s - b1 - a3 - a4 + n)  # b2 <= b3 and the cube
+                    for b2 in range(max(b1, a2 + a4 - n), hi + 1):
+                        b = (b1, b2, s - b1 - b2)
+                        if not _ratio_sum(a4, b1, ((2,), b), den)[0]:
+                            zeros += (
+                                tj
+                                for tj in _regge_images((a1, a2, a3, a4), b)
+                                if all(t <= c for t, c in zip(tj, bounds))
+                            )
+    return zeros
 
 
 def find_sixj_zeros(bounds: int | Sequence[int], jobs: int | None = 1) -> list[SixJInput]:
@@ -460,29 +422,33 @@ def find_sixj_zeros(bounds: int | Sequence[int], jobs: int | None = 1) -> list[S
     lexicographically on the twice-value tuple and is independent of the
     worker count.
 
-    The symbol is invariant under the tetrahedral maps that keep the box
-    (tetrahedral_maps), so the scan evaluates only the least tuple of each
-    orbit, one pool task per t1, and expands every zero it finds to its
-    orbit: for a cube, about one tuple in twenty.
+    The zero test reads only the Racah sum, which depends only on the
+    multisets of the four triangle sums and the three column sums, so it is
+    the same on all 144 images of a tuple under the Regge symmetries
+    (T. Regge, Nuovo Cimento 11 (1959) 116; J. Rasch and A. C. H. Yu, SIAM
+    J. Sci. Comput. 25 (2003) 1416).  A tuple's four triangles hold exactly
+    when its least column sum is at least its largest triangle sum.  So the
+    scan evaluates one sum per class of sorted sums, one pool task per
+    largest triangle sum, and expands each zero to its images in the box.
     """
-    if isinstance(bounds, int):
-        bounds = (bounds,) * 6
-    bounds = tuple(int(b) for b in bounds)
-    if len(bounds) != 6 or any(b < 0 for b in bounds):
+    bounds = tuple(bounds) if isinstance(bounds, (tuple, list)) else (bounds,) * 6
+    _check_twoj(*bounds, signed=True)  # the type; the sign has its own message
+    if len(bounds) != 6 or min(bounds) < 0:
         raise ValueError("bounds must be one or six non-negative integers")
-    maps = tetrahedral_maps(bounds)
-    tasks = [(t1, bounds, maps) for t1 in range(bounds[0] + 1)]
-    images = [itemgetter(*p) for p in maps]
-    reps = [tj for chunk in sweep(_zero_scan_task, tasks, jobs) for tj in chunk]
-    return sorted({image(tj) for tj in reps for image in images})
+    # a triangle sum is at most 3/2 of the largest bound and a third of the total
+    top = min(3 * max(bounds) // 2, sum(bounds) // 3)
+    tasks = [(a4, bounds) for a4 in range(top + 1)]
+    return sorted(tj for chunk in sweep(_zero_class_task, tasks, jobs) for tj in chunk)
 
 
 def dual_formula_agreement(max_twoj: int) -> int:
     """Evaluate every tuple in the box with both formulas; returns the count.
 
     Raises FormulaDisagreement at the first mismatch, so a return means the
-    two evaluations agree on the whole box.
+    two evaluations agree on the whole box.  A negative bound is an error,
+    not an empty box that agrees vacuously.
     """
+    _check_twoj(max_twoj)
     count = 0
     for tj in sixj_tuples((max_twoj,) * 6):
         sixj(*tj, cross_check=True)

@@ -150,6 +150,24 @@ def test_classification_tuples_stop_at_twice_the_weight_bound():
     assert out == f"{classification_tuples(4, 2)}\n"
 
 
+@pytest.mark.parametrize("bound", [True, 8.0, "8"])
+def test_scalar_theorem_tuples_refuses_a_non_integer_bound(bound):
+    with pytest.raises(ValueError, match="twice-values must be integers, got"):
+        scalar_theorem_tuples(bound)
+    # the negative bound keeps its own message
+    with pytest.raises(ValueError, match="the twice-value bound must be non-negative, got -1"):
+        scalar_theorem_tuples(-1)
+
+
+@pytest.mark.parametrize("bounds", [(True, True), (3, True), (3.0, 8), (3, "8")])
+def test_classification_tuples_refuses_non_integer_bounds(bounds):
+    with pytest.raises(ValueError, match="twice-values must be integers, got"):
+        classification_tuples(*bounds)
+    # the empty box keeps its own message
+    with pytest.raises(ValueError, match="need max_m >= 1 and max_weight >= 1"):
+        classification_tuples(0, 3)
+
+
 def test_classification_row_consistency_samples():
     for m, a, b, c in [(4, 6, 4, 4), (2, 5, 3, 1), (3, 2, 3, 0), (4, 4, 4, 4)]:
         assert classification_row(m, a, b, c).consistent

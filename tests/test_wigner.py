@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -30,7 +31,6 @@ from racahmod.wigner import (
     sixj_is_zero,
     sixj_triangles_hold,
     sixj_tuples,
-    tetrahedral_maps,
     triangle,
 )
 
@@ -448,6 +448,25 @@ def test_find_sixj_zeros_trivial_bounds():
     assert find_sixj_zeros((4, 2, 4, 4, 6, 4)) == [(4, 2, 4, 4, 6, 4)]
 
 
+@pytest.mark.parametrize("bounds", [(3.9,) * 6, ("3",) * 6, True, 3.0, (3, 3, 3, 3, 3, False)])
+def test_find_sixj_zeros_refuses_non_integer_bounds(bounds):
+    with pytest.raises(ValueError, match="twice-values must be integers, got"):
+        find_sixj_zeros(bounds)
+
+
+@pytest.mark.parametrize("bounds", [-1, (3, 3, 3, 3, 3, -1), (3, 3), ()])
+def test_find_sixj_zeros_refuses_negative_or_misshapen_bounds(bounds):
+    with pytest.raises(ValueError, match="bounds must be one or six non-negative integers"):
+        find_sixj_zeros(bounds)
+
+
+def test_dual_formula_agreement_refuses_a_negative_bound():
+    # an empty box would agree vacuously
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            dual_formula_agreement(bad)
+
+
 def test_find_sixj_zeros_family_members():
     zeros = set(find_sixj_zeros(12))
     for a in range(2, 7):
@@ -485,7 +504,6 @@ def test_sixj_tuples_match_filtered_box():
     box = itertools.product(*(range(b + 1) for b in bounds))
     want = [tj for tj in box if sixj_triangles_hold(tj)]
     assert list(sixj_tuples(bounds)) == want
-    assert list(sixj_tuples(bounds, 2)) == [tj for tj in want if tj[0] == 2]
 
 
 def _tetrahedral_images(tj):
@@ -524,27 +542,6 @@ NON_CUBE_BOXES = [
 ]
 
 
-def test_tetrahedral_maps_keep_the_box():
-    assert len(tetrahedral_maps((5,) * 6)) == 24
-    assert tetrahedral_maps((6, 4, 8, 5, 7, 3)) == ((0, 1, 2, 3, 4, 5),)
-    tj = (1, 2, 3, 4, 5, 6)  # distinct entries, so images tell the maps apart
-    for bounds in [(5,) * 6, *NON_CUBE_BOXES]:
-        maps = tetrahedral_maps(bounds)
-        assert maps[0] == (0, 1, 2, 3, 4, 5)
-        assert sorted(tuple(tj[i] for i in p) for p in maps) == sorted(_box_images(tj, bounds))
-        composed = {tuple(p[q[i]] for i in range(6)) for p in maps for q in maps}
-        assert composed == set(maps), bounds  # a group
-
-
-@pytest.mark.parametrize("bounds", [(3,) * 6, (6,) * 6, *NON_CUBE_BOXES[:4]])
-def test_sixj_tuples_with_maps_are_the_least_of_their_orbits(bounds):
-    maps = tetrahedral_maps(bounds)
-    want = [tj for tj in sixj_tuples(bounds) if tj == min(_box_images(tj, bounds))]
-    assert list(sixj_tuples(bounds, maps=maps)) == want
-    for t1 in range(bounds[0] + 1):
-        assert list(sixj_tuples(bounds, t1, maps)) == [tj for tj in want if tj[0] == t1]
-
-
 def test_find_sixj_zeros_matches_full_scan_on_cubes():
     for n in range(11):
         assert find_sixj_zeros(n) == _full_scan((n,) * 6), n
@@ -570,3 +567,52 @@ def test_find_sixj_zeros_independent_of_jobs_and_closed(bounds):
     found = set(zeros)
     for tj in zeros:
         assert set(_box_images(tj, bounds)) <= found, tj
+
+
+def _regge_orbit(tj):
+    """The images of tj under the group that the 24 tetrahedral maps and the
+    Regge map (t1, s-t2, s-t3, t4, s-t5, s-t6) generate, by closure."""
+    orbit, frontier = {tj}, [tj]
+    while frontier:
+        t1, t2, t3, t4, t5, t6 = frontier.pop()
+        s = (t2 + t3 + t5 + t6) // 2
+        regge = (t1, s - t2, s - t3, t4, s - t5, s - t6)
+        for image in [regge, *_tetrahedral_images((t1, t2, t3, t4, t5, t6))]:
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def test_regge_group_has_144_elements():
+    # distinct triangle sums and distinct column sums: every image differs
+    images = wigner._regge_images((6, 7, 8, 9), (9, 10, 11))
+    assert len(images) == 144
+    assert _regge_orbit(min(images)) == images
+
+
+@given(_sixj_args(cap=24))
+@settings(max_examples=40, deadline=None)
+def test_sixj_is_the_same_on_all_regge_images(tj):
+    orbit = _regge_orbit(tj)
+    assert orbit == wigner._regge_images(*wigner._alpha_sum(*tj)[:2])
+    value = sixj(*tj, cross_check=True)
+    for image in orbit:
+        assert sixj_triangles_hold(image), (tj, image)
+        assert sixj(*image, cross_check=True) == value, (tj, image)
+
+
+def test_find_sixj_zeros_matches_full_scan_on_the_benchmark_box():
+    assert find_sixj_zeros(16) == _full_scan((16,) * 6)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0, 0, 0, 0, 0, 40), (40, 0, 40, 0, 0, 0), (4, 40, 40, 4, 4, 4), (6, 6, 40, 6, 6, 40)],
+)
+def test_find_sixj_zeros_on_lopsided_boxes(bounds):
+    # the cube of the largest bound is pruned by the sum of the bounds
+    start = time.perf_counter()
+    zeros = find_sixj_zeros(bounds)
+    assert time.perf_counter() - start < 1.0
+    assert zeros == _full_scan(bounds)

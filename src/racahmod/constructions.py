@@ -41,7 +41,7 @@ def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
     hom_embedding fixes the maps projectively; the primitive normalization
     pins the scale and sign.
     """
-    return primitive_family(sl2.hom_embedding(m, target, source, sl2.DIVIDED_POWER))
+    return primitive_family(sl2.hom_embedding(m, target, source))
 
 
 def _chain(seq: list[int], m: int) -> dict[tuple[int, int], list[QMatrix]]:
@@ -57,7 +57,7 @@ def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMa
     factor c into factor r by blocks[(r, c)][i], and by zero elsewhere.
     """
     dims = [w + 1 for w in weights]
-    irreps = [sl2.irrep(w, sl2.DIVIDED_POWER) for w in weights]
+    irreps = [sl2.irrep(w) for w in weights]
 
     def diagonal(name: str) -> QMatrix:
         on_diagonal = {(j, j): getattr(irrep, name) for j, irrep in enumerate(irreps)}
@@ -74,7 +74,6 @@ def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMa
         e=diagonal("e"),
         f=diagonal("f"),
         v=v,
-        convention=sl2.DIVIDED_POWER,
     )
 
 
@@ -193,7 +192,6 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
         e=_derivation_matrix(named["e"], monos),
         f=_derivation_matrix(named["f"], monos),
         v=tuple(_derivation_matrix(named[f"v_{i}"], monos) for i in range(m + 1)),
-        convention=sl2.DIVIDED_POWER,
     )
     gen = [Fraction(0)] * n
     gen_exp = tuple(b if i == 1 else 0 for i in range(m + 2))
@@ -211,7 +209,6 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
         e=restrict(big.e),
         f=restrict(big.f),
         v=tuple(restrict(vi) for vi in big.v),
-        convention=sl2.DIVIDED_POWER,
     )
     gen_sub = space.coordinates([gen]).column(0)
     return SymmetricPowerModule(big, sub, tuple(gen), gen_sub)

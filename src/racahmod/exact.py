@@ -238,14 +238,6 @@ class SqrtRational:
             return str(self.coeff)
         return f"{self.coeff!s}*sqrt({self.radicand})"
 
-    @staticmethod
-    def from_str(text: str) -> "SqrtRational":
-        text = text.strip()
-        if "*sqrt(" in text:
-            coeff_part, rad_part = text.split("*sqrt(")
-            return SqrtRational(rat_from_str(coeff_part), int(rad_part.rstrip(")")))
-        return SqrtRational(rat_from_str(text), 1)
-
 
 def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
     """Whether a finite sum of SqrtRational values is exactly zero.

@@ -35,7 +35,7 @@ from .exact import (
 
 @dataclass(frozen=True)
 class GRep:
-    """Matrices of h, e, f, v_0..v_m in a declared basis convention."""
+    """Matrices of h, e, f, v_0..v_m acting on the module's basis."""
 
     m: int
     dim: int
@@ -43,7 +43,6 @@ class GRep:
     e: QMatrix
     f: QMatrix
     v: tuple[QMatrix, ...]
-    convention: str = sl2.DIVIDED_POWER
 
     def matrices(self) -> list[tuple[str, QMatrix]]:
         named = [("h", self.h), ("e", self.e), ("f", self.f)]
@@ -73,12 +72,9 @@ def check_rep(rep: GRep) -> RepCheck:
     if len(rep.v) != rep.m + 1:
         raise ValueError(f"expected {rep.m + 1} radical generators, got {len(rep.v)}")
     h, e, f = rep.h, rep.e, rep.f
-    if commutator(h, e) != 2 * e:
-        return RepCheck(False, "[h,e] != 2e")
-    if commutator(h, f) != -2 * f:
-        return RepCheck(False, "[h,f] != -2f")
-    if commutator(e, f) != h:
-        return RepCheck(False, "[e,f] != h")
+    failure = sl2.broken_relation(h, e, f)
+    if failure:
+        return RepCheck(False, failure)
     m = rep.m
     zero = QMatrix.zero(n, n)
     for i, vi in enumerate(rep.v):
@@ -227,12 +223,16 @@ def grep_to_dict(rep: GRep) -> dict:
         "e": _matrix_to_strings(rep.e),
         "f": _matrix_to_strings(rep.f),
         "v": [_matrix_to_strings(vi) for vi in rep.v],
-        "convention": rep.convention,
+        "convention": "DividedPower",
     }
 
 
 def grep_from_dict(data) -> GRep:
-    """Read the interchange schema; any departure from it raises ValueError."""
+    """Read the interchange schema; any departure from it raises ValueError.
+
+    The "convention" label must be "PlainF" or "DividedPower" but changes
+    nothing: the matrices are taken as they stand.
+    """
     if not isinstance(data, dict):
         raise ValueError("a module must be a JSON object")
     missing = [key for key in ("m", "dim", "h", "e", "f", "v", "convention") if key not in data]
@@ -242,7 +242,7 @@ def grep_from_dict(data) -> GRep:
     for name, val in (("m", m), ("dim", dim)):
         if type(val) is not int or val < 0:  # bool is an int subclass: refuse it too
             raise ValueError(f"{name} must be a non-negative integer, got {val!r}")
-    if data["convention"] not in (sl2.PLAIN_F, sl2.DIVIDED_POWER):
+    if data["convention"] not in ("PlainF", "DividedPower"):
         raise ValueError(f"unknown convention {data['convention']!r}")
     if not isinstance(data["v"], list) or len(data["v"]) != m + 1:
         raise ValueError(f"v must be a list of m + 1 = {m + 1} matrices")
@@ -253,7 +253,6 @@ def grep_from_dict(data) -> GRep:
         e=_matrix_from_strings(data["e"], dim, "e"),
         f=_matrix_from_strings(data["f"], dim, "f"),
         v=tuple(_matrix_from_strings(vi, dim, f"v_{i}") for i, vi in enumerate(data["v"])),
-        convention=data["convention"],
     )
 
 

@@ -2,25 +2,18 @@
 
 Weights here are plain non-negative integers (the highest weight k of the
 (k+1)-dimensional irreducible V(k)); only the recoupling layer speaks in
-twice-values.  Two basis conventions coexist and every representation carries
-its tag:
-
-* PlainF       basis F^r e, so E acts by r(k+1-r) on the superdiagonal and
-               F by 1 on the subdiagonal.  All tensor/embedding coefficient
-               formulas live in these coordinates.
-* DividedPower basis F^r e / r!, so E has superdiagonal (k, ..., 2, 1) and
-               F has subdiagonal (1, 2, ..., k).  All block-matrix module
-               realizations live in these coordinates.
-
-Conjugating PlainF matrices by diag(0!, 1!, ..., k!) gives the DividedPower
-matrices; mixing conventions in one operation is an error.
+twice-values.  Every matrix is in the divided-power basis F^r e / r! of
+V(k), so E has superdiagonal (k, ..., 2, 1) and F has subdiagonal
+(1, 2, ..., k); the block-matrix module realizations live in these
+coordinates.  Only the integral coefficient formulas (TensorVector, iota and
+_f_power_images) work in the plain coordinates F^r e, where E acts by
+r(k+1-r) and F by 1; hom_embedding converts their output.
 
 The library calls none of the following; each is a route a test compares
 against: tensor and decompose (test_decompose_clebsch_gordan_sweep,
-test_socle_factors_match_sl2_decompose), conversion_diagonal
-(test_hom_embedding_conventions_differ_by_factorials), Sl2Rep.validate
-(test_irrep_relations_hold), exterior_square_components (against decompose of
-V(m)xV(m)) and invariant_form (test_invariant_form_is_invariant).
+test_socle_factors_match_sl2_decompose), Sl2Rep.validate
+(test_irrep_relations_hold) and exterior_square_components (against
+decompose of V(m)xV(m)).
 """
 
 from __future__ import annotations
@@ -33,9 +26,6 @@ from fractions import Fraction
 
 from .exact import QMatrix, binomial, commutator, factorial, matrix_rank, triangle
 
-PLAIN_F = "PlainF"
-DIVIDED_POWER = "DividedPower"
-
 
 @dataclass(frozen=True)
 class Sl2Rep:
@@ -45,22 +35,30 @@ class Sl2Rep:
     h: QMatrix
     e: QMatrix
     f: QMatrix
-    convention: str = DIVIDED_POWER
 
     def validate(self) -> None:
         for name, mat in (("h", self.h), ("e", self.e), ("f", self.f)):
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise ValueError(f"{name} is not {self.dim}x{self.dim}")
         diagonal_weights(self.h)
-        if commutator(self.h, self.e) != 2 * self.e:
-            raise ValueError("[h,e] != 2e")
-        if commutator(self.h, self.f) != -2 * self.f:
-            raise ValueError("[h,f] != -2f")
-        if commutator(self.e, self.f) != self.h:
-            raise ValueError("[e,f] != h")
+        failure = broken_relation(self.h, self.e, self.f)
+        if failure:
+            raise ValueError(failure)
 
     def weights(self) -> list[int]:
         return diagonal_weights(self.h)
+
+
+def broken_relation(h: QMatrix, e: QMatrix, f: QMatrix) -> str | None:
+    """The first of [h,e] = 2e, [h,f] = -2f, [e,f] = h that the matrices
+    break, by name; None when all three hold."""
+    if commutator(h, e) != 2 * e:
+        return "[h,e] != 2e"
+    if commutator(h, f) != -2 * f:
+        return "[h,f] != -2f"
+    if commutator(e, f) != h:
+        return "[e,f] != h"
+    return None
 
 
 def diagonal_weights(h: QMatrix) -> list[int]:
@@ -77,35 +75,22 @@ def diagonal_weights(h: QMatrix) -> list[int]:
     return weights
 
 
-def irrep(k: int, convention: str = DIVIDED_POWER) -> Sl2Rep:
-    """The irreducible module V(k) of dimension k+1 in the given convention."""
+def irrep(k: int) -> Sl2Rep:
+    """The irreducible module V(k) of dimension k+1."""
     if k < 0:
         raise ValueError("highest weight must be non-negative")
-    if convention not in (PLAIN_F, DIVIDED_POWER):
-        raise ValueError(f"unknown convention {convention!r}")
     n = k + 1
     h = QMatrix.diagonal([k - 2 * r for r in range(n)])
     e_rows = [[0] * n for _ in range(n)]
     f_rows = [[0] * n for _ in range(n)]
     for r in range(1, n):
-        if convention == PLAIN_F:
-            e_rows[r - 1][r] = r * (k + 1 - r)
-            f_rows[r][r - 1] = 1
-        else:
-            e_rows[r - 1][r] = k + 1 - r
-            f_rows[r][r - 1] = r
-    return Sl2Rep(n, h, QMatrix.from_rows(e_rows), QMatrix.from_rows(f_rows), convention)
-
-
-def conversion_diagonal(k: int) -> QMatrix:
-    """diag(0!, 1!, ..., k!), conjugation from PlainF to DividedPower."""
-    return QMatrix.diagonal([factorial(r) for r in range(k + 1)])
+        e_rows[r - 1][r] = k + 1 - r
+        f_rows[r][r - 1] = r
+    return Sl2Rep(n, h, QMatrix.from_rows(e_rows), QMatrix.from_rows(f_rows))
 
 
 def tensor(a: Sl2Rep, b: Sl2Rep) -> Sl2Rep:
     """Tensor product on the lexicographic (left index major) product basis."""
-    if a.convention != b.convention:
-        raise ValueError("tensor factors use different basis conventions")
     da, db = a.dim, b.dim
     n = da * db
     ha, hb = a.weights(), b.weights()
@@ -125,12 +110,12 @@ def tensor(a: Sl2Rep, b: Sl2Rep) -> Sl2Rep:
                         rows[i * db + j2][r] += fb[j2][j]
         return QMatrix.from_rows(rows)
 
-    return Sl2Rep(n, h, kron_sum(a.e, b.e), kron_sum(a.f, b.f), a.convention)
+    return Sl2Rep(n, h, kron_sum(a.e, b.e), kron_sum(a.f, b.f))
 
 
 @dataclass
 class TensorVector:
-    """Vector in V(a) tensor V(b), PlainF coordinates indexed by (r1, r2).
+    """Vector in V(a) tensor V(b), plain coordinates F^r1 e tensor F^r2 e.
 
     Stored as the integer numerators of the nonzero coefficients over one
     positive denominator, so the F and E actions add and scale integers
@@ -157,7 +142,7 @@ class TensorVector:
         return TensorVector(self.left_dim, self.right_dim, num, self.den)
 
     def apply_f(self) -> "TensorVector":
-        """Leibniz action of F in PlainF coordinates (F F^r e = F^{r+1} e)."""
+        """Leibniz action of F in plain coordinates (F F^r e = F^{r+1} e)."""
         da, db = self.left_dim, self.right_dim
         terms = []
         for (r1, r2), c in self.num.items():
@@ -190,7 +175,7 @@ class TensorVector:
 def iota(k: int, a: int, b: int) -> TensorVector:
     """Highest weight vector of weight k inside V(a) tensor V(b).
 
-    Coefficients in PlainF coordinates:
+    Coefficients in plain coordinates:
         sum_r (-1)^r  C(x, r) / C(x + k, a - r)  F^r e_a  tensor  F^{x-r} e_b
     with x = (a + b - k)/2.  Unique up to scale; this fixes the scale used by
     every composite map in the package.  The numerators share the lcm of the
@@ -205,18 +190,6 @@ def iota(k: int, a: int, b: int) -> TensorVector:
         (r, x - r): (-1) ** r * binomial(x, r) * (den // d) for r, d in enumerate(dens)
     }
     return TensorVector(a + 1, b + 1, num, den)
-
-
-def dual_iso(k: int) -> QMatrix:
-    """Matrix of the isomorphism V(k) -> V(k)*, F^r e |-> (-1)^r (F^{k-r} e)*.
-
-    Rows are indexed by the dual basis (F^s e)*, columns by F^r e, both in
-    PlainF order.
-    """
-    rows = [[0] * (k + 1) for _ in range(k + 1)]
-    for r in range(k + 1):
-        rows[k - r][r] = (-1) ** r
-    return QMatrix.from_rows(rows)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -239,31 +212,25 @@ def _f_power_images(k: int, a: int, b: int) -> tuple[tuple[dict[int, tuple[int, 
 
 
 @functools.lru_cache(maxsize=1024)
-def hom_embedding(m: int, b: int, a: int, convention: str = DIVIDED_POWER) -> tuple[QMatrix, ...]:
+def hom_embedding(m: int, b: int, a: int) -> tuple[QMatrix, ...]:
     """Equivariant map V(m) -> Hom(V(b), V(a)) as m+1 explicit matrices.
 
     Image of the weight basis v_0, ..., v_m (v_i = F^i v_0 / i!), realized by
     composing the embedding V(m) -> V(a) tensor V(b) with the contraction
-    V(b) -> V(b)* from dual_iso.  The returned matrices satisfy
+    V(b) -> V(b)*, F^r e |-> (-1)^r (F^{b-r} e)*.  The returned matrices satisfy
         [rep_a(x) , M_i] - M_i shifted = image of x . v_i
-    for every generator x, in the requested convention.  They are read in
-    int off the F-power images of iota: entry (r1, b - r2) of M_i is
-    (-1)^r2 times the (r1, r2) coefficient of F^i iota / i!, and the
-    DividedPower conjugation scales it by r1! / (b - r2)!, taken as the
-    integer r1! * b! / (b - r2)! over an extra b!.
+    for every generator x.  They are read in int off the F-power images of
+    iota: entry (r1, b - r2) of M_i is (-1)^r2 times the (r1, r2) coefficient
+    of F^i iota / i!, and the change to the divided-power basis scales it by
+    r1! / (b - r2)!, taken as the integer r1! * b! / (b - r2)! over an extra b!.
 
     Memoised, since sweeps ask for the same few maps many times over; the
     result is a tuple of immutable matrices, so callers share it safely.
     """
     images, den = _f_power_images(m, a, b)
-    if convention == PLAIN_F:
-        row_scale, col_scale = [1] * (a + 1), [1] * (b + 1)
-    elif convention == DIVIDED_POWER:
-        row_scale = [factorial(r) for r in range(a + 1)]
-        col_scale = [factorial(b) // factorial(s) for s in range(b + 1)]
-        den *= factorial(b)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    row_scale = [factorial(r) for r in range(a + 1)]
+    col_scale = [factorial(b) // factorial(s) for s in range(b + 1)]
+    den *= factorial(b)
     mats = []
     for i, image in enumerate(images):
         rows: list[dict[int, int]] = [{} for _ in range(a + 1)]
@@ -333,30 +300,3 @@ def exterior_square_components(m: int) -> set[int]:
     if explicit != closed:
         raise AssertionError(f"exterior square mismatch for m={m}: {explicit} vs {closed}")
     return closed
-
-
-@dataclass(frozen=True)
-class InvariantForm:
-    matrix: QMatrix
-    symmetric: bool
-
-
-def invariant_form(m: int) -> InvariantForm:
-    """The (unique up to scale) invariant bilinear form on V(m), PlainF basis.
-
-    Built by pushing the invariant line of V(m) tensor V(m) through dual_iso
-    on both slots.  The form is symmetric exactly when m is even, skew
-    otherwise.
-    """
-    inv = iota(0, m, m)
-    grid = [[0] * (m + 1) for _ in range(m + 1)]
-    for (r1, r2), c in inv.num.items():
-        # j(F^r e) = (-1)^r (F^{m-r} e)*, so the (r1, r2) term evaluates the
-        # pair (F^{m-r1} e, F^{m-r2} e).
-        grid[m - r1][m - r2] += c * (-1) ** (r1 + r2)
-    mat = QMatrix(m + 1, m + 1, grid, inv.den)
-    symmetric = mat == mat.transpose()
-    skew = mat == -mat.transpose()
-    if symmetric == skew:
-        raise AssertionError("invariant form is neither symmetric nor skew")
-    return InvariantForm(mat, symmetric)

@@ -206,8 +206,8 @@ def _product_span_image(a, b, c, p, q):
     """I and J from the span of the products f[i] * g[j] of embedding
     matrices, and of their alternating differences when p = q: the reference
     route for compute_I_J."""
-    f = sl2.hom_embedding(p, b, a, sl2.DIVIDED_POWER)
-    g = sl2.hom_embedding(q, c, b, sl2.DIVIDED_POWER)
+    f = sl2.hom_embedding(p, b, a)
+    g = sl2.hom_embedding(q, c, b)
     # sl2.constituents reads no negative weight, so no product is built there
     products = {
         (i, j): f[i] * g[j] for i in range(p + 1) for j in range(q + 1) if 2 * (i + j) <= p + q

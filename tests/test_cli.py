@@ -82,6 +82,22 @@ def test_realize_json_round_trip(tmp_path, capsys):
     assert is_uniserial(rep)
 
 
+def test_basis_label_changes_no_output(tmp_path, capsys):
+    # the reader accepts either label and takes the matrices as they stand
+    code, out = run(capsys, "realize", "--kind", "z", "--m", "2", "--ell", "1", "--b", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["convention"] == "DividedPower"
+    original, relabelled = tmp_path / "z.json", tmp_path / "z-plain.json"
+    original.write_text(out)
+    relabelled.write_text(json.dumps({**data, "convention": "PlainF"}))
+    for argv in (["socle"], ["socle", "--format", "json"], ["uniserial"]):
+        want = run(capsys, *argv, "--in", str(original))
+        assert run(capsys, *argv, "--in", str(relabelled)) == want, argv
+    rewritten = grep_to_json(grep_from_json(relabelled.read_text()))
+    assert json.loads(rewritten)["convention"] == "DividedPower"
+
+
 def test_realize_latex(capsys):
     code, out = run(
         capsys, "realize", "--kind", "z", "--m", "2", "--ell", "1", "--b", "2",

@@ -22,7 +22,7 @@ from racahmod.constructions import (
 )
 from racahmod.exact import QMatrix, span_closure
 from racahmod.gmod import check_rep, is_uniserial, socle_series
-from racahmod.sl2 import DIVIDED_POWER, hom_embedding, symmetric_power_components
+from racahmod.sl2 import hom_embedding, symmetric_power_components
 
 
 def expected_z122_radical(gen: int) -> QMatrix:
@@ -361,7 +361,7 @@ def test_radical_blocks_are_primitive_multiples_of_the_embedding():
                 assert all(x.denominator == 1 for x in entries)
                 assert gcd(*(x.numerator for x in entries)) == 1
                 assert next(x for x in entries if x) > 0
-                maps = hom_embedding(m, target, source, DIVIDED_POWER)
+                maps = hom_embedding(m, target, source)
                 ref = [x for mat in maps for row in mat.to_fractions() for x in row]
                 scale = next(x / y for x, y in zip(entries, ref) if y)
                 assert list(blocks) == [scale * mat for mat in maps], (m, target, source)

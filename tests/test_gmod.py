@@ -34,8 +34,6 @@ from racahmod.gmod import (
     socle_series,
 )
 from racahmod.sl2 import (
-    DIVIDED_POWER,
-    PLAIN_F,
     Sl2Rep,
     decompose,
     diagonal_weights,
@@ -54,7 +52,6 @@ def zero_radical_rep(base, m):
         e=base.e,
         f=base.f,
         v=tuple(QMatrix.zero(n, n) for _ in range(m + 1)),
-        convention=base.convention,
     )
 
 
@@ -65,7 +62,7 @@ def test_check_rep_main_family():
 
 
 def test_check_rep_zero_radical():
-    rep = zero_radical_rep(irrep(3, DIVIDED_POWER), 2)
+    rep = zero_radical_rep(irrep(3), 2)
     assert check_rep(rep).ok
 
 
@@ -101,7 +98,7 @@ def test_socle_series_main_family():
 
 
 def test_socle_series_zero_radical_single_step():
-    base = tensor(irrep(1, DIVIDED_POWER), irrep(1, DIVIDED_POWER))
+    base = tensor(irrep(1), irrep(1))
     rep = zero_radical_rep(base, 2)
     series = socle_series(rep)
     assert len(series.steps) == 1
@@ -131,7 +128,7 @@ def test_socle_invariance_of_steps():
 def test_is_uniserial():
     assert is_uniserial(build_z(1, 2, 2))
     assert is_uniserial(build_z_family(4, 1))
-    base = zero_radical_rep(irrep(0, DIVIDED_POWER), 2)
+    base = zero_radical_rep(irrep(0), 2)
     two_copies = GRep(
         m=2,
         dim=2,
@@ -139,7 +136,6 @@ def test_is_uniserial():
         e=QMatrix.zero(2, 2),
         f=QMatrix.zero(2, 2),
         v=tuple(QMatrix.zero(2, 2) for _ in range(3)),
-        convention=DIVIDED_POWER,
     )
     assert not is_uniserial(two_copies)
     assert is_uniserial(base)
@@ -158,7 +154,7 @@ def test_dual_involution_and_socle():
 
 
 def test_dual_of_irreducible():
-    rep = zero_radical_rep(irrep(4, DIVIDED_POWER), 2)
+    rep = zero_radical_rep(irrep(4), 2)
     dual = dual_rep(rep)
     assert check_rep(dual).ok
     assert socle_series(dual).factor_weights() == [4]
@@ -170,7 +166,7 @@ def test_json_round_trip():
     back = grep_from_json(text)
     assert back.m == rep.m and back.dim == rep.dim
     assert back.h == rep.h and back.e == rep.e and back.f == rep.f
-    assert back.v == rep.v and back.convention == rep.convention
+    assert back.v == rep.v
     assert socle_series(back).factor_weights() == [1, 3, 5]
 
 
@@ -197,14 +193,14 @@ def _interchange_modules(draw):
     entry = st.fractions(max_denominator=10**6) | st.just(Fraction(0))
     rows = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
     mats = [QMatrix.from_rows(draw(rows)) for _ in range(m + 4)]
-    return GRep(m, dim, *mats[:3], tuple(mats[3:]), draw(st.sampled_from([PLAIN_F, DIVIDED_POWER])))
+    return GRep(m, dim, *mats[:3], tuple(mats[3:]))
 
 
 @given(_interchange_modules())
 @settings(max_examples=60, deadline=None)
 def test_json_round_trip_keeps_every_matrix(rep):
     back = grep_from_json(grep_to_json(rep))
-    assert (back.m, back.dim, back.convention) == (rep.m, rep.dim, rep.convention)
+    assert (back.m, back.dim) == (rep.m, rep.dim)
     assert back.matrices() == rep.matrices()
 
 
@@ -302,7 +298,7 @@ def _layer_by_e_rank(rep, below):
         quotient = quotient_matrix(mat, below)
         return layer.coordinates([quotient.apply(row) for row in rows])
 
-    sl2_layer = Sl2Rep(len(layer), h_fac, restrict(rep.e), restrict(rep.f), rep.convention)
+    sl2_layer = Sl2Rep(len(layer), h_fac, restrict(rep.e), restrict(rep.f))
     sl2_layer.validate()
     return decompose(sl2_layer), len(layer)
 

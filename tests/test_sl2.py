@@ -1,23 +1,20 @@
 """Unit tests for the sl(2) representation layer."""
 
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from racahmod.constructions import radical_blocks
-from racahmod.exact import QMatrix, factorial
+from racahmod.exact import QMatrix
 from racahmod.sl2 import (
-    DIVIDED_POWER,
-    PLAIN_F,
     Sl2Rep,
-    conversion_diagonal,
+    broken_relation,
     decompose,
     diagonal_weights,
-    dual_iso,
     exterior_square_components,
     hom_embedding,
-    invariant_form,
     iota,
     irrep,
     symmetric_power_components,
@@ -40,47 +37,34 @@ def test_irrep_zero():
 
 
 def test_irrep_divided_power_matrices():
-    r = irrep(2, DIVIDED_POWER)
+    r = irrep(2)
     assert [r.h.entry(i, i) for i in range(3)] == [2, 0, -2]
     assert [r.e.entry(i, i + 1) for i in range(2)] == [2, 1]
     assert [r.f.entry(i + 1, i) for i in range(2)] == [1, 2]
 
 
-def test_irrep_plain_f_matrices():
-    r = irrep(2, PLAIN_F)
-    assert [r.e.entry(i, i + 1) for i in range(2)] == [2, 2]
-    assert [r.f.entry(i + 1, i) for i in range(2)] == [1, 1]
-
-
 def test_irrep_relations_hold():
     for k in range(0, 9):
-        irrep(k, PLAIN_F).validate()
-        irrep(k, DIVIDED_POWER).validate()
+        irrep(k).validate()
 
 
-def test_convention_conversion():
-    for k in range(13):
-        pf = irrep(k, PLAIN_F)
-        dp = irrep(k, DIVIDED_POWER)
-        d = conversion_diagonal(k)
-        d_inv = QMatrix.diagonal([Fraction(1, factorial(r)) for r in range(k + 1)])
-        assert d * pf.e * d_inv == dp.e
-        assert d * pf.f * d_inv == dp.f
-        assert pf.h == dp.h
+def test_broken_relation_names_the_first_failure():
+    r = irrep(2)
+    assert broken_relation(r.h, r.e, r.f) is None
+    assert broken_relation(r.h, r.f, r.f) == "[h,e] != 2e"
+    assert broken_relation(r.h, r.e, r.e) == "[h,f] != -2f"
+    assert broken_relation(r.h, 2 * r.e, r.f) == "[e,f] != h"
+    with pytest.raises(ValueError, match=re.escape("[e,f] != h")):
+        Sl2Rep(3, r.h, 2 * r.e, r.f).validate()
 
 
 def test_tensor_examples():
-    k3 = irrep(3, PLAIN_F)
-    t = tensor(irrep(0, PLAIN_F), k3)
+    k3 = irrep(3)
+    t = tensor(irrep(0), k3)
     assert (t.h, t.e, t.f) == (k3.h, k3.e, k3.f)
-    t11 = tensor(irrep(1, PLAIN_F), irrep(1, PLAIN_F))
+    t11 = tensor(irrep(1), irrep(1))
     assert [t11.h.entry(i, i) for i in range(4)] == [2, 0, 0, -2]
-    tensor(irrep(2, PLAIN_F), irrep(3, PLAIN_F)).validate()
-
-
-def test_tensor_convention_mismatch():
-    with pytest.raises(ValueError):
-        tensor(irrep(1, PLAIN_F), irrep(1, DIVIDED_POWER))
+    tensor(irrep(2), irrep(3)).validate()
 
 
 def test_iota_examples():
@@ -97,20 +81,6 @@ def test_iota_highest_weight_sweep():
         v = iota(k, a, b)
         assert v.apply_e().is_zero(), (a, b, k)
         assert v.weight() == k
-
-
-def test_dual_iso_examples():
-    assert dual_iso(0) == QMatrix.from_rows([[1]])
-    assert dual_iso(1) == QMatrix.from_rows([[0, -1], [1, 0]])
-    assert dual_iso(2) == QMatrix.from_rows([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
-
-
-def test_dual_iso_intertwines():
-    for k in range(7):
-        rep = irrep(k, PLAIN_F)
-        j = dual_iso(k)
-        for mat in (rep.h, rep.e, rep.f):
-            assert j * mat == -mat.transpose() * j
 
 
 def test_hom_embedding_schur():
@@ -136,7 +106,7 @@ def test_hom_embedding_block_family_comparison():
     # target = source + m: the image must be the canonical shifted-identity
     # family up to one global scalar
     for m, a in [(1, 0), (1, 2), (2, 0), (2, 1), (3, 2), (4, 1)]:
-        mats = hom_embedding(m, a + m, a, DIVIDED_POWER)
+        mats = hom_embedding(m, a + m, a)
         expected = _shifted_identity_family(a, m)
         scale = None
         for r in range(a + 1):
@@ -157,54 +127,38 @@ def test_radical_blocks_are_the_shifted_identity_closed_form():
 
 
 def test_hom_embedding_equivariance():
-    for conv in (PLAIN_F, DIVIDED_POWER):
-        for m in range(0, 9):
-            for a in range(0, 9):
-                for b in range(0, 9):
-                    if not triangle(a, b, m):
-                        continue
-                    mats = hom_embedding(m, b, a, conv)
-                    ra, rb = irrep(a, conv), irrep(b, conv)
-                    zero = QMatrix.zero(a + 1, b + 1)
-                    for i in range(m + 1):
-                        assert ra.h * mats[i] - mats[i] * rb.h == (m - 2 * i) * mats[i]
-                        want_e = (m - i + 1) * mats[i - 1] if i > 0 else zero
-                        assert ra.e * mats[i] - mats[i] * rb.e == want_e
-                        want_f = (i + 1) * mats[i + 1] if i < m else zero
-                        assert ra.f * mats[i] - mats[i] * rb.f == want_f
-
-
-def test_hom_embedding_conventions_differ_by_factorials():
-    # DividedPower = diag(0!, ..., a!) * PlainF * diag(1/0!, ..., 1/b!)
-    for m in range(9):
-        for a in range(9):
-            for b in range(9):
+    for m in range(0, 9):
+        for a in range(0, 9):
+            for b in range(0, 9):
                 if not triangle(a, b, m):
                     continue
-                right = QMatrix.diagonal([Fraction(1, factorial(r)) for r in range(b + 1)])
-                plain = hom_embedding(m, b, a, PLAIN_F)
-                divided = hom_embedding(m, b, a, DIVIDED_POWER)
+                mats = hom_embedding(m, b, a)
+                ra, rb = irrep(a), irrep(b)
+                zero = QMatrix.zero(a + 1, b + 1)
                 for i in range(m + 1):
-                    want = conversion_diagonal(a) * plain[i] * right
-                    assert divided[i] == want, (m, a, b, i)
+                    assert ra.h * mats[i] - mats[i] * rb.h == (m - 2 * i) * mats[i]
+                    want_e = (m - i + 1) * mats[i - 1] if i > 0 else zero
+                    assert ra.e * mats[i] - mats[i] * rb.e == want_e
+                    want_f = (i + 1) * mats[i + 1] if i < m else zero
+                    assert ra.f * mats[i] - mats[i] * rb.f == want_f
 
 
 def test_decompose_examples():
-    assert decompose(tensor(irrep(1, PLAIN_F), irrep(1, PLAIN_F))) == {2: 1, 0: 1}
-    assert decompose(tensor(irrep(4, PLAIN_F), irrep(4, PLAIN_F))) == {
+    assert decompose(tensor(irrep(1), irrep(1))) == {2: 1, 0: 1}
+    assert decompose(tensor(irrep(4), irrep(4))) == {
         8: 1,
         6: 1,
         4: 1,
         2: 1,
         0: 1,
     }
-    assert decompose(irrep(5, PLAIN_F)) == {5: 1}
+    assert decompose(irrep(5)) == {5: 1}
 
 
 def test_decompose_clebsch_gordan_sweep():
     for a in range(9):
         for b in range(9):
-            got = decompose(tensor(irrep(a, DIVIDED_POWER), irrep(b, DIVIDED_POWER)))
+            got = decompose(tensor(irrep(a), irrep(b)))
             assert got == {k: 1 for k in range(abs(a - b), a + b + 1, 2)}
 
 
@@ -214,7 +168,6 @@ def test_decompose_requires_diagonal_h():
         QMatrix.from_rows([[0, 1], [0, 0]]),
         QMatrix.zero(2, 2),
         QMatrix.zero(2, 2),
-        PLAIN_F,
     )
     with pytest.raises(ValueError):
         decompose(bad)
@@ -229,25 +182,11 @@ def test_exterior_square_components():
 
 def test_exterior_square_matches_tensor_decomposition():
     for m in range(7):
-        full = decompose(tensor(irrep(m, PLAIN_F), irrep(m, PLAIN_F)))
+        full = decompose(tensor(irrep(m), irrep(m)))
         sym = symmetric_power_components(m, 2)
         alt = exterior_square_components(m)
         assert set(full) == set(sym) | alt
         assert not set(sym) & alt
-
-
-def test_invariant_form_parity():
-    for m in range(9):
-        form = invariant_form(m)
-        assert form.symmetric == (m % 2 == 0)
-
-
-def test_invariant_form_is_invariant():
-    for m in range(7):
-        rep = irrep(m, PLAIN_F)
-        g = invariant_form(m).matrix
-        for mat in (rep.h, rep.e, rep.f):
-            assert (mat.transpose() * g + g * mat).is_zero()
 
 
 def test_symmetric_power_components_small():

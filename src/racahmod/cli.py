@@ -20,6 +20,7 @@ import contextlib
 import functools
 import json
 import sys
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .exact import rat_from_str
@@ -149,28 +150,29 @@ def _cmd_socle(args) -> int:
     from . import gmod
 
     rep = _load_grep(getattr(args, "in"))
-    series = gmod.socle_series(rep)
+    steps = gmod.socle_series(rep).steps
+    dims = accumulate(len(step.layer) for step in steps)
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "steps": [
                         {
-                            "dimension": len(step.basis),
+                            "dimension": dim,
                             "factors": {str(k): n for k, n in sorted(step.factors.items())},
                         }
-                        for step in series.steps
+                        for step, dim in zip(steps, dims)
                     ]
                 }
             )
         )
     else:
-        for i, step in enumerate(series.steps, start=1):
+        for i, (step, dim) in enumerate(zip(steps, dims), start=1):
             factors = " + ".join(
                 f"{n} x V({k})" if n > 1 else f"V({k})"
                 for k, n in sorted(step.factors.items(), reverse=True)
             )
-            print(f"step {i}: dim {len(step.basis)}, factor {factors}")
+            print(f"step {i}: dim {dim}, factor {factors}")
     return 0
 
 

@@ -704,29 +704,40 @@ def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     return space.echelon() if space is not None else ([], [])
 
 
-def _row_space(mat: QMatrix) -> RowSpace:
-    space = RowSpace(mat.cols)
-    for row in mat._num:
-        space._add(row)
+def _row_space(*mats: QMatrix) -> RowSpace:
+    """The span of the rows of all the matrices, which must share a column count."""
+    if not mats:
+        raise ValueError("no matrix given")
+    ncols = mats[0].cols
+    if any(mat.cols != ncols for mat in mats):
+        raise ValueError(f"column counts differ: {[mat.cols for mat in mats]}")
+    space = RowSpace(ncols)
+    for mat in mats:
+        for row in mat._num:
+            space._add(row)
     return space
 
 
-def matrix_rank(mat: QMatrix) -> int:
-    return len(_row_space(mat))
+def matrix_rank(*mats: QMatrix) -> int:
+    """Rank of the matrices stacked one above the other."""
+    return len(_row_space(*mats))
 
 
-def kernel(mat: QMatrix) -> list[Vector]:
-    """Basis of the right null space, in the canonical free-column form.
+def kernel(*mats: QMatrix) -> list[Vector]:
+    """Basis of the joint right null space, in the canonical free-column form.
 
-    For each non-pivot column f of the reduced echelon form the basis vector
-    has a 1 at position f and minus the echelon coefficients at the pivot
-    positions; the list is ordered by f, which makes the output reproducible.
+    The matrices must share a column count; their joint kernel is the kernel
+    of their stack, and its reduced echelon form is unique, so the result is
+    the one the stacked matrix gives without building it.  For each
+    non-pivot column f of the reduced echelon form the basis vector has a 1
+    at position f and minus the echelon coefficients at the pivot positions;
+    the list is ordered by f, which makes the output reproducible.
     """
-    space = _row_space(mat)
+    space = _row_space(*mats)
     by_free, scale = space._complement()
     basis: list[Vector] = []
     for f in space.free_columns():
-        vec = [_ZERO] * mat.cols
+        vec = [_ZERO] * space.ncols
         vec[f] = _ONE
         for p, x in by_free.get(f, ()):
             vec[p] = Fraction(-x, scale)

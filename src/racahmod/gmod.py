@@ -19,18 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import sl2
-from .exact import (
-    QMatrix,
-    RowSpace,
-    Vector,
-    assemble_blocks,
-    commutator,
-    kernel,
-    quotient_matrix,
-    rat_from_str,
-)
+from .exact import QMatrix, RowSpace, commutator, kernel, quotient_matrix, rat_from_str
 
 
 @dataclass(frozen=True)
@@ -80,12 +72,10 @@ def check_rep(rep: GRep) -> RepCheck:
     for i, vi in enumerate(rep.v):
         if commutator(h, vi) != (m - 2 * i) * vi:
             return RepCheck(False, f"[h,v_{i}] != (m-2i) v_{i}")
-        expect_e = (m - i + 1) * rep.v[i - 1] if i > 0 else zero
-        if commutator(e, vi) != expect_e:
-            return RepCheck(False, f"[e,v_{i}] != (m-i+1) v_{i - 1 if i else 0}")
-        expect_f = (i + 1) * rep.v[i + 1] if i < m else zero
-        if commutator(f, vi) != expect_f:
-            return RepCheck(False, f"[f,v_{i}] != (i+1) v_{min(i + 1, m)}")
+        if commutator(e, vi) != ((m - i + 1) * rep.v[i - 1] if i else zero):
+            return RepCheck(False, f"[e,v_{i}] != " + (f"(m-i+1) v_{i - 1}" if i else "0"))
+        if commutator(f, vi) != ((i + 1) * rep.v[i + 1] if i < m else zero):
+            return RepCheck(False, f"[f,v_{i}] != " + (f"(i+1) v_{i + 1}" if i < m else "0"))
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
             if commutator(rep.v[i], rep.v[j]) != zero:
@@ -95,7 +85,9 @@ def check_rep(rep: GRep) -> RepCheck:
 
 @dataclass(frozen=True)
 class SocleStep:
-    basis: tuple[Vector, ...]  # echelon basis of soc^i in the module's own basis
+    """One step of the socle series: soc^i is the span of the layers of steps 1..i."""
+
+    layer: tuple[dict[int, Fraction], ...]  # sparse {index: value} vectors that soc^i adds
     factors: dict[int, int]  # sl(2) decomposition of soc^i / soc^{i-1}
 
     @property
@@ -124,22 +116,20 @@ def socle_series(rep: GRep) -> SocleSeries:
     read only by check_rep.  Quotients keep h diagonal by choosing
     complements out of standard basis vectors (every subspace met here is
     spanned by weight-homogeneous vectors, and distinct weights occupy
-    disjoint coordinate supports).
+    disjoint coordinate supports).  The socle grows as one RowSpace; each
+    step keeps only the kernel vectors it adds, lifted to sparse vectors of
+    the module.
     """
     verdict = check_rep(rep)
     if not verdict:
         raise ValueError(f"not a representation: {verdict.failure}")
     weights = sl2.diagonal_weights(rep.h)
-    n = rep.dim
-    socle = RowSpace(n)
+    socle = RowSpace(rep.dim)
     steps: list[SocleStep] = []
-    while len(socle) < n:
+    while len(socle) < rep.dim:
         comp = socle.free_columns()
-        nc = len(comp)
-        where = f"at socle step {len(steps) + 1}, on a quotient of dimension {nc}"
-        # the joint kernel of the v_i on the quotient: stack them and take one kernel
-        quot_v = {(i, 0): quotient_matrix(vm, socle) for i, vm in enumerate(rep.v)}
-        ker = kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v))
+        where = f"at socle step {len(steps) + 1}, on a quotient of dimension {len(comp)}"
+        ker = kernel(*[quotient_matrix(vm, socle) for vm in rep.v])
         if not ker:
             # for m >= 1 the radical lies in [g, rad g] and acts nilpotently;
             # for m = 0 v_0 may act by a nonzero scalar, a fault of the input
@@ -147,9 +137,10 @@ def socle_series(rep: GRep) -> SocleSeries:
                 raise ValueError("the radical v_0 does not act nilpotently: no socle series")
             raise RuntimeError(f"radical action has no common kernel {where}")
 
+        layer = tuple({comp[j]: x for j, x in enumerate(kv) if x} for kv in ker)
         counts: dict[int, int] = {}
-        for kv in ker:
-            ws = {weights[comp[j]] for j, x in enumerate(kv) if x}
+        for vec in layer:
+            ws = {weights[c] for c in vec}
             if len(ws) != 1:
                 raise RuntimeError(
                     f"socle basis vector is not weight-homogeneous {where}: "
@@ -157,6 +148,7 @@ def socle_series(rep: GRep) -> SocleSeries:
                 )
             (w,) = ws
             counts[w] = counts.get(w, 0) + 1
+            socle.add(vec)
         factors = sl2.constituents(counts)
         layer_dim = sum((k + 1) * c for k, c in factors.items())
         if min(factors.values(), default=0) < 0 or layer_dim != len(ker):
@@ -164,13 +156,7 @@ def socle_series(rep: GRep) -> SocleSeries:
                 f"socle layer weights are not an sl(2)-character {where}: "
                 f"weight multiplicities {counts}"
             )
-        for kv in ker:
-            vec = [0] * n
-            for j, x in enumerate(kv):
-                vec[comp[j]] = x
-            socle.add(vec)
-        rows, _ = socle.echelon()
-        steps.append(SocleStep(tuple(map(tuple, rows)), factors))
+        steps.append(SocleStep(layer, factors))
     return SocleSeries(tuple(steps))
 
 

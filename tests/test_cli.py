@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
-from racahmod.exact import kernel
+from racahmod.exact import RowSpace, kernel
 from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
-from racahmod.sl2 import constituents
+from racahmod.sl2 import constituents, diagonal_weights
 from racahmod.wigner import delta, find_sixj_zeros
 
 
@@ -128,6 +128,64 @@ def test_realize_latex_blocks_follow_the_basis(capsys, argv, layout):
     assert lines[0] == "\\begin{array}{" + "|".join("r" * d for d in layout) + "}"
     hlines = [i for i, line in enumerate(lines) if line == "\\hline"]
     assert hlines == [sum(layout[: k + 1]) + k + 1 for k in range(len(layout) - 1)]
+
+
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        (["--kind", "z", "--ell", "1", "--b", "2", "--m", "2"], [2, 6, 12]),
+        (["--kind", "zdual", "--ell", "0", "--b", "2", "--m", "2"], [5, 8, 9]),
+        (["--kind", "len3", "--m", "3", "--c", "2"], [1, 5, 8]),
+        (["--kind", "zfam", "--m", "4", "--z", "5/7"], [1, 6, 11, 12]),
+        (["--kind", "sympow", "--m", "2", "--b", "3"], [1, 4, 9, 16]),
+        (["--kind", "sympow", "--m", "3", "--b", "3", "--part", "big"], [1, 5, 15, 35]),
+    ],
+)
+def test_socle_layers_span_the_series_that_socle_prints(tmp_path, capsys, argv, dims):
+    code, out = run(capsys, "realize", *argv)
+    assert code == 0
+    rep = grep_from_json(out)
+    path = tmp_path / "module.json"
+    path.write_text(out)
+    code, out = run(capsys, "socle", "--in", str(path), "--format", "json")
+    assert code == 0
+    printed = json.loads(out)["steps"]
+    assert [shown["dimension"] for shown in printed] == dims
+    weights = diagonal_weights(rep.h)
+    mats = [mat for _, mat in rep.matrices()]
+    socle = RowSpace(rep.dim)
+    spanning = []
+    steps = socle_series(rep).steps
+    assert len(steps) == len(printed)
+    for step, shown in zip(steps, printed):
+        for vec in step.layer:
+            assert len({weights[j] for j in vec}) == 1
+            assert socle.add(vec)
+            spanning.append([vec.get(j, 0) for j in range(rep.dim)])
+        # soc^i is a submodule: h, e, f and every v_i map its span into itself
+        assert all(mat.apply(vec) in socle for vec in spanning for mat in mats)
+        assert shown == {
+            "dimension": len(socle),
+            "factors": {str(k): n for k, n in sorted(step.factors.items())},
+        }
+    assert len(socle) == rep.dim
+
+
+def test_socle_of_a_module_with_reducible_layers(tmp_path, capsys):
+    code, out = run(capsys, "realize", "--kind", "sympow", "--m", "3", "--b", "3", "--part", "big")
+    assert code == 0
+    path = tmp_path / "big.json"
+    path.write_text(out)
+    code, out = run(capsys, "socle", "--in", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "step 1: dim 1, factor V(0)",
+        "step 2: dim 5, factor V(3)",
+        "step 3: dim 15, factor V(6) + V(2)",
+        "step 4: dim 35, factor V(9) + V(5) + V(3)",
+    ]
+    code, out = run(capsys, "uniserial", "--in", str(path))
+    assert code == 1 and out.strip() == "false"
 
 
 def test_realize_other_kinds(capsys):

@@ -11,6 +11,7 @@ from racahmod.exact import (
     QMatrix,
     RowSpace,
     SqrtRational,
+    assemble_blocks,
     binomial,
     factorial,
     factorial_surd,
@@ -157,6 +158,32 @@ def test_rank_nullity(rows):
     assert matrix_rank(m) + len(kernel(m)) == m.cols
     for vec in kernel(m):
         assert all(x == 0 for x in m.apply(vec))
+
+
+def test_kernel_refuses_no_matrix_and_unequal_column_counts():
+    with pytest.raises(ValueError, match="no matrix"):
+        kernel()
+    with pytest.raises(ValueError, match="column counts differ"):
+        kernel(QMatrix.zero(2, 3), QMatrix.zero(2, 2))
+    with pytest.raises(ValueError, match="column counts differ"):
+        matrix_rank(QMatrix.identity(2), QMatrix.identity(3))
+
+
+@st.composite
+def _families(draw):
+    """One to four matrices sharing a column count, each with its own row count."""
+    c = draw(st.integers(min_value=0, max_value=5))
+    return [draw(_matrices(cols=c))[0] for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(_families())
+@settings(max_examples=200, deadline=None)
+def test_joint_kernel_is_the_kernel_of_the_stack(mats):
+    stack = assemble_blocks(
+        [mat.rows for mat in mats], [mats[0].cols], {(i, 0): mat for i, mat in enumerate(mats)}
+    )
+    assert kernel(*mats) == kernel(stack)
+    assert matrix_rank(*mats) == matrix_rank(stack)
 
 
 def test_rref_determinism_and_pivots():

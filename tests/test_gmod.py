@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +15,10 @@ from racahmod.constructions import (
     build_z_dual,
     build_z_family,
 )
-from racahmod.exact import (
-    QMatrix,
-    RowSpace,
-    assemble_blocks,
-    kernel,
-    quotient_matrix,
-    rat_from_str,
-)
+from racahmod.exact import QMatrix, RowSpace, kernel, quotient_matrix, rat_from_str
 from racahmod.gmod import (
     GRep,
+    RepCheck,
     check_rep,
     dual_rep,
     grep_from_dict,
@@ -40,6 +35,11 @@ from racahmod.sl2 import (
     irrep,
     tensor,
 )
+
+
+def socle_dims(series):
+    """dim soc^i for each step: the running sum of the layer sizes."""
+    return list(accumulate(len(step.layer) for step in series.steps))
 
 
 def zero_radical_rep(base, m):
@@ -83,6 +83,17 @@ def test_check_rep_detects_sl2_violation():
     assert not verdict.ok and verdict.failure == "[e,f] != h"
 
 
+def test_check_rep_names_the_defining_relation_of_v_0():
+    # a matrix unit of weight m = 2 added to v_0 keeps [h,v_0] = m v_0 but
+    # breaks [e,v_0] = 0, which has no (m-i+1) v_{i-1} term
+    rep = build_z(0, 2, 2)
+    weights = diagonal_weights(rep.h)
+    assert weights[0] - weights[7] == rep.m
+    unit = QMatrix.from_sparse_rows(rep.dim, [{7: 1} if i == 0 else {} for i in range(rep.dim)])
+    broken = dataclasses.replace(rep, v=(rep.v[0] + unit, *rep.v[1:]))
+    assert check_rep(broken) == RepCheck(False, "[e,v_0] != 0")
+
+
 def test_check_rep_shape_errors():
     rep = build_z(0, 1, 1)
     bad = dataclasses.replace(rep, v=rep.v[:1])
@@ -93,8 +104,7 @@ def test_check_rep_shape_errors():
 def test_socle_series_main_family():
     series = socle_series(build_z(1, 2, 2))
     assert series.factor_weights() == [1, 3, 5]
-    dims = [len(step.basis) for step in series.steps]
-    assert dims == [2, 6, 12]
+    assert socle_dims(series) == [2, 6, 12]
 
 
 def test_socle_series_zero_radical_single_step():
@@ -113,14 +123,13 @@ def test_socle_series_dual_reverses():
 
 def test_socle_invariance_of_steps():
     rep = build_z(0, 2, 3)
-    series = socle_series(rep)
     mats = [mat for _, mat in rep.matrices()]
-    for step in series.steps:
-        space = RowSpace(rep.dim)
-        for vec in step.basis:
-            space.add(vec)
-        assert len(space) == len(step.basis)
-        for vec in step.basis:
+    space = RowSpace(rep.dim)
+    spanning = []
+    for step in socle_series(rep).steps:
+        assert [space.add(vec) for vec in step.layer] == [True] * len(step.layer)
+        spanning += [[vec.get(j, 0) for j in range(rep.dim)] for vec in step.layer]
+        for vec in spanning:
             for mat in mats:
                 assert mat.apply(vec) in space
 
@@ -252,7 +261,8 @@ def test_grep_from_dict_rejects_schema_breaks():
 def test_socle_steps_grow_strictly_and_exhaust():
     for rep in [build_z(1, 2, 2), build_z_dual(0, 2, 3), build_z_family(4, 1)]:
         series = socle_series(rep)
-        dims = [len(step.basis) for step in series.steps]
+        dims = socle_dims(series)
+        assert all(step.layer for step in series.steps)
         assert dims == sorted(set(dims))
         assert dims[-1] == rep.dim
         total = sum(
@@ -271,7 +281,7 @@ def test_socle_series_of_dim_81_module():
     assert rep.dim == 81
     series = socle_series(rep)
     assert series.factor_weights() == [0, 5, 10, 15, 20, 25]
-    assert [len(step.basis) for step in series.steps] == [1, 7, 18, 34, 55, 81]
+    assert socle_dims(series) == [1, 7, 18, 34, 55, 81]
     assert is_uniserial(rep)
 
 
@@ -282,10 +292,8 @@ def _layer_by_e_rank(rep, below):
     `below` and decomposes that sl(2)-module with sl2.decompose.
     """
     comp = below.free_columns()
-    nc = len(comp)
-    quot_v = {(i, 0): quotient_matrix(vm, below) for i, vm in enumerate(rep.v)}
-    layer = RowSpace(nc)
-    for kv in kernel(assemble_blocks([nc] * len(quot_v), [nc], quot_v)):
+    layer = RowSpace(len(comp))
+    for kv in kernel(*[quotient_matrix(vm, below) for vm in rep.v]):
         layer.add(kv)
     rows, pivots = layer.echelon()
     weights = diagonal_weights(rep.h)
@@ -323,11 +331,10 @@ def test_socle_factors_match_sl2_decompose():
             factors, size = _layer_by_e_rank(rep, below)
             # equal as dicts and in order, highest weight first
             assert list(factors.items()) == list(step.factors.items())
-            assert len(below) + size == len(step.basis)
+            assert size == len(step.layer)
             layers += 1
             several += len(factors) > 1
-            below = RowSpace(rep.dim)
-            for vec in step.basis:
+            for vec in step.layer:
                 below.add(vec)
     assert layers == 3 + 3 + 3 + 4 + 4 + 3 + 3 + 6
     # the sympow big module is not uniserial: V(4) + V(0) in its third layer

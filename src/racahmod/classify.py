@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .constructions import build_from_sequence
 from .exact import (
@@ -208,6 +209,10 @@ def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
     return SqrtRational(Fraction(n, d), rad)
 
 
+def _csv_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
 @dataclass(frozen=True)
 class LambdaReport:
     a: int
@@ -221,6 +226,15 @@ class LambdaReport:
     sixj: SqrtRational
     product: SqrtRational
     agrees: bool
+
+    CSV_HEADER: ClassVar[str] = "a,b,c,p,q,k,lambda,c_factor,sixj,product,agrees"
+
+    def csv(self) -> str:
+        """The report as one line under CSV_HEADER."""
+        return (
+            f"{self.a},{self.b},{self.c},{self.p},{self.q},{self.k},{self.lam},"
+            f"{self.c_factor},{self.sixj},{self.product},{_csv_bool(self.agrees)}"
+        )
 
 
 def verify_scalar_theorem(
@@ -356,6 +370,10 @@ def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
 
 # -- sweep drivers ------------------------------------------------------------------
 
+# A sweep's result row: its CSV line and its verdict.  The workers format the
+# lines, so only str and bool travel back from the pool.
+CsvRow = tuple[str, bool]
+
 
 def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, int]]:
     """All (a,b,c,p,q,k) with entries <= max_val passing the four triangles.
@@ -371,15 +389,18 @@ def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, i
     return sorted(tuples, key=lambda t: (t[0], t[1], t[3], t[2], t[4], t[5]))
 
 
-def _scalar_task(tuples) -> list[LambdaReport]:
-    return [verify_scalar_theorem(*t, cross_check_sixj=False) for t in tuples]
+def _scalar_task(tuples) -> list[CsvRow]:
+    reports = (verify_scalar_theorem(*t, cross_check_sixj=False) for t in tuples)
+    return [(r.csv(), r.agrees) for r in reports]
 
 
-def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[LambdaReport]:
-    """verify_scalar_theorem over the whole box; deterministic order."""
+def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[CsvRow]:
+    """verify_scalar_theorem over the whole box, in a deterministic order:
+    each report as its CSV line under LambdaReport.CSV_HEADER and whether it
+    agrees."""
     tuples = scalar_theorem_tuples(max_val)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: t[:2])]
-    return [report for chunk in sweep(_scalar_task, tasks, jobs) for report in chunk]
+    return [row for chunk in sweep(_scalar_task, tasks, jobs) for row in chunk]
 
 
 @dataclass(frozen=True)
@@ -401,6 +422,21 @@ class ClassificationRow:
             == self.alternating_image_empty
             == self.assembly_succeeds
         )
+
+    CSV_HEADER: ClassVar[str] = (
+        "m,a,b,c,closed_form,sixj_vanishing,alternating_image_empty,assembly_succeeds,consistent"
+    )
+
+    def csv(self) -> str:
+        """The row as one line under CSV_HEADER."""
+        verdicts = (
+            self.closed_form,
+            self.sixj_vanishing,
+            self.alternating_image_empty,
+            self.assembly_succeeds,
+            self.consistent,
+        )
+        return f"{self.m},{self.a},{self.b},{self.c}," + ",".join(map(_csv_bool, verdicts))
 
 
 def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, int, int]]:
@@ -433,14 +469,15 @@ def classification_row(m: int, a: int, b: int, c: int) -> ClassificationRow:
     )
 
 
-def _classification_task(tuples) -> list[ClassificationRow]:
-    return [classification_row(*t) for t in tuples]
+def _classification_task(tuples) -> list[CsvRow]:
+    rows = (classification_row(*t) for t in tuples)
+    return [(r.csv(), r.consistent) for r in rows]
 
 
-def classification_sweep(
-    max_m: int, max_weight: int, jobs: int | None = 1
-) -> list[ClassificationRow]:
-    """Three-way check of the length-3 classification over the whole box."""
+def classification_sweep(max_m: int, max_weight: int, jobs: int | None = 1) -> list[CsvRow]:
+    """Three-way check of the length-3 classification over the whole box:
+    each row as its CSV line under ClassificationRow.CSV_HEADER and whether
+    its routes are consistent."""
     tuples = classification_tuples(max_m, max_weight)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: (t[0], t[2]))]
     return [row for chunk in sweep(_classification_task, tasks, jobs) for row in chunk]

@@ -142,8 +142,12 @@ def _cmd_realize(args, error) -> int:
 def _load_grep(path: str) -> GRep:
     from . import gmod
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return gmod.grep_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return gmod.grep_from_json(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def _cmd_socle(args) -> int:
@@ -210,42 +214,36 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
+def _print_sweep(header: str, rows, failure: str, keys: int) -> int:
+    """Print a sweep's CSV: the header, then each row's line.  Exit 1 if any
+    verdict is false, naming on stderr the first failing row by its leading
+    `keys` columns."""
+    print(header)
+    bad = None
+    for text, ok in rows:
+        print(text)
+        if not ok and bad is None:
+            bad = text
+    if bad is None:
+        return 0
+    names = ",".join(header.split(",")[:keys])
+    values = ",".join(bad.split(",")[:keys])
+    print(f"{failure} at ({names})=({values})", file=sys.stderr)
+    return 1
+
+
 def _cmd_verify_scalar(args) -> int:
     from . import classify
 
-    reports = classify.verify_scalar_sweep(args.max, jobs=args.jobs)
-    print("a,b,c,p,q,k,lambda,c_factor,sixj,product,agrees")
-    all_ok = True
-    for r in reports:
-        all_ok &= r.agrees
-        print(
-            f"{r.a},{r.b},{r.c},{r.p},{r.q},{r.k},{r.lam!s},"
-            f"{r.c_factor},{r.sixj},{r.product},{'true' if r.agrees else 'false'}"
-        )
-    return 0 if all_ok else 1
+    rows = classify.verify_scalar_sweep(args.max, jobs=args.jobs)
+    return _print_sweep(classify.LambdaReport.CSV_HEADER, rows, "lambda != C * 6j", 6)
 
 
 def _cmd_verify_classify(args) -> int:
     from . import classify
 
     rows = classify.classification_sweep(args.max_m, args.max_weight, jobs=args.jobs)
-    print("m,a,b,c,closed_form,sixj_vanishing,alternating_image_empty,assembly_succeeds,consistent")
-    all_ok = True
-    for r in rows:
-        all_ok &= r.consistent
-        cells = [
-            r.m,
-            r.a,
-            r.b,
-            r.c,
-            "true" if r.closed_form else "false",
-            "true" if r.sixj_vanishing else "false",
-            "true" if r.alternating_image_empty else "false",
-            "true" if r.assembly_succeeds else "false",
-            "true" if r.consistent else "false",
-        ]
-        print(",".join(str(x) for x in cells))
-    return 0 if all_ok else 1
+    return _print_sweep(classify.ClassificationRow.CSV_HEADER, rows, "routes disagree", 4)
 
 
 def _cmd_recouple(args) -> int:

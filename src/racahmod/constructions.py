@@ -17,6 +17,7 @@ construction realizing Z(0, b) inside the b-th symmetric power of the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,22 +36,26 @@ from .exact import (
 from .gmod import GRep
 
 
-def radical_blocks(m: int, target: int, source: int) -> list[QMatrix]:
+@functools.lru_cache(maxsize=1024)
+def radical_blocks(m: int, target: int, source: int) -> tuple[QMatrix, ...]:
     """Canonical superdiagonal blocks V(m) -> Hom(V(target), V(source)).
 
     hom_embedding fixes the maps projectively; the primitive normalization
-    pins the scale and sign.
+    pins the scale and sign.  Memoised, so the result is a tuple that no
+    caller can change.
     """
-    return primitive_family(sl2.hom_embedding(m, target, source))
+    return tuple(primitive_family(sl2.hom_embedding(m, target, source)))
 
 
-def _chain(seq: list[int], m: int) -> dict[tuple[int, int], list[QMatrix]]:
+def _chain(seq: list[int], m: int) -> dict[tuple[int, int], tuple[QMatrix, ...]]:
     """The canonical superdiagonal of a factor sequence: factor j + 1 maps
     into factor j by radical_blocks(m, seq[j + 1], seq[j])."""
     return {(j, j + 1): radical_blocks(m, seq[j + 1], seq[j]) for j in range(len(seq) - 1)}
 
 
-def _assemble(weights: list[int], m: int, blocks: dict[tuple[int, int], list[QMatrix]]) -> GRep:
+def _assemble(
+    weights: list[int], m: int, blocks: dict[tuple[int, int], tuple[QMatrix, ...]]
+) -> GRep:
     """The module with socle-flag factors V(w), w in weights, on the diagonal.
 
     h, e and f act block-diagonally in the divided-power basis; v_i maps
@@ -126,7 +131,7 @@ def build_z_family(m: int, z) -> GRep:
         raise ValueError(f"the parameter z must be an int or a Fraction, got {z!r}")
     seq = [0, m, m, 0]
     blocks = _chain(seq, m)
-    blocks[1, 3] = [z * mat for mat in blocks[2, 3]]
+    blocks[1, 3] = tuple(z * mat for mat in blocks[2, 3])
     return _assemble(seq, m, blocks)
 
 

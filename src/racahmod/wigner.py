@@ -363,7 +363,9 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     fn and the tasks must pickle.  Each task travels on its own, so callers
     group their work into tasks of a useful size: the zero scan sends one
     task per largest triangle sum, the other sweeps one per group of tuples
-    that share their first entries.
+    that share their first entries.  Each result is pickled back to this
+    process, so tasks should return plain str, int and bool: a Fraction
+    travels as its decimal string and is parsed again here, one at a time.
     """
     cores = os.cpu_count() or 1
     workers = min(cores if jobs is None else jobs, len(tasks), cores)

@@ -148,15 +148,15 @@ def test_criterion_4_builder_relation_suite():
 
 def test_criterion_5_scalar_identity_sweep():
     start = time.perf_counter()
-    reports = verify_scalar_sweep(8, jobs=JOBS)
-    ok = len(reports) > 10000 and all(r.agrees for r in reports)
+    rows = verify_scalar_sweep(8, jobs=JOBS)
+    ok = len(rows) > 10000 and all(agrees for _, agrees in rows)
     _report(5, "lambda = C * 6j, all <=8", ok, time.perf_counter() - start, 300.0)
 
 
 def test_criterion_6_classification_three_way():
     start = time.perf_counter()
     rows = classification_sweep(6, 14, jobs=JOBS)
-    ok = len(rows) > 1000 and all(r.consistent for r in rows)
+    ok = len(rows) > 1000 and all(consistent for _, consistent in rows)
     _report(6, "length-3 classification routes", ok, time.perf_counter() - start, 600.0)
 
 

@@ -346,6 +346,29 @@ def test_verify_scalar_theorem_small_sweep():
         assert verify_scalar_theorem(*tup).agrees, tup
 
 
+def _plain(value) -> bool:
+    """Whether value is built of lists and tuples of str and bool alone."""
+    if isinstance(value, (list, tuple)):
+        return all(_plain(x) for x in value)
+    return type(value) in (str, bool)
+
+
+def test_sweep_tasks_return_only_text_and_verdicts():
+    # a task's result is pickled back from the pool, where a Fraction or a
+    # SqrtRational would cost far more than its text
+    scalar = classify._scalar_task(scalar_theorem_tuples(3))
+    rows = classify._classification_task(classification_tuples(2, 4))
+    for result in (scalar, rows):
+        assert result and _plain(result)
+        assert all(len(row) == 2 for row in result)
+    assert [row for row, _ in rows] == [
+        classification_row(*t).csv() for t in classification_tuples(2, 4)
+    ]
+    assert [ok for _, ok in rows] == [
+        classification_row(*t).consistent for t in classification_tuples(2, 4)
+    ]
+
+
 def test_verify_recoupling():
     assert verify_recoupling(0, 0, 0, 0)
     assert verify_recoupling(1, 1, 0, 0)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racahmod import classify
+from racahmod.classify import LambdaReport, scalar_theorem_tuples, verify_scalar_theorem
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
 from racahmod.exact import RowSpace, kernel
@@ -253,6 +256,55 @@ def test_verify_classify_m_beyond_twice_the_weight_bound(capsys):
     assert len(out.splitlines()) == 16 and elapsed < 10
 
 
+def test_verify_scalar_rows_are_the_reports_of_the_tuples(capsys):
+    # the pool's workers format the rows; each must read as the report made
+    # here, field by field
+    code, out = run(capsys, "verify-scalar", "--max", "4", "--jobs", "2")
+    header, *lines = out.splitlines()
+    reports = [verify_scalar_theorem(*t) for t in scalar_theorem_tuples(4)]
+    assert code == 0 and header == LambdaReport.CSV_HEADER
+    assert lines == [r.csv() for r in reports]
+    for line, r in zip(lines, reports):
+        fields = (r.a, r.b, r.c, r.p, r.q, r.k, r.lam, r.c_factor, r.sixj, r.product)
+        assert line.split(",") == [str(x) for x in fields] + ["true"]
+    assert any(not r.c_factor.is_rational for r in reports)
+    assert any(not r.sixj.is_rational for r in reports)
+
+
+def _fail_at(fn, bad, **change):
+    def faulty(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        return dataclasses.replace(result, **change) if args in bad else result
+
+    return faulty
+
+
+def test_false_verdict_names_the_first_failing_tuple(capsys, monkeypatch):
+    _, good = run(capsys, "verify-scalar", "--max", "2", "--jobs", "1")
+    bad = [(1, 1, 0, 2, 1, 1), (0, 0, 1, 0, 1, 1)]
+    fault = _fail_at(classify.verify_scalar_theorem, bad, agrees=False)
+    monkeypatch.setattr("racahmod.classify.verify_scalar_theorem", fault)
+    code = main(["verify-scalar", "--max", "2", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "lambda != C * 6j at (a,b,c,p,q,k)=(0,0,1,0,1,1)\n"
+    # stdout prints the two bad rows as false and every other byte as before
+    before, after = good.splitlines(), captured.out.splitlines()
+    changed = [(old, new) for old, new in zip(before, after) if old != new]
+    assert len(after) == len(before) and len(changed) == 2
+    assert all(new == old.removesuffix("true") + "false" for old, new in changed)
+
+
+def test_inconsistent_routes_name_the_first_failing_tuple(capsys, monkeypatch):
+    row = classify.classification_row(1, 1, 2, 3)
+    fault = _fail_at(classify.classification_row, [(1, 1, 2, 3)], closed_form=not row.closed_form)
+    monkeypatch.setattr("racahmod.classify.classification_row", fault)
+    code = main(["verify-classify", "--max-m", "1", "--max-weight", "4", "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out.count(",false\n") == 1
+    assert captured.err == "routes disagree at (m,a,b,c)=(1,1,2,3)\n"
+
+
 def test_recouple(capsys):
     code, out = run(capsys, "recouple", "--twoj", "2", "2", "2", "2")
     assert code == 0 and out.strip() == "true"
@@ -262,8 +314,8 @@ def test_sweep_output_independent_of_workers(capsys):
     _, serial = run(capsys, "zeros", "--max", "8", "--jobs", "1")
     _, parallel = run(capsys, "zeros", "--max", "8", "--jobs", "2")
     assert serial == parallel
-    _, serial = run(capsys, "verify-scalar", "--max", "3", "--jobs", "1")
-    _, parallel = run(capsys, "verify-scalar", "--max", "3", "--jobs", "2")
+    _, serial = run(capsys, "verify-scalar", "--max", "5", "--jobs", "1")
+    _, parallel = run(capsys, "verify-scalar", "--max", "5", "--jobs", "2")
     assert serial == parallel
     argv = ("verify-classify", "--max-m", "2", "--max-weight", "6")
     _, serial = run(capsys, *argv, "--jobs", "1")
@@ -313,6 +365,18 @@ def test_malformed_module_input_exits_two(tmp_path, capsys, content):
         code = main([command, "--in", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and "error:" in captured.err and captured.out == ""
+
+
+def test_module_file_that_is_not_json_is_named(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("a,b\n1,2\n")
+    for command in ("socle", "uniserial"):
+        code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
+        )
 
 
 SCALAR_RADICAL = (

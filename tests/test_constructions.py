@@ -20,7 +20,7 @@ from racahmod.constructions import (
     grep_to_latex,
     radical_blocks,
 )
-from racahmod.exact import QMatrix, span_closure
+from racahmod.exact import QMatrix, primitive_family, span_closure
 from racahmod.gmod import check_rep, is_uniserial, socle_series
 from racahmod.sl2 import hom_embedding, symmetric_power_components
 
@@ -350,6 +350,16 @@ def test_build_from_sequence_exceptional():
     rep = build_from_sequence([0, 3, 2], 3)
     assert isinstance(rep, GRep)
     assert is_uniserial(rep)
+
+
+def test_radical_blocks_memo_equals_the_unmemoised_family():
+    for m in range(1, 5):
+        for source in range(7):
+            for target in range(abs(source - m), source + m + 1, 2):
+                blocks = radical_blocks(m, target, source)
+                assert type(blocks) is tuple  # shared by every caller, so immutable
+                assert radical_blocks(m, target, source) is blocks
+                assert blocks == tuple(primitive_family(hom_embedding(m, target, source)))
 
 
 def test_radical_blocks_are_primitive_multiples_of_the_embedding():

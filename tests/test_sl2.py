@@ -99,7 +99,7 @@ def _shifted_identity_family(a, m):
         for r in range(a + 1):
             rows[r][m - i + r] = (-1) ** i * comb(m, i)
         family.append(QMatrix.from_rows(rows))
-    return family
+    return tuple(family)
 
 
 def test_hom_embedding_block_family_comparison():

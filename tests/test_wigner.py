@@ -332,6 +332,7 @@ def test_every_cache_is_bounded():
                 if hasattr(obj, "cache_info"):
                     caches[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
     assert {
+        "racahmod.constructions.radical_blocks",
         "racahmod.wigner._delta_surd",
         "racahmod.sl2._f_power_images",
         "racahmod.sl2.hom_embedding",

@@ -39,7 +39,7 @@ from .exact import (
     triangle,
 )
 from .gmod import GRep
-from .sl2 import _f_power_images, iota
+from .sl2 import _f_power_images, _iota_image, iota
 from .wigner import _delta_surd, _surd_product, cgc, delta, sixj, sixj_tuples, sweep
 
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -167,10 +167,10 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
     _require_four_triangles(a, b, c, p, q, k)
     left, left_den = _f_power_images(p, a, b)
     right, right_den = _f_power_images(q, b, c)
-    top, top_den = _f_power_images(k, p, q)
-    target, target_den = _f_power_images(k, a, c)
+    top, top_den = _iota_image(k, p, q)
+    target, target_den = _iota_image(k, a, c)
     phi: dict[tuple[int, int], int] = {}
-    for r1, (r2, coeff) in top[0].items():
+    for r1, (r2, coeff) in top.items():
         lookup = right[r2]
         for i, (r, ca) in left[r1].items():
             hit = lookup.get(b - r)
@@ -178,7 +178,7 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
                 n, cb = hit
                 term = coeff * ca * cb
                 phi[(i, n)] = phi.get((i, n), 0) + (-term if r & 1 else term)
-    (i0, (n0, tv0)), *rest = target[0].items()
+    (i0, (n0, tv0)), *rest = target.items()
     pv0 = phi.pop((i0, n0), 0)
     # phi / (top_den * left_den * right_den) = lam * target / target_den
     for i, (n, tv) in rest:

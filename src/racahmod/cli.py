@@ -148,6 +148,8 @@ def _load_grep(path: str) -> GRep:
         return gmod.grep_from_json(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not JSON: {exc}") from None
+    except ValueError as exc:  # off the module schema
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_socle(args) -> int:

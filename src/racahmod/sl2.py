@@ -5,9 +5,9 @@ Weights here are plain non-negative integers (the highest weight k of the
 twice-values.  Every matrix is in the divided-power basis F^r e / r! of
 V(k), so E has superdiagonal (k, ..., 2, 1) and F has subdiagonal
 (1, 2, ..., k); the block-matrix module realizations live in these
-coordinates.  Only the integral coefficient formulas (TensorVector, iota and
-_f_power_images) work in the plain coordinates F^r e, where E acts by
-r(k+1-r) and F by 1; hom_embedding converts their output.
+coordinates.  Only the integral coefficient formulas (TensorVector, iota,
+_f_power_images and _iota_image) work in the plain coordinates F^r e, where
+E acts by r(k+1-r) and F by 1; hom_embedding converts their output.
 
 The library calls none of the following; each is a route a test compares
 against: tensor and decompose (test_decompose_clebsch_gordan_sweep,
@@ -205,10 +205,26 @@ def _f_power_images(k: int, a: int, b: int) -> tuple[tuple[dict[int, tuple[int, 
     w = iota(k, a, b)
     images = []
     for i in range(k + 1):
-        images.append({r1: (r2, c) for (r1, r2), c in w.num.items()})
+        images.append(_by_first_slot(w))
         if i < k:
             w = w.apply_f()
     return tuple(images), w.den
+
+
+@functools.lru_cache(maxsize=1024)
+def _iota_image(k: int, a: int, b: int) -> tuple[dict[int, tuple[int, int]], int]:
+    """Image 0 of _f_power_images(k, a, b), iota itself, without the F-powers.
+
+    For callers that read only the highest weight vector: memoised apart, so
+    they neither build the other k images nor evict the entries of
+    _f_power_images that other callers reuse.
+    """
+    w = iota(k, a, b)
+    return _by_first_slot(w), w.den
+
+
+def _by_first_slot(w: TensorVector) -> dict[int, tuple[int, int]]:
+    return {r1: (r2, c) for (r1, r2), c in w.num.items()}
 
 
 @functools.lru_cache(maxsize=1024)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import time
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Callable, Iterator, Sequence
@@ -354,12 +355,26 @@ def sixj_tuples(bounds: Sequence[int]) -> Iterator[SixJInput]:
                             yield (t1, t2, t3, t4, t5, t6)
 
 
+# Seconds a process pool adds to a sweep: importing concurrent.futures,
+# forking the workers and shutting them down.  Measured as the median wall
+# time of `--jobs 2` minus `--jobs 1` over 41 alternating CLI launches on
+# sweeps of almost no work, on 2 cores: 0.071 s for `zeros --max 4`, 0.070 s
+# for `verify-classify --max-m 1 --max-weight 4` and 0.066 s for
+# `verify-scalar --max 1` (CPU time 0.073, 0.077 and 0.064 s).
+POOL_START_S = 0.07
+
+
 def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     """[fn(task) for task in tasks], on up to `jobs` worker processes.
 
     jobs=None means one per core.  Runs in this process when at most one
     worker would have work: jobs is capped at the number of tasks and of
-    cores.  Results keep the task order, so output never depends on jobs.
+    cores.  Otherwise the tasks start in this process too, and after each
+    one the serial time of the whole sweep is projected from the rate so
+    far (elapsed * len(tasks) / done).  Once the projection passes
+    POOL_START_S, the tasks left go to a process pool, capped again at
+    their number; a sweep whose projection never does so starts no pool.
+    Results keep the task order, so output never depends on jobs.
     fn and the tasks must pickle.  Each task travels on its own, so callers
     group their work into tasks of a useful size: the zero scan sends one
     task per largest triangle sum, the other sweeps one per group of tuples
@@ -369,12 +384,20 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     """
     cores = os.cpu_count() or 1
     workers = min(cores if jobs is None else jobs, len(tasks), cores)
+    results = []
+    start = time.perf_counter()
+    for task in tasks:
+        results.append(fn(task))
+        if workers > 1 and (time.perf_counter() - start) * len(tasks) > POOL_START_S * len(results):
+            break
+    rest = tasks[len(results) :]
+    workers = min(workers, len(rest))
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        return results + [fn(task) for task in rest]
     import concurrent.futures  # only a pool needs it; every launch would pay for it
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return results + list(pool.map(fn, rest))
 
 
 def _regge_images(a: Sequence[int], b: Sequence[int]) -> set[SixJInput]:

@@ -270,12 +270,34 @@ def test_lambda_route_calls_no_wigner_formula(monkeypatch):
         monkeypatch.setattr(owner, "sixj", forbidden)
         monkeypatch.setattr(owner, "cgc", forbidden)
     sl2._f_power_images.cache_clear()
+    sl2._iota_image.cache_clear()
     assert [lambda_phi(*t) for t in tuples] == expected
     assert expected[1] != 0 and expected[2] == 0
 
 
 def test_f_power_images_memo_is_bounded():
     assert sl2._f_power_images.cache_info().maxsize is not None
+
+
+def test_iota_image_is_image_zero_of_the_f_powers():
+    for a in range(9):
+        for b in range(9):
+            for k in range(abs(a - b), a + b + 1, 2):
+                images, den = sl2._f_power_images(k, a, b)
+                assert sl2._iota_image(k, a, b) == (images[0], den), (k, a, b)
+
+
+def test_lambda_phi_builds_f_powers_of_the_two_slots_only(monkeypatch):
+    asked = []
+
+    def recording(k, a, b):
+        asked.append((k, a, b))
+        return sl2._f_power_images(k, a, b)
+
+    monkeypatch.setattr(classify, "_f_power_images", recording)
+    a, b, c, p, q, k = 4, 6, 4, 4, 4, 6
+    lambda_phi(a, b, c, p, q, k)
+    assert asked == [(p, a, b), (q, b, c)]
 
 
 def _fraction_apply_f(coeffs, da, db):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racahmod import classify
+from racahmod import classify, wigner
 from racahmod.classify import LambdaReport, scalar_theorem_tuples, verify_scalar_theorem
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
@@ -325,6 +326,47 @@ def test_sweep_output_independent_of_workers(capsys):
     assert find_sixj_zeros(bounds, jobs=1) == find_sixj_zeros(bounds, jobs=2)
 
 
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_sweeps_handed_to_the_pool_match_one_job(monkeypatch, capsys):
+    # a start-up cost of 0 sends every task after the first to the pool, on
+    # two workers even where the machine has one core
+    monkeypatch.setattr(wigner, "POOL_START_S", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    argvs = [
+        ("zeros", "--max", "8"),
+        ("verify-scalar", "--max", "5"),
+        ("verify-classify", "--max-m", "2", "--max-weight", "6"),
+    ]
+    for argv in argvs:
+        serial = run(capsys, *argv, "--jobs", "1")
+        started = _CountingPool.started
+        assert run(capsys, *argv, "--jobs", "2") == serial, argv
+        assert _CountingPool.started == started + 1, argv
+    bounds = (6, 4, 8, 5, 7, 3)
+    serial = find_sixj_zeros(bounds, jobs=1)
+    started = _CountingPool.started
+    assert find_sixj_zeros(bounds, jobs=2) == serial
+    assert _CountingPool.started == started + 1
+
+
+def test_small_sweep_starts_no_pool(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep of almost no work started a process pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    serial = run(capsys, "zeros", "--max", "4", "--jobs", "1")
+    assert run(capsys, "zeros", "--max", "4", "--jobs", "2") == serial
+
+
 def test_uniserial_false_exit_code(tmp_path, capsys):
     from racahmod.exact import QMatrix
     from racahmod.gmod import GRep, grep_to_json
@@ -377,6 +419,16 @@ def test_module_file_that_is_not_json_is_named(tmp_path, capsys):
         assert captured.err == (
             f"error: {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n"
         )
+
+
+def test_module_file_off_the_schema_is_named(tmp_path, capsys):
+    path = tmp_path / "off.json"
+    path.write_text('{"m": 1, "dim": 1}')
+    for command in ("socle", "uniserial"):
+        code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}: module JSON lacks h, e, f, v, convention\n"
 
 
 SCALAR_RADICAL = (

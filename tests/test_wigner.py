@@ -335,6 +335,7 @@ def test_every_cache_is_bounded():
         "racahmod.constructions.radical_blocks",
         "racahmod.wigner._delta_surd",
         "racahmod.sl2._f_power_images",
+        "racahmod.sl2._iota_image",
         "racahmod.sl2.hom_embedding",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches

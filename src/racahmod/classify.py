@@ -23,9 +23,8 @@ verify_scalar_theorem compares lambda with C times the 6j-symbol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import NamedTuple
 
 from .constructions import build_from_sequence
 from .exact import (
@@ -47,8 +46,7 @@ UNIQUE_MODULE = "UniqueModule"
 ONE_PARAMETER_FAMILY = "OneParameterFamily"
 
 
-@dataclass(frozen=True)
-class AdmissibleVerdict:
+class AdmissibleVerdict(NamedTuple):
     status: str
     witness: str | None = None
 
@@ -213,8 +211,7 @@ def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-@dataclass(frozen=True)
-class LambdaReport:
+class LambdaReport(NamedTuple):
     a: int
     b: int
     c: int
@@ -227,7 +224,7 @@ class LambdaReport:
     product: SqrtRational
     agrees: bool
 
-    CSV_HEADER: ClassVar[str] = "a,b,c,p,q,k,lambda,c_factor,sixj,product,agrees"
+    CSV_HEADER = "a,b,c,p,q,k,lambda,c_factor,sixj,product,agrees"
 
     def csv(self) -> str:
         """The report as one line under CSV_HEADER."""
@@ -403,8 +400,7 @@ def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[CsvRow]:
     return [row for chunk in sweep(_scalar_task, tasks, jobs) for row in chunk]
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     m: int
     a: int
     b: int
@@ -423,7 +419,7 @@ class ClassificationRow:
             == self.assembly_succeeds
         )
 
-    CSV_HEADER: ClassVar[str] = (
+    CSV_HEADER = (
         "m,a,b,c,closed_form,sixj_vanishing,alternating_image_empty,assembly_succeeds,consistent"
     )
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import gmod, sl2
 from .exact import (
@@ -138,8 +138,7 @@ def build_z_family(m: int, z) -> GRep:
 # -- symmetric powers of the (m+2)-dimensional module ---------------------------
 
 
-@dataclass(frozen=True)
-class SymmetricPowerModule:
+class SymmetricPowerModule(NamedTuple):
     """Degree-b polynomial module and the submodule its top monomial generates.
 
     `big` is the space of degree-b homogeneous polynomials in m+2 variables
@@ -222,8 +221,7 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
 # -- axiomatic characterization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
+class CharacterizationReport(NamedTuple):
     maximal_generator: bool  # (C1)
     nilpotency_window: bool  # (C2)
     radical_compatibility: bool  # (C3) or its dual version
@@ -273,8 +271,7 @@ def check_z_characterization(
 # -- generic sequence builder -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceObstruction:
+class SequenceObstruction(NamedTuple):
     """First nonvanishing radical commutator met while assembling a sequence."""
 
     window: int  # index of the offending consecutive-factor window

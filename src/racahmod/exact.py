@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -147,7 +146,6 @@ def factorial_surd(top: Sequence[int], bottom: Sequence[int] = ()) -> tuple[int,
     return t, d, s
 
 
-@dataclass(frozen=True)
 class SqrtRational:
     """The exact number coeff * sqrt(radicand).
 
@@ -155,19 +153,41 @@ class SqrtRational:
     radicand = 1, so two values are equal iff their fields are equal.  The set
     of such numbers is closed under multiplication, which is all the
     recoupling formulas need: every Delta product, Clebsch-Gordan coefficient
-    and 6j-symbol is a rational multiple of one square root.
+    and 6j-symbol is a rational multiple of one square root.  Immutable: the
+    fields are set once, in __init__.
     """
 
-    coeff: Fraction
-    radicand: int = 1
+    __slots__ = ("coeff", "radicand")
 
-    def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.radicand < 1:
-            raise ValueError(f"radicand must be positive, got {self.radicand}")
-        if self.coeff == 0 and self.radicand != 1:
-            object.__setattr__(self, "radicand", 1)
+    def __init__(self, coeff, radicand: int = 1):
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if radicand < 1:
+            raise ValueError(f"radicand must be positive, got {radicand}")
+        if coeff == 0:
+            radicand = 1
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", radicand)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SqrtRational is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SqrtRational is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SqrtRational:
+            return NotImplemented
+        return self.coeff == other.coeff and self.radicand == other.radicand
+
+    def __hash__(self) -> int:
+        return hash((self.coeff, self.radicand))
+
+    def __repr__(self) -> str:
+        return f"SqrtRational(coeff={self.coeff!r}, radicand={self.radicand!r})"
+
+    def __reduce__(self):
+        return SqrtRational, (self.coeff, self.radicand)
 
     @staticmethod
     def of(coeff, radicand: int = 1) -> "SqrtRational":

@@ -18,15 +18,14 @@ single irreducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sl2
 from .exact import QMatrix, RowSpace, commutator, kernel, quotient_matrix, rat_from_str
 
 
-@dataclass(frozen=True)
-class GRep:
+class GRep(NamedTuple):
     """Matrices of h, e, f, v_0..v_m acting on the module's basis."""
 
     m: int
@@ -42,8 +41,7 @@ class GRep:
         return named
 
 
-@dataclass(frozen=True)
-class RepCheck:
+class RepCheck(NamedTuple):
     ok: bool
     failure: str | None = None
 
@@ -83,8 +81,7 @@ def check_rep(rep: GRep) -> RepCheck:
     return RepCheck(True)
 
 
-@dataclass(frozen=True)
-class SocleStep:
+class SocleStep(NamedTuple):
     """One step of the socle series: soc^i is the span of the layers of steps 1..i."""
 
     layer: tuple[dict[int, Fraction], ...]  # sparse {index: value} vectors that soc^i adds
@@ -96,8 +93,7 @@ class SocleStep:
         return list(self.factors.values()) == [1]
 
 
-@dataclass(frozen=True)
-class SocleSeries:
+class SocleSeries(NamedTuple):
     steps: tuple[SocleStep, ...]
 
     def factor_weights(self) -> list[int]:
@@ -167,8 +163,7 @@ def is_uniserial(rep: GRep) -> bool:
 
 def dual_rep(rep: GRep) -> GRep:
     """Dual module: every generator matrix X goes to -X^T."""
-    return replace(
-        rep,
+    return rep._replace(
         h=-rep.h.transpose(),
         e=-rep.e.transpose(),
         f=-rep.f.transpose(),
@@ -242,8 +237,38 @@ def grep_from_dict(data) -> GRep:
     )
 
 
+def _json_list(items: list[str], level: int) -> str:
+    # a list whose items are rendered already, laid out as json.dumps(...,
+    # indent=1) lays out a list that opens at nesting depth `level`
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (level + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * level}]"
+
+
+def _json_matrix(mat: QMatrix, level: int) -> str:
+    rows = []
+    for row in mat.sparse_rows():
+        cells = ['"0"'] * mat.cols
+        for j, x in row.items():
+            cells[j] = f'"{x}"'  # str(Fraction) needs no JSON escape
+        rows.append(_json_list(cells, level + 1))
+    return _json_list(rows, level)
+
+
 def grep_to_json(rep: GRep) -> str:
-    return json.dumps(grep_to_dict(rep), indent=1)
+    """json.dumps(grep_to_dict(rep), indent=1), byte for byte, written
+    directly: the json encoder runs in pure Python once it indents."""
+    fields = [
+        ("m", str(rep.m)),
+        ("dim", str(rep.dim)),
+        ("h", _json_matrix(rep.h, 1)),
+        ("e", _json_matrix(rep.e, 1)),
+        ("f", _json_matrix(rep.f, 1)),
+        ("v", _json_list([_json_matrix(vi, 2) for vi in rep.v], 1)),
+        ("convention", '"DividedPower"'),
+    ]
+    return "{\n" + ",\n".join(f' "{key}": {value}' for key, value in fields) + "\n}"
 
 
 def grep_from_json(text: str) -> GRep:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QMatrix, binomial, commutator, factorial, matrix_rank, triangle
 
 
-@dataclass(frozen=True)
-class Sl2Rep:
+class Sl2Rep(NamedTuple):
     """Matrices of h, e, f on a weight basis (h diagonal with integers)."""
 
     dim: int
@@ -113,7 +112,6 @@ def tensor(a: Sl2Rep, b: Sl2Rep) -> Sl2Rep:
     return Sl2Rep(n, h, kron_sum(a.e, b.e), kron_sum(a.f, b.f))
 
 
-@dataclass
 class TensorVector:
     """Vector in V(a) tensor V(b), plain coordinates F^r1 e tensor F^r2 e.
 
@@ -122,10 +120,13 @@ class TensorVector:
     only; ``coeffs`` reads the coefficients as Fractions.
     """
 
-    left_dim: int
-    right_dim: int
-    num: dict[tuple[int, int], int] = field(default_factory=dict)
-    den: int = 1
+    __slots__ = ("left_dim", "right_dim", "num", "den")
+
+    def __init__(self, left_dim: int, right_dim: int, num: dict[tuple[int, int], int], den: int):
+        self.left_dim = left_dim
+        self.right_dim = right_dim
+        self.num = num
+        self.den = den
 
     @property
     def coeffs(self) -> dict[tuple[int, int], Fraction]:

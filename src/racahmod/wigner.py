@@ -371,9 +371,12 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     worker would have work: jobs is capped at the number of tasks and of
     cores.  Otherwise the tasks start in this process too, and after each
     one the serial time of the whole sweep is projected from the rate so
-    far (elapsed * len(tasks) / done).  Once the projection passes
-    POOL_START_S, the tasks left go to a process pool, capped again at
-    their number; a sweep whose projection never does so starts no pool.
+    far (elapsed * len(tasks) / done).  A pool of w workers saves at most
+    (w - 1) / w of the serial time left, so it repays its start-up only
+    once the projection passes POOL_START_S * w / (w - 1): twice the
+    start-up on two workers.  Then the tasks left go to a process pool,
+    capped again at their number; a sweep whose projection never passes
+    that bound starts no pool.
     Results keep the task order, so output never depends on jobs.
     fn and the tasks must pickle.  Each task travels on its own, so callers
     group their work into tasks of a useful size: the zero scan sends one
@@ -385,10 +388,11 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     cores = os.cpu_count() or 1
     workers = min(cores if jobs is None else jobs, len(tasks), cores)
     results = []
+    worth = POOL_START_S * workers / max(workers - 1, 1)  # read only when workers > 1
     start = time.perf_counter()
     for task in tasks:
         results.append(fn(task))
-        if workers > 1 and (time.perf_counter() - start) * len(tasks) > POOL_START_S * len(results):
+        if workers > 1 and (time.perf_counter() - start) * len(tasks) > worth * len(results):
             break
     rest = tasks[len(results) :]
     workers = min(workers, len(rest))

@@ -15,6 +15,7 @@ from racahmod.classify import (
     NOT_ADMISSIBLE,
     ONE_PARAMETER_FAMILY,
     UNIQUE_MODULE,
+    ClassificationRow,
     LambdaReport,
     binomial_identity_check,
     c_factor,
@@ -461,3 +462,12 @@ def test_condition3_matches_alternating_emptiness():
                 for c in range(abs(b - m), min(b + m, 8) + 1, 2):
                     _, alternating = compute_I_J(a, b, c, m, m)
                     assert (alternating == []) == length3_condition3(a, b, c, m)
+
+
+def test_csv_headers_are_class_attributes_not_fields():
+    for record in (LambdaReport, ClassificationRow):
+        assert type(record.CSV_HEADER) is str
+        assert "CSV_HEADER" not in record._fields
+        assert record.CSV_HEADER.split(",")[: len(record._fields)] == [
+            "lambda" if name == "lam" else name for name in record._fields
+        ]

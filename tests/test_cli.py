@@ -3,7 +3,6 @@
 import concurrent.futures
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -275,7 +274,7 @@ def test_verify_scalar_rows_are_the_reports_of_the_tuples(capsys):
 def _fail_at(fn, bad, **change):
     def faulty(*args, **kwargs):
         result = fn(*args, **kwargs)
-        return dataclasses.replace(result, **change) if args in bad else result
+        return result._replace(**change) if args in bad else result
 
     return faulty
 

@@ -1,6 +1,7 @@
 """Unit tests for the exact arithmetic layer."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,39 @@ def test_sqrtrat_construction_normalizes():
 def test_sqrtrat_strings():
     assert str(SqrtRational(Fraction(3, 2), 5)) == "3/2*sqrt(5)"
     assert str(SqrtRational(Fraction(-2), 1)) == "-2"
+
+
+def test_sqrtrat_is_immutable():
+    x = SqrtRational(Fraction(3, 2), 5)
+    for name in ("coeff", "radicand", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.coeff, x.radicand) == (Fraction(3, 2), 5)
+
+
+def test_sqrtrat_equality_and_hash_follow_the_normalised_fields():
+    assert SqrtRational(0, 5) == SqrtRational(0) == SqrtRational(Fraction(0), 1)
+    assert hash(SqrtRational(0, 5)) == hash(SqrtRational(0))
+    assert SqrtRational(Fraction(2, 4), 3) == SqrtRational(Fraction(1, 2), 3)
+    assert len({SqrtRational(1, 2), SqrtRational(Fraction(1), 2), SqrtRational(1, 3)}) == 2
+    assert SqrtRational(1, 2) != SqrtRational(1, 3)
+    # a number, not a record: no tuple equality, ordering or length
+    assert SqrtRational(3) != Fraction(3) and SqrtRational(3) != (Fraction(3), 1)
+    assert not isinstance(SqrtRational(3), tuple)
+    with pytest.raises(TypeError):
+        SqrtRational(1) < SqrtRational(2)
+    with pytest.raises(TypeError):
+        len(SqrtRational(1))
+
+
+def test_sqrtrat_pickles_and_prints_exactly():
+    x = SqrtRational(Fraction(-7, 12), 15)
+    back = pickle.loads(pickle.dumps(x))
+    assert back == x and type(back.coeff) is Fraction and back.radicand == 15
+    assert repr(x) == "SqrtRational(coeff=Fraction(-7, 12), radicand=15)"
+    assert repr(SqrtRational(0, 7)) == "SqrtRational(coeff=Fraction(0, 1), radicand=1)"
 
 
 def test_sqrtrat_division():

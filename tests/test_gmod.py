@@ -1,6 +1,6 @@
 """Unit tests for representations of sl(2) semidirect V(m)."""
 
-import dataclasses
+import json
 from fractions import Fraction
 from itertools import accumulate
 
@@ -70,7 +70,7 @@ def test_check_rep_detects_perturbation():
     rep = build_z(1, 2, 2)
     rows = [list(row) for row in rep.v[0].to_fractions()]
     rows[0][2] += 1
-    broken = dataclasses.replace(rep, v=(QMatrix.from_rows(rows),) + rep.v[1:])
+    broken = rep._replace(v=(QMatrix.from_rows(rows),) + rep.v[1:])
     verdict = check_rep(broken)
     assert not verdict.ok
     assert verdict.failure is not None and "v_0" in verdict.failure
@@ -78,7 +78,7 @@ def test_check_rep_detects_perturbation():
 
 def test_check_rep_detects_sl2_violation():
     rep = build_z(0, 1, 2)
-    broken = dataclasses.replace(rep, e=2 * rep.e)
+    broken = rep._replace(e=2 * rep.e)
     verdict = check_rep(broken)
     assert not verdict.ok and verdict.failure == "[e,f] != h"
 
@@ -90,13 +90,13 @@ def test_check_rep_names_the_defining_relation_of_v_0():
     weights = diagonal_weights(rep.h)
     assert weights[0] - weights[7] == rep.m
     unit = QMatrix.from_sparse_rows(rep.dim, [{7: 1} if i == 0 else {} for i in range(rep.dim)])
-    broken = dataclasses.replace(rep, v=(rep.v[0] + unit, *rep.v[1:]))
+    broken = rep._replace(v=(rep.v[0] + unit, *rep.v[1:]))
     assert check_rep(broken) == RepCheck(False, "[e,v_0] != 0")
 
 
 def test_check_rep_shape_errors():
     rep = build_z(0, 1, 1)
-    bad = dataclasses.replace(rep, v=rep.v[:1])
+    bad = rep._replace(v=rep.v[:1])
     with pytest.raises(ValueError):
         check_rep(bad)
 
@@ -211,6 +211,36 @@ def test_json_round_trip_keeps_every_matrix(rep):
     back = grep_from_json(grep_to_json(rep))
     assert (back.m, back.dim) == (rep.m, rep.dim)
     assert back.matrices() == rep.matrices()
+
+
+def _assert_written_as_json_module(rep):
+    written, expected = grep_to_json(rep), json.dumps(grep_to_dict(rep), indent=1)
+    if written != expected:  # a plain assert would diff megabytes of text
+        at = next(i for i, (x, y) in enumerate(zip(written + "\0", expected + "\1")) if x != y)
+        pytest.fail(f"grep_to_json departs at {at}: {written[at - 20 : at + 20]!r}")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_z(2, 2, 4),
+        lambda: build_z_dual(0, 2, 2),
+        lambda: build_exceptional_len3(6, 8),
+        lambda: build_z_family(8, Fraction(5, 7)),
+        lambda: build_symmetric_power(2, 2).big,
+        lambda: build_symmetric_power(2, 3).sub,
+        lambda: build_z(0, 9, 9),
+    ],
+    ids=["z", "zdual", "len3", "zfam", "sympow-big", "sympow-sub", "z099"],
+)
+def test_json_writer_matches_the_json_module(build):
+    _assert_written_as_json_module(build())
+
+
+@given(_interchange_modules())
+@settings(max_examples=60, deadline=None)
+def test_json_writer_matches_the_json_module_on_any_matrices(rep):
+    _assert_written_as_json_module(rep)
 
 
 def _breaks_schema(data):

@@ -58,6 +58,18 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, absent):
     assert "cli" in loaded and not loaded & absent
 
 
+def test_no_layer_loads_dataclasses_or_inspect():
+    # both cost a launch milliseconds; only what the layers add is counted,
+    # so a module the bare interpreter loads already does not fail the test
+    probe = """import json, sys
+base = set(sys.modules)
+import racahmod.cli, racahmod.classify, racahmod.constructions, racahmod.exact
+import racahmod.gmod, racahmod.sl2, racahmod.wigner
+print(json.dumps(sorted(set(sys.modules) - base)))"""
+    added = _loaded(probe)
+    assert "classify" in added and not added & {"dataclasses", "inspect"}
+
+
 def test_exports_resolve_in_their_home_module_on_each_access(monkeypatch):
     for name in racahmod.__all__:
         home = importlib.import_module(f"racahmod.{racahmod._HOME[name]}")

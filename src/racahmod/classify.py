@@ -30,8 +30,8 @@ from .constructions import build_from_sequence
 from .exact import (
     QMatrix,
     SqrtRational,
+    _check_bound,
     _check_twoj,
-    _triangle,
     binomial,
     factorial,
     matrix_rank,
@@ -39,7 +39,8 @@ from .exact import (
 )
 from .gmod import GRep
 from .sl2 import _f_power_images, _iota_image, iota
-from .wigner import _delta_surd, _surd_product, cgc, delta, sixj, sixj_tuples, sweep
+from .wigner import _delta_surd, _surd_product, cgc, delta, sixj, sixj_triangles_hold
+from .wigner import sixj_tuples, sweep
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -144,9 +145,8 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
 
 def _require_four_triangles(a, b, c, p, q, k) -> None:
     _check_twoj(a, b, c, p, q, k)
-    if not (
-        _triangle(k, p, q) and _triangle(p, a, b) and _triangle(q, b, c) and _triangle(k, a, c)
-    ):
+    # the four triangles of {q k p; a b c}: (k,p,q), (q,b,c), (a,k,c), (a,b,p)
+    if not sixj_triangles_hold((q, k, p, a, b, c)):
         raise ValueError(
             f"the four triangle conditions fail for (a,b,c,p,q,k)={(a, b, c, p, q, k)}"
         )
@@ -379,10 +379,8 @@ def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, i
     order of (a, b, p, c, q, k).  A negative bound is an error, not an
     empty box that every row vacuously satisfies.
     """
-    _check_twoj(max_val, signed=True)  # the type; the sign has its own message
-    if max_val < 0:
-        raise ValueError(f"the twice-value bound must be non-negative, got {max_val}")
-    tuples = [(a, b, c, p, q, k) for q, k, p, a, b, c in sixj_tuples((max_val,) * 6)]
+    _check_bound(max_val)
+    tuples = [(a, b, c, p, q, k) for q, k, p, a, b, c in sixj_tuples(max_val)]
     return sorted(tuples, key=lambda t: (t[0], t[1], t[3], t[2], t[4], t[5]))
 
 

@@ -191,7 +191,12 @@ def _cmd_uniserial(args) -> int:
 def _cmd_admissible(args) -> int:
     from . import classify
 
-    seq = [int(x) for x in args.seq.split(",")]
+    seq = []
+    for i, x in enumerate(args.seq.split(","), 1):
+        try:
+            seq.append(int(x))
+        except ValueError:
+            raise ValueError(f"--seq entry {i} is not an integer: {x!r:.40}") from None
     verdict = classify.is_admissible(seq, args.m)
     if verdict.witness:
         print(f"{verdict.status} ({verdict.witness})")

@@ -150,7 +150,6 @@ class SymmetricPowerModule(NamedTuple):
 
     big: GRep
     sub: GRep
-    generator_big: Vector
     generator_sub: Vector
 
 
@@ -215,7 +214,7 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
         v=tuple(restrict(vi) for vi in big.v),
     )
     gen_sub = space.coordinates([gen]).column(0)
-    return SymmetricPowerModule(big, sub, tuple(gen), gen_sub)
+    return SymmetricPowerModule(big, sub, gen_sub)
 
 
 # -- axiomatic characterization --------------------------------------------------

@@ -50,6 +50,12 @@ def _check_twoj(*vals: int, signed: bool = False) -> None:
             raise ValueError(f"twice-values must be {kind}, got {v!r}")
 
 
+def _check_bound(n: int) -> None:
+    _check_twoj(n, signed=True)  # the type; the sign has its own message
+    if n < 0:
+        raise ValueError(f"the twice-value bound must be non-negative, got {n}")
+
+
 def _triangle(ta: int, tb: int, tc: int) -> bool:
     # triangle without the type check, for callers that checked already
     return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0

@@ -25,7 +25,7 @@ The zero search evaluates one Racah sum per Regge class: the sum depends only
 on the multisets of the four triangle sums and the three column sums, which
 all 144 Regge images of a tuple share (T. Regge, Nuovo Cimento 11 (1959) 116;
 J. Rasch and A. C. H. Yu, SIAM J. Sci. Comput. 25 (2003) 1416).  It walks the
-sorted sums and expands each zero class to its images in the box.
+sorted sums and expands each zero class to its images in the cube.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from .exact import (
     SqrtRational,
+    _check_bound,
     _check_twoj,
     _triangle,
     factorial_surd,
@@ -338,20 +339,18 @@ def be_recurrence_holds(ti1, ti2, ti3, ti4, ti5, ti6) -> bool:
 # -- tuple enumeration and sweeps ----------------------------------------------
 
 
-def sixj_tuples(bounds: Sequence[int]) -> Iterator[SixJInput]:
-    """Every (t1, ..., t6) with t_i <= bounds[i] whose four triangles hold,
-    in lexicographic order."""
-    b1, b2, b3, b4, b5, b6 = bounds
-    for t1 in range(b1 + 1):
-        for t2 in range(b2 + 1):
-            for t3 in range(abs(t1 - t2), min(t1 + t2, b3) + 1, 2):
-                for t4 in range(b4 + 1):
-                    for t5 in range(abs(t4 - t3), min(t4 + t3, b5) + 1, 2):
+def sixj_tuples(n: int) -> Iterator[SixJInput]:
+    """Every tuple in the cube of side n whose four triangles hold, in lexicographic order."""
+    for t1 in range(n + 1):
+        for t2 in range(n + 1):
+            for t3 in range(abs(t1 - t2), min(t1 + t2, n) + 1, 2):
+                for t4 in range(n + 1):
+                    for t5 in range(abs(t4 - t3), min(t4 + t3, n) + 1, 2):
                         if (t1 + t5 + t4 + t2) % 2:  # the two t6 parities conflict
                             continue
                         # both lower limits have the parity of t1 + t5
                         lo = max(abs(t1 - t5), abs(t4 - t2))
-                        for t6 in range(lo, min(t1 + t5, t4 + t2, b6) + 1, 2):
+                        for t6 in range(lo, min(t1 + t5, t4 + t2, n) + 1, 2):
                             yield (t1, t2, t3, t4, t5, t6)
 
 
@@ -416,18 +415,16 @@ def _regge_images(a: Sequence[int], b: Sequence[int]) -> set[SixJInput]:
 
 
 def _zero_class_task(args) -> list[SixJInput]:
-    """The zeros in the box whose largest triangle sum is a4, from one Racah
-    sum per Regge class: a1 <= a2 <= a3 <= a4 <= b1 <= b2 <= b3 with equal
-    totals.  The loops keep the classes with an image in the cube of the
-    largest bound (sorted triangle sums paired with sorted column sums give
-    the least largest entry) and a total within the sum of the bounds."""
-    a4, bounds = args
-    n, total = max(bounds), sum(bounds)
+    """The zeros in the cube of side n with largest triangle sum a4, from one
+    Racah sum per Regge class a1 <= a2 <= a3 <= a4 <= b1 <= b2 <= b3 of equal
+    totals, kept when the class has an image in the cube (sorted triangle
+    sums paired with sorted column sums give the least largest entry)."""
+    a4, n = args
     zeros = []
     for a3 in range(a4 + 1):
         for a2 in range(a3 + 1):
-            # 3 a4 <= 3 b1 <= s sets the floor of a1, s <= total its ceiling
-            for a1 in range(max(0, 2 * a4 - a2 - a3), min(a2, total - a2 - a3 - a4) + 1):
+            # 3 a4 <= 3 b1 <= s sets the floor of a1
+            for a1 in range(max(0, 2 * a4 - a2 - a3), a2 + 1):
                 s = a1 + a2 + a3 + a4
                 den = ((1 - a1, 1 - a2, 1 - a3, 1 - a4), ())
                 for b1 in range(max(a4, a1 + a4 - n, a2 + a3 - n), s // 3 + 1):
@@ -436,15 +433,13 @@ def _zero_class_task(args) -> list[SixJInput]:
                         b = (b1, b2, s - b1 - b2)
                         if not _ratio_sum(a4, b1, ((2,), b), den)[0]:
                             zeros += (
-                                tj
-                                for tj in _regge_images((a1, a2, a3, a4), b)
-                                if all(t <= c for t, c in zip(tj, bounds))
+                                tj for tj in _regge_images((a1, a2, a3, a4), b) if max(tj) <= n
                             )
     return zeros
 
 
-def find_sixj_zeros(bounds: int | Sequence[int], jobs: int | None = 1) -> list[SixJInput]:
-    """All non-trivial 6j zeros inside the box of twice-values.
+def find_sixj_zeros(n: int, jobs: int | None = 1) -> list[SixJInput]:
+    """All non-trivial 6j zeros in the cube of twice-values of side n.
 
     A zero is non-trivial when all four triangle triples hold yet the symbol
     vanishes; defined zeros are suppressed.  Output is sorted
@@ -458,28 +453,24 @@ def find_sixj_zeros(bounds: int | Sequence[int], jobs: int | None = 1) -> list[S
     J. Sci. Comput. 25 (2003) 1416).  A tuple's four triangles hold exactly
     when its least column sum is at least its largest triangle sum.  So the
     scan evaluates one sum per class of sorted sums, one pool task per
-    largest triangle sum, and expands each zero to its images in the box.
+    largest triangle sum, and expands each zero to its images in the cube.
     """
-    bounds = tuple(bounds) if isinstance(bounds, (tuple, list)) else (bounds,) * 6
-    _check_twoj(*bounds, signed=True)  # the type; the sign has its own message
-    if len(bounds) != 6 or min(bounds) < 0:
-        raise ValueError("bounds must be one or six non-negative integers")
-    # a triangle sum is at most 3/2 of the largest bound and a third of the total
-    top = min(3 * max(bounds) // 2, sum(bounds) // 3)
-    tasks = [(a4, bounds) for a4 in range(top + 1)]
+    _check_bound(n)
+    # a triangle sum is at most 3/2 of the side
+    tasks = [(a4, n) for a4 in range(3 * n // 2 + 1)]
     return sorted(tj for chunk in sweep(_zero_class_task, tasks, jobs) for tj in chunk)
 
 
 def dual_formula_agreement(max_twoj: int) -> int:
-    """Evaluate every tuple in the box with both formulas; returns the count.
+    """Evaluate every tuple in the cube with both formulas; returns the count.
 
     Raises FormulaDisagreement at the first mismatch, so a return means the
-    two evaluations agree on the whole box.  A negative bound is an error,
+    two evaluations agree on the whole cube.  A negative bound is an error,
     not an empty box that agrees vacuously.
     """
-    _check_twoj(max_twoj)
+    _check_bound(max_twoj)
     count = 0
-    for tj in sixj_tuples((max_twoj,) * 6):
+    for tj in sixj_tuples(max_twoj):
         sixj(*tj, cross_check=True)
         count += 1
     return count

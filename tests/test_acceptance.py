@@ -188,7 +188,7 @@ def test_criterion_8_three_term_recurrence():
     start = time.perf_counter()
     ok = True
     count = 0
-    for tj in sixj_tuples((10,) * 6):
+    for tj in sixj_tuples(10):
         ok &= be_recurrence_holds(*tj)
         count += 1
     assert count == 42393

@@ -23,7 +23,7 @@ from racahmod.constructions import build_z, build_z_family
 from racahmod.exact import RowSpace, kernel
 from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
 from racahmod.sl2 import constituents, diagonal_weights
-from racahmod.wigner import delta, find_sixj_zeros
+from racahmod.wigner import delta
 
 
 def run(capsys, *argv):
@@ -64,6 +64,20 @@ def test_admissible(capsys):
     assert code == 0 and out.startswith("UniqueModule")
     code, out = run(capsys, "admissible", "--m", "4", "--seq", "0,4,4,0")
     assert code == 0 and out.startswith("OneParameterFamily")
+
+
+@pytest.mark.parametrize(
+    "seq, message",
+    [
+        ("1,,2", "error: --seq entry 2 is not an integer: ''\n"),
+        ("1.5", "error: --seq entry 1 is not an integer: '1.5'\n"),
+    ],
+    ids=["empty", "decimal"],
+)
+def test_admissible_names_the_entry_that_is_not_an_integer(capsys, seq, message):
+    code = main(["admissible", "--m", "4", "--seq", seq])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == message and captured.out == ""
 
 
 def test_realize_json_round_trip(tmp_path, capsys):
@@ -321,8 +335,6 @@ def test_sweep_output_independent_of_workers(capsys):
     _, serial = run(capsys, *argv, "--jobs", "1")
     _, parallel = run(capsys, *argv, "--jobs", "2")
     assert serial == parallel
-    bounds = (6, 4, 8, 5, 7, 3)
-    assert find_sixj_zeros(bounds, jobs=1) == find_sixj_zeros(bounds, jobs=2)
 
 
 class _CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -349,11 +361,6 @@ def test_sweeps_handed_to_the_pool_match_one_job(monkeypatch, capsys):
         started = _CountingPool.started
         assert run(capsys, *argv, "--jobs", "2") == serial, argv
         assert _CountingPool.started == started + 1, argv
-    bounds = (6, 4, 8, 5, 7, 3)
-    serial = find_sixj_zeros(bounds, jobs=1)
-    started = _CountingPool.started
-    assert find_sixj_zeros(bounds, jobs=2) == serial
-    assert _CountingPool.started == started + 1
 
 
 def test_small_sweep_starts_no_pool(monkeypatch, capsys):

@@ -18,15 +18,27 @@ scalar of the composed equivariant map is that 6j-symbol times an explicit
 non-zero factor C.  compute_I_J reads the composite image off lambda, an
 integer tensor contraction, and checks it against the non-zero 6j-symbols;
 verify_scalar_theorem compares lambda with C times the 6j-symbol.
+
+The two sides of lambda = C * 6j stay two routes: lambda comes from the
+tensor contraction, C * 6j from the Delta surds and the Racah sum.  The
+scalar sweep takes each in integers, lambda as (num, den) and C, 6j and
+their product as (n, d, rad) for n/d * sqrt(rad), through the ints=True
+forms of lambda_phi, c_factor and wigner.sixj; it compares them in reduced
+ints and writes each CSV row from them, building no Fraction or
+SqrtRational per row.  verify_scalar_theorem makes its report from the
+same ints, and the report's csv() writes them with the same helper.
+
+Only classification_row builds modules, so it alone imports gmod and
+constructions, on its first call: the other commands never load them.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
-from .constructions import build_from_sequence
 from .exact import (
     QMatrix,
     SqrtRational,
@@ -37,10 +49,9 @@ from .exact import (
     matrix_rank,
     triangle,
 )
-from .gmod import GRep
 from .sl2 import _f_power_images, _iota_image, iota
-from .wigner import _delta_surd, _surd_product, cgc, delta, sixj, sixj_triangles_hold
-from .wigner import sixj_tuples, sweep
+from .wigner import _delta_surd, _surd_product, cgc, delta, sixj
+from .wigner import sixj_triangles_hold, sixj_tuples, sweep
 
 NOT_ADMISSIBLE = "NotAdmissible"
 UNIQUE_MODULE = "UniqueModule"
@@ -132,7 +143,7 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
         for k in range(lo, hi + 1)
         if triangle(k, p, q) and triangle(k, a, c)
     ]
-    image = [k for k in candidates if lambda_phi(a, b, c, p, q, k)]
+    image = [k for k in candidates if lambda_phi(a, b, c, p, q, k, ints=True)[0]]
     if image != [k for k in candidates if not sixj(q, k, p, a, b, c, cross_check=False).is_zero]:
         raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
     if p != q:
@@ -152,7 +163,9 @@ def _require_four_triangles(a, b, c, p, q, k) -> None:
         )
 
 
-def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
+def lambda_phi(
+    a: int, b: int, c: int, p: int, q: int, k: int, *, ints: bool = False
+) -> Fraction | tuple[int, int]:
     """Proportionality scalar of the composed map V(k) -> V(a) tensor V(c).
 
     Computed by brute tensor expansion: push the canonical highest weight
@@ -160,7 +173,8 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
     V(b) pair, and compare against the canonical highest weight vector of
     V(a) tensor V(c) coefficient by coefficient.  The expansion runs on
     integer numerators; the comparison cross-multiplies them.
-    Non-proportionality is an internal error.
+    Non-proportionality is an internal error.  With ints on, returns the
+    scalar as (num, den), coprime with den > 0, in place of the Fraction.
     """
     _require_four_triangles(a, b, c, p, q, k)
     left, left_den = _f_power_images(p, a, b)
@@ -184,15 +198,23 @@ def lambda_phi(a: int, b: int, c: int, p: int, q: int, k: int) -> Fraction:
             raise RuntimeError(f"composed image is not proportional at {(a, b, c, p, q, k)}")
     if any(phi.values()):
         raise RuntimeError(f"composed image is not proportional at {(a, b, c, p, q, k)}")
-    return Fraction(pv0 * target_den, tv0 * top_den * left_den * right_den)
+    num, den = pv0 * target_den, tv0 * top_den * left_den * right_den
+    if not ints:
+        return Fraction(num, den)
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
-def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
+def c_factor(
+    a: int, b: int, c: int, p: int, q: int, k: int, *, ints: bool = False
+) -> SqrtRational | tuple[int, int, int]:
     """The explicit non-zero factor C with lambda = C * {q/2 k/2 p/2; a/2 b/2 c/2}.
 
     C = sign * (p+q+k+2)(a+b+p+2)(b+c+q+2) / (4 (a+c+k+2))
           * Delta(a,b,p) Delta(p,q,k) Delta(b,c,q) / Delta(a,c,k),
-    assembled in int from the four memoised Delta surds.
+    assembled in int from the four memoised Delta surds.  With ints on,
+    returns the fields (n, d, rad) of C = n/d * sqrt(rad) in place of the
+    SqrtRational: n, d coprime and d > 0.
     """
     _require_four_triangles(a, b, c, p, q, k)
     x_ac = (a + c - k) // 2
@@ -204,11 +226,61 @@ def c_factor(a: int, b: int, c: int, p: int, q: int, k: int) -> SqrtRational:
     )
     n *= sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2)
     d *= 4 * (a + c + k + 2)
-    return SqrtRational(Fraction(n, d), rad)
+    if not ints:
+        return SqrtRational(Fraction(n, d), rad)
+    g = gcd(n, d)  # d > 0: every factor is positive
+    return n // g, d // g, rad
+
+
+class ScalarInts(NamedTuple):
+    """One tuple's lambda as (num, den), and C, the 6j-symbol and their
+    product as (n, d, rad), each n/d * sqrt(rad); lambda and the product are
+    reduced, with the product (0, 1, 1) when it vanishes."""
+
+    lam: tuple[int, int]
+    c_factor: tuple[int, int, int]
+    sixj: tuple[int, int, int]
+    product: tuple[int, int, int]
+    agrees: bool
+
+
+def _scalar_ints(
+    a: int, b: int, c: int, p: int, q: int, k: int, cross_check_sixj: bool = True
+) -> ScalarInts:
+    """lambda from the tensor contraction and C * {q k p; a b c} from the
+    Delta surds and the Racah sum: two routes, compared in reduced ints."""
+    lam = lambda_phi(a, b, c, p, q, k, ints=True)
+    cf = cn, cd, cr = c_factor(a, b, c, p, q, k, ints=True)
+    sj = sn, sd, sr = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj, ints=True)
+    # the radicands are squarefree, so their product over gcd^2 is too
+    g = gcd(cr, sr)
+    n, d = cn * sn * g, cd * sd
+    h = gcd(n, d)
+    product = (n // h, d // h, (cr // g) * (sr // g) if n else 1)
+    return ScalarInts(lam, cf, sj, product, product[2] == 1 and product[:2] == lam)
+
+
+def _surd_text(n: int, d: int, rad: int = 1) -> str:
+    """n/d * sqrt(rad), for n, d coprime and d > 0, as str(SqrtRational(
+    Fraction(n, d), rad)) writes it: "0" when n = 0, else str(Fraction(n,
+    d)), followed by "*sqrt(rad)" when rad > 1."""
+    if not n:
+        return "0"
+    text = str(n) if d == 1 else f"{n}/{d}"
+    return text if rad == 1 else f"{text}*sqrt({rad})"
 
 
 def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
+
+
+def _scalar_csv(t, s: ScalarInts) -> str:
+    """The CSV line of tuple t and its values s, under LambdaReport.CSV_HEADER."""
+    a, b, c, p, q, k = t
+    return (
+        f"{a},{b},{c},{p},{q},{k},{_surd_text(*s.lam)},{_surd_text(*s.c_factor)},"
+        f"{_surd_text(*s.sixj)},{_surd_text(*s.product)},{_csv_bool(s.agrees)}"
+    )
 
 
 class LambdaReport(NamedTuple):
@@ -228,22 +300,18 @@ class LambdaReport(NamedTuple):
 
     def csv(self) -> str:
         """The report as one line under CSV_HEADER."""
-        return (
-            f"{self.a},{self.b},{self.c},{self.p},{self.q},{self.k},{self.lam},"
-            f"{self.c_factor},{self.sixj},{self.product},{_csv_bool(self.agrees)}"
-        )
+        lam = (self.lam.numerator, self.lam.denominator)
+        surds = [(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in self[7:10]]
+        return _scalar_csv(self[:6], ScalarInts(lam, *surds, self.agrees))
 
 
 def verify_scalar_theorem(
     a: int, b: int, c: int, p: int, q: int, k: int, cross_check_sixj: bool = True
 ) -> LambdaReport:
     """Compare the tensor-expansion scalar with C times the 6j-symbol."""
-    lam = lambda_phi(a, b, c, p, q, k)
-    cf = c_factor(a, b, c, p, q, k)
-    sj = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj)
-    product = cf * sj
-    agrees = product.is_rational and product.as_fraction() == lam
-    return LambdaReport(a, b, c, p, q, k, lam, cf, sj, product, agrees)
+    s = _scalar_ints(a, b, c, p, q, k, cross_check_sixj)
+    surds = [SqrtRational(Fraction(n, d), rad) for n, d, rad in s[1:4]]
+    return LambdaReport(a, b, c, p, q, k, Fraction(*s.lam), *surds, s.agrees)
 
 
 def binomial_identity_check(x: int, y: int, z: int) -> bool:
@@ -385,8 +453,11 @@ def scalar_theorem_tuples(max_val: int) -> list[tuple[int, int, int, int, int, i
 
 
 def _scalar_task(tuples) -> list[CsvRow]:
-    reports = (verify_scalar_theorem(*t, cross_check_sixj=False) for t in tuples)
-    return [(r.csv(), r.agrees) for r in reports]
+    rows = []
+    for t in tuples:
+        s = _scalar_ints(*t, cross_check_sixj=False)
+        rows.append((_scalar_csv(t, s), s.agrees))
+    return rows
 
 
 def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[CsvRow]:
@@ -454,6 +525,10 @@ def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, i
 
 
 def classification_row(m: int, a: int, b: int, c: int) -> ClassificationRow:
+    # only this route builds modules; the other sweeps need not load them
+    from .constructions import build_from_sequence
+    from .gmod import GRep
+
     closed = is_admissible([a, b, c], m).admissible
     vanishing = length3_condition3(a, b, c, m)
     _, alternating = compute_I_J(a, b, c, m, m)
@@ -474,4 +549,8 @@ def classification_sweep(max_m: int, max_weight: int, jobs: int | None = 1) -> l
     its routes are consistent."""
     tuples = classification_tuples(max_m, max_weight)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: (t[0], t[2]))]
+    # load classification_row's layers here, not in the first task: sweep
+    # projects the serial time from that task's rate to decide on a pool
+    from . import constructions, gmod  # noqa: F401
+
     return [row for chunk in sweep(_classification_task, tasks, jobs) for row in chunk]

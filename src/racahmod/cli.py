@@ -8,9 +8,11 @@ library (the two 6j formulas disagree, a socle or closure invariant breaks,
 an assertion fails), reported as "internal error: <message>" on stderr.
 
 Each command imports the layers it runs inside its own function, so a
-launch loads only those: `triangle` needs `exact` alone, `socle` and
-`uniserial` stop at `gmod`, and only `verify-scalar`, `verify-classify`,
-`admissible` and `recouple` load `classify`.
+launch loads only those: `triangle` needs `exact` alone; `sixj`, `cgc`,
+`delta` and `zeros` add `wigner`; `socle` and `uniserial` load `exact`,
+`sl2` and `gmod`, and `realize` adds `constructions`; `verify-scalar`,
+`admissible` and `recouple` load `classify` on `exact`, `wigner` and `sl2`;
+and `verify-classify` loads every layer.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def _cmd_realize(args, error) -> int:
     if args.format == "latex":
         print(constructions.grep_to_latex(rep))
     else:
-        print(gmod.grep_to_json(rep))
+        gmod.grep_to_json(rep, sys.stdout)
+        print()
     return 0
 
 

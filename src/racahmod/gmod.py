@@ -256,19 +256,30 @@ def _json_matrix(mat: QMatrix, level: int) -> str:
     return _json_list(rows, level)
 
 
-def grep_to_json(rep: GRep) -> str:
+def _json_pieces(rep: GRep):
+    # grep_to_json's text, in pieces of at most one matrix
+    yield f'{{\n "m": {rep.m},\n "dim": {rep.dim}'
+    for key, mat in (("h", rep.h), ("e", rep.e), ("f", rep.f)):
+        yield f',\n "{key}": '
+        yield _json_matrix(mat, 1)
+    # "v" holds m + 1 >= 1 matrices, so its list is never the empty "[]"
+    for i, vi in enumerate(rep.v):
+        yield ",\n  " if i else ',\n "v": [\n  '
+        yield _json_matrix(vi, 2)
+    yield '\n ],\n "convention": "DividedPower"\n}'
+
+
+def grep_to_json(rep: GRep, out=None) -> str | None:
     """json.dumps(grep_to_dict(rep), indent=1), byte for byte, written
-    directly: the json encoder runs in pure Python once it indents."""
-    fields = [
-        ("m", str(rep.m)),
-        ("dim", str(rep.dim)),
-        ("h", _json_matrix(rep.h, 1)),
-        ("e", _json_matrix(rep.e, 1)),
-        ("f", _json_matrix(rep.f, 1)),
-        ("v", _json_list([_json_matrix(vi, 2) for vi in rep.v], 1)),
-        ("convention", '"DividedPower"'),
-    ]
-    return "{\n" + ",\n".join(f' "{key}": {value}' for key, value in fields) + "\n}"
+    directly: the json encoder runs in pure Python once it indents.
+
+    With out, a text stream, writes the text there one matrix at a time and
+    returns None, so that a large module's text is never held whole.
+    """
+    if out is None:
+        return "".join(_json_pieces(rep))
+    out.writelines(_json_pieces(rep))
+    return None
 
 
 def grep_from_json(text: str) -> GRep:

@@ -211,23 +211,15 @@ def _r_sq_inv(tx: int, ty: int, tz: int) -> int:
     return factorial(s - ty) * factorial(s - tx) * (factorial(s + 1) // factorial(s - tz))
 
 
-def sixj(
-    tj1: int, tj2: int, tj3: int, tj4: int, tj5: int, tj6: int, *, cross_check: bool = True
-) -> SqrtRational:
-    """The 6j-symbol {j1 j2 j3; j4 j5 j6} on twice-values.
-
-    Returns exactly 0 when any of the four triangle triples fails.  With
-    cross_check on, both independent formulas are evaluated and must agree
-    exactly: the square of the value returned must equal the R-formula's,
-    and so must the sign; a mismatch raises FormulaDisagreement.
-    """
-    tj = (tj1, tj2, tj3, tj4, tj5, tj6)
-    _check_twoj(*tj)
-    if not sixj_triangles_hold(tj):
-        return SqrtRational(Fraction(0))
+def _sixj_surd(tj: SixJInput, cross_check: bool) -> tuple[int, int, int]:
+    """The 6j-symbol as (n, d, rad), its value n/d * sqrt(rad) with n, d
+    coprime and d > 0, and (0, 1, 1) for zero; tj must pass the four
+    triangles (unchecked)."""
+    tj1, tj2, tj3, tj4, tj5, tj6 = tj
     a, b, n, d = _alpha_sum(*tj)
+    rad = 1
     if not n:
-        value = SqrtRational(Fraction(0))
+        d = 1
     else:
         # the sum times the four Delta factors, in int
         lo = max(a)
@@ -243,13 +235,13 @@ def sixj(
             )
         )
         n *= factorial(lo + 1) * pn
-        d *= prod(map(factorial, first_den)) * pd
-        value = SqrtRational(Fraction(-n if lo & 1 else n, d), rad)
+        d *= prod(map(factorial, first_den)) * pd  # every factor is positive
+        g = gcd(n, d)
+        n, d = (-n if lo & 1 else n) // g, d // g
     if cross_check:
         # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the
         # returned value; every denominator is positive, so once the squares
         # agree the two sides vanish together
-        n, d = value.coeff.numerator, value.coeff.denominator
         sn, sd = _def_sum(*tj)
         g = gcd(sn, sd)  # keeps the products below small at large twice-values
         sn, sd = sn // g, sd // g
@@ -257,10 +249,39 @@ def sixj(
         q_den = _r_sq_inv(tj2, tj3, tj1) * _r_sq_inv(tj3, tj5, tj4)
         if ((tj1 + tj2 + tj4 + tj5) // 2) & 1:
             sn = -sn
-        lhs = n * n * value.radicand * q_den * sd * sd
+        lhs = n * n * rad * q_den * sd * sd
         if lhs != q_num * sn * sn * d * d or (n < 0) != (sn < 0):
             raise FormulaDisagreement(f"6j formulas disagree at {tj}")
-    return value
+    return n, d, rad
+
+
+def sixj(
+    tj1: int,
+    tj2: int,
+    tj3: int,
+    tj4: int,
+    tj5: int,
+    tj6: int,
+    *,
+    cross_check: bool = True,
+    ints: bool = False,
+) -> SqrtRational | tuple[int, int, int]:
+    """The 6j-symbol {j1 j2 j3; j4 j5 j6} on twice-values.
+
+    Returns exactly 0 when any of the four triangle triples fails.  With
+    cross_check on, both independent formulas are evaluated and must agree
+    exactly: the square of the value returned must equal the R-formula's,
+    and so must the sign; a mismatch raises FormulaDisagreement.  With ints
+    on, returns the fields (n, d, rad) of the value n/d * sqrt(rad) in
+    place of the SqrtRational: n, d coprime, d > 0, and (0, 1, 1) for zero.
+    """
+    tj = (tj1, tj2, tj3, tj4, tj5, tj6)
+    _check_twoj(*tj)
+    surd = _sixj_surd(tj, cross_check) if sixj_triangles_hold(tj) else (0, 1, 1)
+    if ints:
+        return surd
+    n, d, rad = surd
+    return SqrtRational(Fraction(n, d), rad)
 
 
 def sixj_is_zero(tj: SixJInput) -> bool:

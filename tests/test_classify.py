@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racahmod import classify, sl2, wigner
@@ -362,6 +362,45 @@ def test_verify_scalar_theorem_examples():
     assert report.lam == report.product.as_fraction()
     report = verify_scalar_theorem(4, 6, 4, 4, 4, 6)
     assert report.agrees and report.lam != 0
+
+
+@given(
+    st.fractions().filter(lambda x: x.denominator < 10**12),
+    st.one_of(st.just(1), st.integers(1, 10**6)),
+)
+@example(Fraction(0), 7)
+@example(Fraction(-5, 7), 1)
+@example(Fraction(-3), 1)
+@example(Fraction(4), 3)
+@settings(max_examples=400, deadline=None)
+def test_surd_text_is_how_fraction_and_sqrtrational_print(value, rad):
+    n, d = value.numerator, value.denominator
+    assert classify._surd_text(n, d) == str(value)
+    assert classify._surd_text(n, d, rad) == str(SqrtRational(value, rad))
+
+
+def test_surd_text_edge_values():
+    assert classify._surd_text(0, 1, 5) == "0" == str(SqrtRational(Fraction(0), 5))
+    assert classify._surd_text(-3, 2) == "-3/2"
+    assert classify._surd_text(-3, 1, 1) == "-3"
+    assert classify._surd_text(2, 1, 3) == "2*sqrt(3)"
+    assert classify._surd_text(-1, 12, 6) == "-1/12*sqrt(6)"
+
+
+def test_int_forms_are_the_fields_of_the_values():
+    # the sweeps read lambda, C and 6j as ints; each must be the value's fields
+    def fields(x):
+        coeff = x if isinstance(x, Fraction) else x.coeff
+        rest = () if isinstance(x, Fraction) else (x.radicand,)
+        return (coeff.numerator, coeff.denominator, *rest)
+
+    for t in scalar_theorem_tuples(4):
+        a, b, c, p, q, k = t
+        assert lambda_phi(*t, ints=True) == fields(lambda_phi(*t)), t
+        assert c_factor(*t, ints=True) == fields(c_factor(*t)), t
+        tj = (q, k, p, a, b, c)
+        assert sixj(*tj, ints=True) == fields(sixj(*tj)), tj
+    assert sixj(1, 1, 4, 1, 1, 1, ints=True) == (0, 1, 1)  # a failed triangle
 
 
 def test_verify_scalar_theorem_small_sweep():

@@ -271,18 +271,37 @@ def test_verify_classify_m_beyond_twice_the_weight_bound(capsys):
 
 
 def test_verify_scalar_rows_are_the_reports_of_the_tuples(capsys):
-    # the pool's workers format the rows; each must read as the report made
-    # here, field by field
-    code, out = run(capsys, "verify-scalar", "--max", "4", "--jobs", "2")
-    header, *lines = out.splitlines()
-    reports = [verify_scalar_theorem(*t) for t in scalar_theorem_tuples(4)]
-    assert code == 0 and header == LambdaReport.CSV_HEADER
-    assert lines == [r.csv() for r in reports]
+    # the sweep writes its rows from ints, in this process or in the pool's
+    # workers; each must read as the report made here, field by field
+    reports = [verify_scalar_theorem(*t) for t in scalar_theorem_tuples(6)]
+    for jobs in ("1", "2"):
+        code, out = run(capsys, "verify-scalar", "--max", "6", "--jobs", jobs)
+        header, *lines = out.splitlines()
+        assert code == 0 and header == LambdaReport.CSV_HEADER
+        assert lines == [r.csv() for r in reports]
     for line, r in zip(lines, reports):
         fields = (r.a, r.b, r.c, r.p, r.q, r.k, r.lam, r.c_factor, r.sixj, r.product)
         assert line.split(",") == [str(x) for x in fields] + ["true"]
     assert any(not r.c_factor.is_rational for r in reports)
     assert any(not r.sixj.is_rational for r in reports)
+
+
+def test_a_flipped_c_factor_fails_the_sweep(capsys, monkeypatch):
+    # the comparison is not vacuous: with C negated, every row whose lambda
+    # is non-zero must read false, and the first of them is named
+    original = classify.c_factor
+
+    def flipped(*args, **kwargs):
+        n, d, rad = original(*args, **kwargs)
+        return -n, d, rad
+
+    monkeypatch.setattr("racahmod.classify.c_factor", flipped)
+    code = main(["verify-scalar", "--max", "3", "--jobs", "1"])
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert code == 1
+    assert captured.err == "lambda != C * 6j at (a,b,c,p,q,k)=(0,0,0,0,0,0)\n"
+    assert rows and all((row[-1] == "false") == (row[6] != "0") for row in rows)
 
 
 def _fail_at(fn, bad, **change):
@@ -296,8 +315,8 @@ def _fail_at(fn, bad, **change):
 def test_false_verdict_names_the_first_failing_tuple(capsys, monkeypatch):
     _, good = run(capsys, "verify-scalar", "--max", "2", "--jobs", "1")
     bad = [(1, 1, 0, 2, 1, 1), (0, 0, 1, 0, 1, 1)]
-    fault = _fail_at(classify.verify_scalar_theorem, bad, agrees=False)
-    monkeypatch.setattr("racahmod.classify.verify_scalar_theorem", fault)
+    fault = _fail_at(classify._scalar_ints, bad, agrees=False)
+    monkeypatch.setattr("racahmod.classify._scalar_ints", fault)
     code = main(["verify-scalar", "--max", "2", "--jobs", "1"])
     captured = capsys.readouterr()
     assert code == 1

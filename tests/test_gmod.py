@@ -1,5 +1,6 @@
 """Unit tests for representations of sl(2) semidirect V(m)."""
 
+import io
 import json
 from fractions import Fraction
 from itertools import accumulate
@@ -213,11 +214,30 @@ def test_json_round_trip_keeps_every_matrix(rep):
     assert back.matrices() == rep.matrices()
 
 
+class _Writes(io.StringIO):
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
 def _assert_written_as_json_module(rep):
     written, expected = grep_to_json(rep), json.dumps(grep_to_dict(rep), indent=1)
     if written != expected:  # a plain assert would diff megabytes of text
         at = next(i for i, (x, y) in enumerate(zip(written + "\0", expected + "\1")) if x != y)
         pytest.fail(f"grep_to_json departs at {at}: {written[at - 20 : at + 20]!r}")
+    # to a stream, the same text goes out with each matrix a write of its own
+    stream = _Writes()
+    assert grep_to_json(rep, stream) is None and stream.getvalue() == written
+    data = grep_to_dict(rep)
+    nested = [(data[key], 1) for key in ("h", "e", "f")] + [(vi, 2) for vi in data["v"]]
+    for mat, level in nested:
+        assert json.dumps(mat, indent=1).replace("\n", "\n" + " " * level) in stream.pieces
 
 
 @pytest.mark.parametrize(

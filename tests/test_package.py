@@ -50,12 +50,29 @@ def test_import_racahmod_loads_no_layer():
         (["uniserial", "--in", "z.json"], {"classify", "constructions", "wigner"}),
         (["realize", "--kind", "z", "--ell", "2", "--b", "2", "--m", "4"], {"classify", "wigner"}),
         (["triangle", "--twoj", "0", "0", "0"], {"sl2", "gmod", "constructions", "classify"}),
+        # classify builds modules only for verify-classify
+        (["verify-scalar", "--max", "1", "--jobs", "1"], {"gmod", "constructions"}),
+        (["admissible", "--m", "2", "--seq", "0,2"], {"gmod", "constructions"}),
+        (["recouple", "--twoj", "2", "2", "2", "2"], {"gmod", "constructions"}),
     ],
 )
 def test_each_command_loads_only_its_layers(tmp_path, argv, absent):
     (tmp_path / "z.json").write_text(grep_to_json(build_z(2, 2, 4)), encoding="utf-8")
     loaded = _loaded(_CLI_PROBE, *argv, cwd=tmp_path)
     assert "cli" in loaded and not loaded & absent
+
+
+def test_classification_sweep_loads_its_layers_before_the_sweep_starts():
+    # sweep decides on a pool from the rate of the first tasks, so an import
+    # inside the first task would count as work
+    probe = """import json, sys
+from racahmod import classify
+def sweep(fn, tasks, jobs):
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith('racahmod.'))))
+    return []
+classify.sweep = sweep
+classify.classification_sweep(1, 2)"""
+    assert {"gmod", "constructions"} <= _loaded(probe)
 
 
 def test_no_layer_loads_dataclasses_or_inspect():

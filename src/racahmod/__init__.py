@@ -34,7 +34,7 @@ _EXPORTS = {
         "build_z_dual",
         "build_z_family",
     ),
-    "exact": ("QMatrix", "Rational", "SqrtRational", "binomial", "factorial", "triangle"),
+    "exact": ("QMatrix", "SqrtRational", "binomial", "factorial", "triangle"),
     "gmod": ("GRep", "check_rep", "dual_rep", "is_uniserial", "socle_series"),
     "wigner": ("cgc", "delta", "find_sixj_zeros", "sixj"),
 }

@@ -219,17 +219,12 @@ def c_factor(
     _require_four_triangles(a, b, c, p, q, k)
     x_ac = (a + c - k) // 2
     sign = -1 if (x_ac + b + k) & 1 else 1
-    # 1 / (t/d sqrt(s)) = d/(t s) sqrt(s)
+    # dividing by Delta(a,c,k) = t/d sqrt(s) multiplies by d/(t s) sqrt(s)
     t4, d4, s4 = _delta_surd(a, c, k)
-    n, d, rad = _surd_product(
-        (_delta_surd(a, b, p), _delta_surd(p, q, k), _delta_surd(b, c, q), (d4, t4 * s4, s4))
-    )
-    n *= sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2)
-    d *= 4 * (a + c + k + 2)
-    if not ints:
-        return SqrtRational(Fraction(n, d), rad)
-    g = gcd(n, d)  # d > 0: every factor is positive
-    return n // g, d // g, rad
+    num = sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2) * d4
+    deltas = (_delta_surd(a, b, p), _delta_surd(p, q, k), _delta_surd(b, c, q))
+    n, d, rad = _surd_product((*deltas, (num, 4 * (a + c + k + 2) * t4 * s4, s4)))
+    return (n, d, rad) if ints else SqrtRational(Fraction(n, d), rad)
 
 
 class ScalarInts(NamedTuple):
@@ -250,13 +245,9 @@ def _scalar_ints(
     """lambda from the tensor contraction and C * {q k p; a b c} from the
     Delta surds and the Racah sum: two routes, compared in reduced ints."""
     lam = lambda_phi(a, b, c, p, q, k, ints=True)
-    cf = cn, cd, cr = c_factor(a, b, c, p, q, k, ints=True)
-    sj = sn, sd, sr = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj, ints=True)
-    # the radicands are squarefree, so their product over gcd^2 is too
-    g = gcd(cr, sr)
-    n, d = cn * sn * g, cd * sd
-    h = gcd(n, d)
-    product = (n // h, d // h, (cr // g) * (sr // g) if n else 1)
+    cf = c_factor(a, b, c, p, q, k, ints=True)
+    sj = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj, ints=True)
+    product = _surd_product((cf, sj))
     return ScalarInts(lam, cf, sj, product, product[2] == 1 and product[:2] == lam)
 
 
@@ -305,11 +296,9 @@ class LambdaReport(NamedTuple):
         return _scalar_csv(self[:6], ScalarInts(lam, *surds, self.agrees))
 
 
-def verify_scalar_theorem(
-    a: int, b: int, c: int, p: int, q: int, k: int, cross_check_sixj: bool = True
-) -> LambdaReport:
-    """Compare the tensor-expansion scalar with C times the 6j-symbol."""
-    s = _scalar_ints(a, b, c, p, q, k, cross_check_sixj)
+def verify_scalar_theorem(a: int, b: int, c: int, p: int, q: int, k: int) -> LambdaReport:
+    """Compare the tensor-expansion scalar with C times the cross-checked 6j-symbol."""
+    s = _scalar_ints(a, b, c, p, q, k)
     surds = [SqrtRational(Fraction(n, d), rad) for n, d, rad in s[1:4]]
     return LambdaReport(a, b, c, p, q, k, Fraction(*s.lam), *surds, s.agrees)
 

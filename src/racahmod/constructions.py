@@ -289,6 +289,13 @@ def build_from_sequence(seq, m: int):
     uniserial with the given factors); otherwise returns a
     SequenceObstruction carrying the first nonvanishing commutator block.
     This is the brute-force admissibility oracle.
+
+    [v_i, v_j] is nonzero only two steps down the flag, in window w by the
+    block C_ij = A_i B_j - A_j B_i of the window's radical_blocks A and B.
+    These satisfy [f,v_i] = (i+1) v_{i+1} blockwise, so the Jacobi identity
+    takes C_{i-1,j} under f to i C_ij + (j+1) C_{i-1,j+1}: once the pairs
+    (0, j) vanish, every pair does.  Scanning only those, j = 1..m, meets the
+    block that a scan of every pair, row 0 first, meets first.
     """
     seq = list(seq)
     _check_twoj(*seq, m, signed=True)
@@ -302,14 +309,12 @@ def build_from_sequence(seq, m: int):
                 f"triangle condition fails between factors {seq[i]} and {seq[i + 1]}"
             )
     blocks = _chain(seq, m)
-    # the only bracket obstructions sit two steps down the flag
     for w in range(len(seq) - 2):
         fam_a, fam_b = blocks[w, w + 1], blocks[w + 1, w + 2]
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                block = fam_a[i] * fam_b[j] - fam_a[j] * fam_b[i]
-                if not block.is_zero():
-                    return SequenceObstruction(w, (i, j), block)
+        for j in range(1, m + 1):
+            block = fam_a[0] * fam_b[j] - fam_a[j] * fam_b[0]
+            if not block.is_zero():
+                return SequenceObstruction(w, (0, j), block)
     rep = _assemble(seq, m, blocks)
     verdict = gmod.check_rep(rep)
     if not verdict:

@@ -20,11 +20,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# The arbitrary-precision rational carrier.  fractions.Fraction already
-# maintains the invariants we need (positive reduced denominator, canonical
-# equality), so it is used directly rather than reimplemented.
-Rational = Fraction
-
 Vector = tuple[Fraction, ...]
 
 
@@ -427,7 +422,7 @@ class RowSpace:
             {j: x[p] * (den // d) for j, (x, d) in enumerate(parsed) if p in x}
             for p in self.pivots()
         ]
-        return QMatrix._from_sparse(len(num), len(parsed), num, den)
+        return QMatrix(len(num), len(parsed), num, den)
 
     def _complement(self) -> tuple[dict[int, list[tuple[int, int]]], int]:
         """The echelon entries off the pivots, over one common denominator.
@@ -451,24 +446,15 @@ class QMatrix:
     Stored as the integer numerators of the nonzero entries, one dict
     {column: numerator} per row, over one positive common denominator in
     lowest terms, so that products run in pure bigint arithmetic and skip
-    zeros; entries are exposed as Fractions.  Instances are immutable.
+    zeros; entries are exposed as Fractions.  Instances are immutable, and
+    every one, parsed or computed, comes out of the one constructor.
     """
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
-    def __init__(self, rows: int, cols: int, num, den: int = 1):
-        """From a dense grid of integer numerators over den."""
-        if len(num) != rows or any(len(r) != cols for r in num):
-            raise ValueError("entry grid does not match declared shape")
-        self._set(rows, cols, [{j: int(x) for j, x in enumerate(row) if x} for row in num], den)
-
-    @staticmethod
-    def _from_sparse(rows: int, cols: int, num: list[dict[int, int]], den: int) -> "QMatrix":
-        mat = object.__new__(QMatrix)
-        mat._set(rows, cols, num, den)
-        return mat
-
-    def _set(self, rows, cols, num, den):
+    def __init__(self, rows: int, cols: int, num: Sequence[dict[int, int]], den: int = 1):
+        """From one {column: nonzero integer numerator} dict per row, over den,
+        unchecked (from_rows and from_sparse_rows check and parse values)."""
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -506,15 +492,15 @@ class QMatrix:
         num = [
             row if d == den else {j: x * (den // d) for j, x in row.items()} for row, d in parsed
         ]
-        return QMatrix._from_sparse(len(data), cols, num, den)
+        return QMatrix(len(data), cols, num, den)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix._from_sparse(rows, cols, [{} for _ in range(rows)], 1)
+        return QMatrix(rows, cols, [{} for _ in range(rows)], 1)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix._from_sparse(n, n, [{i: 1} for i in range(n)], 1)
+        return QMatrix(n, n, [{i: 1} for i in range(n)], 1)
 
     @staticmethod
     def diagonal(entries: Sequence) -> "QMatrix":
@@ -522,7 +508,7 @@ class QMatrix:
         n = len(entries)
         diag, den = _int_vector(entries)
         num = [{i: diag[i]} if i in diag else {} for i in range(n)]
-        return QMatrix._from_sparse(n, n, num, den)
+        return QMatrix(n, n, num, den)
 
     # -- access ------------------------------------------------------------
 
@@ -573,7 +559,7 @@ class QMatrix:
             row = {j: x * sa for j, x in ra.items()}
             _subtract(row, -sb, rb)
             num.append(row)
-        return QMatrix._from_sparse(self.rows, self.cols, num, den)
+        return QMatrix(self.rows, self.cols, num, den)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return self._combine(other, 1)
@@ -582,7 +568,7 @@ class QMatrix:
         return self._combine(other, -1)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix._from_sparse(
+        return QMatrix(
             self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self._num], self._den
         )
 
@@ -600,13 +586,13 @@ class QMatrix:
                     for j, y in b[k].items():
                         acc[j] = acc.get(j, 0) + x * y
                 num.append({j: x for j, x in acc.items() if x})
-            return QMatrix._from_sparse(self.rows, other.cols, num, self._den * other._den)
+            return QMatrix(self.rows, other.cols, num, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
             if not s:
                 return QMatrix.zero(self.rows, self.cols)
             num = [{j: x * s.numerator for j, x in row.items()} for row in self._num]
-            return QMatrix._from_sparse(self.rows, self.cols, num, self._den * s.denominator)
+            return QMatrix(self.rows, self.cols, num, self._den * s.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -619,7 +605,7 @@ class QMatrix:
         for i, row in enumerate(self._num):
             for j, x in row.items():
                 num[j][i] = x
-        return QMatrix._from_sparse(self.cols, self.rows, num, self._den)
+        return QMatrix(self.cols, self.rows, num, self._den)
 
     def apply(self, vec: Sequence) -> Vector:
         """Matrix-vector product, vector given and returned as Fractions."""
@@ -651,7 +637,7 @@ def primitive_family(mats: Sequence[QMatrix]) -> list[QMatrix]:
     lead = next(row[min(row)] for rows in num for row in rows if row)
     g = -g if lead < 0 else g
     return [
-        QMatrix._from_sparse(m.rows, m.cols, [{j: x // g for j, x in r.items()} for r in rows], 1)
+        QMatrix(m.rows, m.cols, [{j: x // g for j, x in r.items()} for r in rows], 1)
         for m, rows in zip(mats, num)
     ]
 
@@ -682,7 +668,7 @@ def assemble_blocks(
             target = num[row_off[bi] + i]
             for j, x in row.items():
                 target[c0 + j] = x * s
-    return QMatrix._from_sparse(row_off[-1], col_off[-1], num, den)
+    return QMatrix(row_off[-1], col_off[-1], num, den)
 
 
 def quotient_matrix(mat: QMatrix, space: RowSpace) -> QMatrix:
@@ -708,7 +694,7 @@ def quotient_matrix(mat: QMatrix, space: RowSpace) -> QMatrix:
                 if k is not None:
                     acc[k] = acc.get(k, 0) - y * x
         num.append({k: x for k, x in acc.items() if x})
-    return QMatrix._from_sparse(len(free), len(free), num, mat._den * scale)
+    return QMatrix(len(free), len(free), num, mat._den * scale)
 
 
 # -- exact Gaussian elimination ---------------------------------------------

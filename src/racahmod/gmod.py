@@ -50,10 +50,16 @@ class RepCheck(NamedTuple):
 
 
 def check_rep(rep: GRep) -> RepCheck:
-    """Verify every defining bracket relation exactly.
+    """Verify the defining bracket relations exactly, on the generators.
 
-    Returns the first violated relation by name; all pairs [v_i, v_j] are
-    checked even though the (v_0, v_j) pairs would suffice by equivariance.
+    After the sl(2) triple it checks [h,v_0] = m v_0, [e,v_0] = 0,
+    [f,v_i] = (i+1) v_{i+1} for i = 0..m and [v_0,v_j] = 0 for j = 1..m.
+    The Jacobi identity gives the rest: [h,v_i] and [e,v_i] from the
+    relations at i-1 and i-2 and [h,f] = -2f, [e,f] = h; [v_i,v_j] = 0 from
+    row i-1, as [f,[v_{i-1},v_j]] = i [v_i,v_j] + (j+1) [v_{i-1},v_{j+1}].
+    The first failure, returned by name, is that of the full relation list
+    (each v_i through h, e, f, then all pairs, row 0 first), where a dropped
+    relation always comes after those it follows from.
     """
     n = rep.dim
     for _, mat in rep.matrices():
@@ -61,23 +67,21 @@ def check_rep(rep: GRep) -> RepCheck:
             raise ValueError("all generator matrices must be square of the module dimension")
     if len(rep.v) != rep.m + 1:
         raise ValueError(f"expected {rep.m + 1} radical generators, got {len(rep.v)}")
-    h, e, f = rep.h, rep.e, rep.f
+    h, e, f, v, m = rep.h, rep.e, rep.f, rep.v, rep.m
     failure = sl2.broken_relation(h, e, f)
     if failure:
         return RepCheck(False, failure)
-    m = rep.m
     zero = QMatrix.zero(n, n)
-    for i, vi in enumerate(rep.v):
-        if commutator(h, vi) != (m - 2 * i) * vi:
-            return RepCheck(False, f"[h,v_{i}] != (m-2i) v_{i}")
-        if commutator(e, vi) != ((m - i + 1) * rep.v[i - 1] if i else zero):
-            return RepCheck(False, f"[e,v_{i}] != " + (f"(m-i+1) v_{i - 1}" if i else "0"))
-        if commutator(f, vi) != ((i + 1) * rep.v[i + 1] if i < m else zero):
+    if commutator(h, v[0]) != m * v[0]:
+        return RepCheck(False, "[h,v_0] != (m-2i) v_0")
+    if commutator(e, v[0]) != zero:
+        return RepCheck(False, "[e,v_0] != 0")
+    for i, vi in enumerate(v):
+        if commutator(f, vi) != ((i + 1) * v[i + 1] if i < m else zero):
             return RepCheck(False, f"[f,v_{i}] != " + (f"(i+1) v_{i + 1}" if i < m else "0"))
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            if commutator(rep.v[i], rep.v[j]) != zero:
-                return RepCheck(False, f"[v_{i},v_{j}] != 0")
+    for j in range(1, m + 1):
+        if commutator(v[0], v[j]) != zero:
+            return RepCheck(False, f"[v_0,v_{j}] != 0")
     return RepCheck(True)
 
 

@@ -229,7 +229,6 @@ def _by_first_slot(w: TensorVector) -> dict[int, tuple[int, int]]:
     return {r1: (r2, c) for (r1, r2), c in w.num.items()}
 
 
-@functools.lru_cache(maxsize=1024)
 def hom_embedding(m: int, b: int, a: int) -> tuple[QMatrix, ...]:
     """Equivariant map V(m) -> Hom(V(b), V(a)) as m+1 explicit matrices.
 
@@ -241,9 +240,7 @@ def hom_embedding(m: int, b: int, a: int) -> tuple[QMatrix, ...]:
     iota: entry (r1, b - r2) of M_i is (-1)^r2 times the (r1, r2) coefficient
     of F^i iota / i!, and the change to the divided-power basis scales it by
     r1! / (b - r2)!, taken as the integer r1! * b! / (b - r2)! over an extra b!.
-
-    Memoised, since sweeps ask for the same few maps many times over; the
-    result is a tuple of immutable matrices, so callers share it safely.
+    Not memoised: its one caller, constructions.radical_blocks, is.
     """
     images, den = _f_power_images(m, a, b)
     row_scale = [factorial(r) for r in range(a + 1)]
@@ -255,7 +252,7 @@ def hom_embedding(m: int, b: int, a: int) -> tuple[QMatrix, ...]:
         for r1, (r2, c) in image.items():
             s = b - r2
             rows[r1][s] = (-c if r2 & 1 else c) * row_scale[r1] * col_scale[s]
-        mats.append(QMatrix._from_sparse(a + 1, b + 1, rows, den * factorial(i)))
+        mats.append(QMatrix(a + 1, b + 1, rows, den * factorial(i)))
     return tuple(mats)
 
 

@@ -98,15 +98,21 @@ def _delta_surd(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
 
 
 def _surd_product(surds) -> tuple[int, int, int]:
-    """(n, d, rad) with n/d*sqrt(rad) the product of the surds (t, d, s),
-    each s squarefree; rad stays squarefree by taking out common factors."""
+    """The product of the surds (t, d, s), each t/d*sqrt(s) with d > 0 and
+    s squarefree, as (n, d, rad) reduced: n, d coprime, d > 0 and rad
+    squarefree, by taking out common factors, and (0, 1, 1) for zero.  The
+    one surd multiply of wigner and classify; a rational factor is (t, d, 1).
+    """
     n = d = rad = 1
     for t, dt, s in surds:
         g = gcd(rad, s)
         n *= t * g
         d *= dt
         rad = (rad // g) * (s // g)
-    return n, d, rad
+    if not n:
+        return 0, 1, 1
+    g = gcd(n, d)
+    return n // g, d // g, rad
 
 
 def delta(ta: int, tb: int, tc: int) -> SqrtRational:
@@ -217,27 +223,25 @@ def _sixj_surd(tj: SixJInput, cross_check: bool) -> tuple[int, int, int]:
     triangles (unchecked)."""
     tj1, tj2, tj3, tj4, tj5, tj6 = tj
     a, b, n, d = _alpha_sum(*tj)
-    rad = 1
     if not n:
-        d = 1
+        n, d, rad = 0, 1, 1
     else:
         # the sum times the four Delta factors, in int
         lo = max(a)
         first_den = (
             lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo
         )
-        pn, pd, rad = _surd_product(
+        t, dt, s = _delta_surd(tj1, tj2, tj3)
+        n *= t * (-factorial(lo + 1) if lo & 1 else factorial(lo + 1))
+        d *= dt * prod(map(factorial, first_den))  # every factor is positive
+        n, d, rad = _surd_product(
             (
-                _delta_surd(tj1, tj2, tj3),
+                (n, d, s),
                 _delta_surd(tj1, tj5, tj6),
                 _delta_surd(tj4, tj2, tj6),
                 _delta_surd(tj4, tj5, tj3),
             )
         )
-        n *= factorial(lo + 1) * pn
-        d *= prod(map(factorial, first_den)) * pd  # every factor is positive
-        g = gcd(n, d)
-        n, d = (-n if lo & 1 else n) // g, d // g
     if cross_check:
         # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the
         # returned value; every denominator is positive, so once the squares

@@ -1,5 +1,6 @@
 """Unit tests for the explicit uniserial module builders."""
 
+import itertools
 from fractions import Fraction
 from math import comb, gcd
 
@@ -20,7 +21,7 @@ from racahmod.constructions import (
     grep_to_latex,
     radical_blocks,
 )
-from racahmod.exact import QMatrix, primitive_family, span_closure
+from racahmod.exact import QMatrix, primitive_family, span_closure, triangle
 from racahmod.gmod import check_rep, is_uniserial, socle_series
 from racahmod.sl2 import hom_embedding, symmetric_power_components
 
@@ -344,6 +345,40 @@ def test_build_from_sequence_obstruction_pinned(seq, m, window, block):
     assert result.window == window
     assert result.pair == (0, 1)
     assert result.block == QMatrix.from_rows(block)
+
+
+def every_pair_obstruction(seq, m):
+    """The reference for build_from_sequence's scan: every pair (i, j) of
+    each window, row i = 0 first, where the builder scans the pairs (0, j)
+    only.  The first nonzero block as (window, pair, block), or None."""
+    blocks = constructions._chain(seq, m)
+    for w in range(len(seq) - 2):
+        fam_a, fam_b = blocks[w, w + 1], blocks[w + 1, w + 2]
+        for i in range(m + 1):
+            for j in range(i + 1, m + 1):
+                block = fam_a[i] * fam_b[j] - fam_a[j] * fam_b[i]
+                if not block.is_zero():
+                    return w, (i, j), block
+    return None
+
+
+def test_build_from_sequence_meets_the_first_obstruction_of_every_pair():
+    # every sequence of length 3 and 4 with m <= 6, weights <= 12
+    seen = {True: 0, False: 0}
+    for m in range(1, 7):
+        for length in (3, 4):
+            for seq in itertools.product(range(13), repeat=length):
+                if not all(triangle(a, b, m) for a, b in zip(seq, seq[1:])):
+                    continue
+                result = build_from_sequence(seq, m)
+                expected = every_pair_obstruction(seq, m)
+                if expected is None:
+                    assert isinstance(result, GRep), (seq, m)
+                else:
+                    assert isinstance(result, SequenceObstruction), (seq, m)
+                    assert tuple(result) == expected, (seq, m)
+                seen[expected is None] += 1
+    assert seen == {True: 132, False: 5256}
 
 
 def test_build_from_sequence_exceptional():

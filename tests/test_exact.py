@@ -352,7 +352,7 @@ _numerators = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
 
 @st.composite
 def _matrices(draw, rows=None, cols=None):
-    """A QMatrix from the public dense constructor, with its reference grid.
+    """A QMatrix from its constructor on sparse integer rows, with its reference grid.
 
     The denominator may be negative, and some matrices are all zeros."""
     r = draw(st.integers(min_value=0, max_value=5)) if rows is None else rows
@@ -362,7 +362,8 @@ def _matrices(draw, rows=None, cols=None):
     if draw(st.integers(min_value=0, max_value=5)) == 0:
         num = [[0] * c for _ in range(r)]
     den = draw(st.integers(min_value=-12, max_value=12).filter(bool))
-    return QMatrix(r, c, num, den), [[Fraction(x, den) for x in line] for line in num]
+    sparse = [{j: x for j, x in enumerate(line) if x} for line in num]
+    return QMatrix(r, c, sparse, den), [[Fraction(x, den) for x in line] for line in num]
 
 
 def _vectors(n):

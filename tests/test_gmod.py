@@ -10,13 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racahmod.constructions import (
+    _assemble,
+    _chain,
     build_exceptional_len3,
     build_symmetric_power,
     build_z,
     build_z_dual,
     build_z_family,
 )
-from racahmod.exact import QMatrix, RowSpace, kernel, quotient_matrix, rat_from_str
+from racahmod.exact import (
+    QMatrix,
+    RowSpace,
+    commutator,
+    kernel,
+    quotient_matrix,
+    rat_from_str,
+)
 from racahmod.gmod import (
     GRep,
     RepCheck,
@@ -31,6 +40,7 @@ from racahmod.gmod import (
 )
 from racahmod.sl2 import (
     Sl2Rep,
+    broken_relation,
     decompose,
     diagonal_weights,
     irrep,
@@ -100,6 +110,100 @@ def test_check_rep_shape_errors():
     bad = rep._replace(v=rep.v[:1])
     with pytest.raises(ValueError):
         check_rep(bad)
+
+
+def check_every_relation(rep: GRep) -> RepCheck:
+    """The reference for check_rep: every defining relation, each v_i through
+    h, e and f in turn and then every pair [v_i, v_j], row i = 0 first,
+    where check_rep checks the generators only."""
+    h, e, f, m, n = rep.h, rep.e, rep.f, rep.m, rep.dim
+    failure = broken_relation(h, e, f)
+    if failure:
+        return RepCheck(False, failure)
+    zero = QMatrix.zero(n, n)
+    for i, vi in enumerate(rep.v):
+        if commutator(h, vi) != (m - 2 * i) * vi:
+            return RepCheck(False, f"[h,v_{i}] != (m-2i) v_{i}")
+        if commutator(e, vi) != ((m - i + 1) * rep.v[i - 1] if i else zero):
+            return RepCheck(False, f"[e,v_{i}] != " + (f"(m-i+1) v_{i - 1}" if i else "0"))
+        if commutator(f, vi) != ((i + 1) * rep.v[i + 1] if i < m else zero):
+            return RepCheck(False, f"[f,v_{i}] != " + (f"(i+1) v_{i + 1}" if i < m else "0"))
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            if commutator(rep.v[i], rep.v[j]) != zero:
+                return RepCheck(False, f"[v_{i},v_{j}] != 0")
+    return RepCheck(True)
+
+
+def _chain_module(seq, m):
+    """The module of a factor sequence with its canonical superdiagonal,
+    obstructed or not."""
+    return _assemble(seq, m, _chain(seq, m))
+
+
+_PERTURBATION_BASES = (
+    lambda: build_z(1, 2, 2),
+    lambda: build_z(0, 2, 3),
+    lambda: build_z_dual(0, 2, 2),
+    lambda: build_exceptional_len3(2, 0),
+    lambda: build_z_family(4, Fraction(2, 3)),
+    lambda: _chain_module([0, 2, 2], 2),
+    lambda: _chain_module([2, 1, 2, 3], 1),
+)
+
+
+@st.composite
+def _perturbed_modules(draw):
+    """A module, valid or from an obstructed chain, with one or two entries of
+    h, e, f or a v_i changed; a change to v_i may keep its weight m - 2i, so
+    that [h,v_i] still holds and a later relation has to catch it."""
+    rep = draw(st.sampled_from(_PERTURBATION_BASES))()
+    mats = dict(rep.matrices())
+    weights = diagonal_weights(rep.h)
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(mats)))
+        r = draw(st.integers(0, rep.dim - 1))
+        cols = range(rep.dim)
+        if name.startswith("v_") and draw(st.booleans()):
+            shift = rep.m - 2 * int(name[2:])
+            cols = [c for c, w in enumerate(weights) if weights[r] - w == shift] or cols
+        c = draw(st.sampled_from(cols))
+        rows = mats[name].sparse_rows()
+        rows[r][c] = rows[r].get(c, 0) + draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))
+        mats[name] = QMatrix.from_sparse_rows(rep.dim, rows)
+    v = tuple(mats[f"v_{i}"] for i in range(rep.m + 1))
+    return GRep(rep.m, rep.dim, mats["h"], mats["e"], mats["f"], v)
+
+
+@given(_perturbed_modules())
+@settings(max_examples=300, deadline=None)
+def test_check_rep_names_the_first_relation_of_the_full_list(rep):
+    assert check_rep(rep) == check_every_relation(rep)
+
+
+@st.composite
+def _chains(draw):
+    """A factor sequence of length 3 or 4 whose neighbours pass the triangle with m."""
+    m = draw(st.integers(1, 4))
+    seq = [draw(st.integers(0, 6))]
+    for _ in range(draw(st.integers(2, 3))):
+        seq.append(draw(st.sampled_from(range(abs(seq[-1] - m), seq[-1] + m + 1, 2))))
+    return seq, m
+
+
+@given(_chains())
+@settings(max_examples=150, deadline=None)
+def test_check_rep_names_the_first_relation_of_the_full_list_on_chains(chain):
+    rep = _chain_module(*chain)
+    assert check_rep(rep) == check_every_relation(rep)
+
+
+def test_check_rep_on_an_obstructed_chain():
+    # h, e and f hold on the chain [0, 2, 2]; only the radical brackets fail
+    rep = _chain_module([0, 2, 2], 2)
+    assert broken_relation(rep.h, rep.e, rep.f) is None
+    expected = RepCheck(False, "[v_0,v_1] != 0")
+    assert check_rep(rep) == check_every_relation(rep) == expected
 
 
 def test_socle_series_main_family():

@@ -302,6 +302,27 @@ def test_delta_surd_matches_sqrt_of_delta_sq():
             ), tri
 
 
+_squarefree = st.integers(1, 300).filter(lambda n: exact.squarefree_split(n)[1] == 1)
+_surds = st.tuples(st.integers(-60, 60), st.integers(1, 60), _squarefree)
+
+
+@given(st.lists(_surds, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_surd_product_is_the_reduced_product_of_the_surds(surds):
+    n, d, rad = wigner._surd_product(surds)
+    value = SqrtRational(Fraction(1))
+    for t, dt, s in surds:
+        value = value * SqrtRational(Fraction(t, dt), s)
+    assert d > 0 and gcd(n, d) == 1
+    assert (n, d, rad) == (value.coeff.numerator, value.coeff.denominator, value.radicand)
+
+
+def test_surd_product_of_zero_is_0_1_1():
+    assert wigner._surd_product([(0, 3, 5), (2, 1, 7)]) == (0, 1, 1)
+    assert wigner._surd_product([(4, 6, 15), (0, 1, 1)]) == (0, 1, 1)
+    assert wigner._surd_product([(4, 6, 15), (3, 1, 10)]) == (10, 1, 6)
+
+
 def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch):
     true_surd = wigner._delta_surd
 
@@ -335,7 +356,6 @@ def test_every_cache_is_bounded():
         "racahmod.wigner._delta_surd",
         "racahmod.sl2._f_power_images",
         "racahmod.sl2._iota_image",
-        "racahmod.sl2.hom_embedding",
     } <= set(caches)
     assert all(size is not None for size in caches.values()), caches
 

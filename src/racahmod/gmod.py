@@ -40,6 +40,12 @@ class GRep(NamedTuple):
         named += [(f"v_{i}", vi) for i, vi in enumerate(self.v)]
         return named
 
+    def map(self, fn) -> "GRep":
+        """The module with each generator matrix X replaced by fn(X), on the
+        same m, its dimension read off the new h."""
+        h = fn(self.h)
+        return GRep(self.m, h.rows, h, fn(self.e), fn(self.f), tuple(fn(vi) for vi in self.v))
+
 
 class RepCheck(NamedTuple):
     ok: bool
@@ -167,12 +173,7 @@ def is_uniserial(rep: GRep) -> bool:
 
 def dual_rep(rep: GRep) -> GRep:
     """Dual module: every generator matrix X goes to -X^T."""
-    return rep._replace(
-        h=-rep.h.transpose(),
-        e=-rep.e.transpose(),
-        f=-rep.f.transpose(),
-        v=tuple(-vi.transpose() for vi in rep.v),
-    )
+    return rep.map(lambda mat: -mat.transpose())
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -79,13 +79,10 @@ def irrep(k: int) -> Sl2Rep:
     if k < 0:
         raise ValueError("highest weight must be non-negative")
     n = k + 1
-    h = QMatrix.diagonal([k - 2 * r for r in range(n)])
-    e_rows = [[0] * n for _ in range(n)]
-    f_rows = [[0] * n for _ in range(n)]
-    for r in range(1, n):
-        e_rows[r - 1][r] = k + 1 - r
-        f_rows[r][r - 1] = r
-    return Sl2Rep(n, h, QMatrix.from_rows(e_rows), QMatrix.from_rows(f_rows))
+    h = [{r: k - 2 * r} if 2 * r != k else {} for r in range(n)]
+    e = [{r + 1: k - r} for r in range(k)] + [{}]
+    f = [{}] + [{r - 1: r} for r in range(1, n)]
+    return Sl2Rep(n, QMatrix(n, n, h), QMatrix(n, n, e), QMatrix(n, n, f))
 
 
 def tensor(a: Sl2Rep, b: Sl2Rep) -> Sl2Rep:

@@ -19,7 +19,9 @@ _ratio_sum, on their limits and term ratios.  Every square root taken here
 (each Delta factor, the Clebsch-Gordan prefactor and the E coefficient of
 the three-term recurrence) is an integer surd t/d*sqrt(s) from
 exact.factorial_surd; the Delta factors are memoised per triangle in a
-bounded cache.  So each value stays in int up to the one Fraction returned.
+bounded cache, and surds multiply through exact._surd_product.  So each
+value stays in int up to the one Fraction returned.  sixj_is_zero, the one
+6j zero test, reads the same Racah sum and builds no prefactor.
 
 The zero search evaluates one Racah sum per Regge class: the sum depends only
 on the multisets of the four triangle sums and the three column sums, which
@@ -42,6 +44,7 @@ from .exact import (
     SqrtRational,
     _check_bound,
     _check_twoj,
+    _surd_product,
     _triangle,
     factorial_surd,
     sqrtrat_sum_is_zero,
@@ -95,24 +98,6 @@ def _delta_surd(ta: int, tb: int, tc: int) -> tuple[int, int, int]:
     """
     s2 = (ta + tb + tc) // 2
     return factorial_surd((s2 - tc, s2 - tb, s2 - ta), (s2 + 1,))
-
-
-def _surd_product(surds) -> tuple[int, int, int]:
-    """The product of the surds (t, d, s), each t/d*sqrt(s) with d > 0 and
-    s squarefree, as (n, d, rad) reduced: n, d coprime, d > 0 and rad
-    squarefree, by taking out common factors, and (0, 1, 1) for zero.  The
-    one surd multiply of wigner and classify; a rational factor is (t, d, 1).
-    """
-    n = d = rad = 1
-    for t, dt, s in surds:
-        g = gcd(rad, s)
-        n *= t * g
-        d *= dt
-        rad = (rad // g) * (s // g)
-    if not n:
-        return 0, 1, 1
-    g = gcd(n, d)
-    return n // g, d // g, rad
 
 
 def delta(ta: int, tb: int, tc: int) -> SqrtRational:
@@ -289,7 +274,8 @@ def sixj(
 
 
 def sixj_is_zero(tj: SixJInput) -> bool:
-    """Fast exact zero test (single formula, integer arithmetic only)."""
+    """Whether the 6j-symbol is zero: a triangle fails or sixj's Racah sum
+    vanishes.  Exact and in int, with no prefactor surd built."""
     _check_twoj(*tj)
     if not sixj_triangles_hold(tj):
         return True
@@ -389,43 +375,37 @@ POOL_START_S = 0.07
 
 
 def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
-    """[fn(task) for task in tasks], on up to `jobs` worker processes.
+    """The lists fn(task) for task in tasks, concatenated in task order, on
+    up to `jobs` worker processes (None: one per core).
 
-    jobs=None means one per core.  Runs in this process when at most one
-    worker would have work: jobs is capped at the number of tasks and of
-    cores.  Otherwise the tasks start in this process too, and after each
-    one the serial time of the whole sweep is projected from the rate so
-    far (elapsed * len(tasks) / done).  A pool of w workers saves at most
-    (w - 1) / w of the serial time left, so it repays its start-up only
-    once the projection passes POOL_START_S * w / (w - 1): twice the
-    start-up on two workers.  Then the tasks left go to a process pool,
-    capped again at their number; a sweep whose projection never passes
-    that bound starts no pool.
-    Results keep the task order, so output never depends on jobs.
-    fn and the tasks must pickle.  Each task travels on its own, so callers
-    group their work into tasks of a useful size: the zero scan sends one
-    task per largest triangle sum, the other sweeps one per group of tuples
-    that share their first entries.  Each result is pickled back to this
-    process, so tasks should return plain str, int and bool: a Fraction
-    travels as its decimal string and is parsed again here, one at a time.
+    The tasks run in this process, and after each one the serial time of
+    the tasks left is projected from the rate so far (elapsed * tasks left
+    / tasks done).  A pool of w workers, w capped at the cores and the
+    tasks left, saves at most (w - 1) / w of that time, so the tasks left
+    go to a pool only once (w - 1) / w of the projection passes
+    POOL_START_S.  Output never depends on jobs.  fn and the tasks must
+    pickle, and each task travels alone, so callers group their work: the
+    zero scan sends one task per largest triangle sum, the other sweeps one
+    per group of tuples that share their first entries.  Results are
+    pickled back, so tasks should return plain str, int and bool: a
+    Fraction travels as its decimal string.
     """
     cores = os.cpu_count() or 1
-    workers = min(cores if jobs is None else jobs, len(tasks), cores)
-    results = []
-    worth = POOL_START_S * workers / max(workers - 1, 1)  # read only when workers > 1
+    workers = min(cores if jobs is None else jobs, cores)
+    results: list = []
     start = time.perf_counter()
-    for task in tasks:
-        results.append(fn(task))
-        if workers > 1 and (time.perf_counter() - start) * len(tasks) > worth * len(results):
-            break
-    rest = tasks[len(results) :]
-    workers = min(workers, len(rest))
-    if workers <= 1:
-        return results + [fn(task) for task in rest]
-    import concurrent.futures  # only a pool needs it; every launch would pay for it
+    for done, task in enumerate(tasks, 1):
+        results += fn(task)
+        left = len(tasks) - done
+        w = min(workers, left)
+        if w > 1 and (time.perf_counter() - start) / done * left * (w - 1) / w > POOL_START_S:
+            import concurrent.futures  # only a pool needs it; every launch would pay for it
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return results + list(pool.map(fn, rest))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=w) as pool:
+                for chunk in pool.map(fn, tasks[done:]):
+                    results += chunk
+            break
+    return results
 
 
 def _regge_images(a: Sequence[int], b: Sequence[int]) -> set[SixJInput]:
@@ -483,7 +463,7 @@ def find_sixj_zeros(n: int, jobs: int | None = 1) -> list[SixJInput]:
     _check_bound(n)
     # a triangle sum is at most 3/2 of the side
     tasks = [(a4, n) for a4 in range(3 * n // 2 + 1)]
-    return sorted(tj for chunk in sweep(_zero_class_task, tasks, jobs) for tj in chunk)
+    return sorted(sweep(_zero_class_task, tasks, jobs))
 
 
 def dual_formula_agreement(max_twoj: int) -> int:

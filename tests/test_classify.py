@@ -31,7 +31,7 @@ from racahmod.classify import (
     verify_scalar_theorem,
 )
 from racahmod.constructions import build_from_sequence
-from racahmod.exact import QMatrix, RowSpace, SqrtRational
+from racahmod.exact import QMatrix, RowSpace, SqrtRational, _surd_text
 from racahmod.gmod import GRep
 from racahmod.sl2 import iota
 from racahmod.wigner import sixj, triangle
@@ -188,6 +188,15 @@ def test_compute_I_J_distinct_pq():
     image, alternating = compute_I_J(2, 3, 1, 3, 2)
     assert alternating is None
     assert image  # non-empty by degenerate-triangle non-vanishing
+
+
+def test_compute_I_J_cross_check_catches_a_flipped_zero_test(monkeypatch):
+    # the image read off lambda is checked against the non-zero 6j-symbols;
+    # a zero test that answers wrong must make the check fire, naming the tuple
+    true_is_zero = wigner.sixj_is_zero
+    monkeypatch.setattr(classify, "sixj_is_zero", lambda tj: not true_is_zero(tj))
+    with pytest.raises(AssertionError, match=r"composite image mismatch at \(4, 6, 4, 4, 4\)"):
+        compute_I_J(4, 6, 4, 4, 4)
 
 
 def test_compute_I_J_reads_integer_matrices(monkeypatch):
@@ -375,16 +384,19 @@ def test_verify_scalar_theorem_examples():
 @settings(max_examples=400, deadline=None)
 def test_surd_text_is_how_fraction_and_sqrtrational_print(value, rad):
     n, d = value.numerator, value.denominator
-    assert classify._surd_text(n, d) == str(value)
-    assert classify._surd_text(n, d, rad) == str(SqrtRational(value, rad))
+    assert _surd_text(n, d) == str(value)
+    spelled = str(value) if rad == 1 or not value else str(value) + "*sqrt(" + str(rad) + ")"
+    assert _surd_text(n, d, rad) == spelled
+    # SqrtRational prints through the same routine
+    assert _surd_text(n, d, rad) == str(SqrtRational(value, rad))
 
 
 def test_surd_text_edge_values():
-    assert classify._surd_text(0, 1, 5) == "0" == str(SqrtRational(Fraction(0), 5))
-    assert classify._surd_text(-3, 2) == "-3/2"
-    assert classify._surd_text(-3, 1, 1) == "-3"
-    assert classify._surd_text(2, 1, 3) == "2*sqrt(3)"
-    assert classify._surd_text(-1, 12, 6) == "-1/12*sqrt(6)"
+    assert _surd_text(0, 1, 5) == "0" == str(SqrtRational(Fraction(0), 5))
+    assert _surd_text(-3, 2) == "-3/2"
+    assert _surd_text(-3, 1, 1) == "-3"
+    assert _surd_text(2, 1, 3) == "2*sqrt(3)"
+    assert _surd_text(-1, 12, 6) == "-1/12*sqrt(6)"
 
 
 def test_int_forms_are_the_fields_of_the_values():

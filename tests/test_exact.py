@@ -273,6 +273,16 @@ def test_qmatrix_shape_errors():
         QMatrix.from_rows([[1]]) + QMatrix.from_rows([[1, 0]])
 
 
+def test_qmatrix_constructor_checks_its_rows():
+    # one stored row for three declared ones used to fail only later, in
+    # to_fractions, with an IndexError
+    with pytest.raises(ValueError, match="1 rows of numerators for a matrix of 3 rows"):
+        QMatrix(3, 3, [{5: 1}])
+    # a dense grid is not the sparse row form
+    with pytest.raises(TypeError):
+        QMatrix(2, 2, [[1, 0], [0, 1]])
+
+
 # -- differential tests: the sparse integer kernels against dense Fractions ------
 
 

@@ -267,6 +267,20 @@ def test_dual_involution_and_socle():
     assert check_rep(dual_rep(rep)).ok
 
 
+def test_dual_is_an_involution_on_every_realize_kind():
+    sympow = build_symmetric_power(2, 3)
+    reps = [
+        build_z(1, 2, 2),
+        build_z_dual(0, 3, 3),
+        build_exceptional_len3(6, 8),
+        build_z_family(8, Fraction(5, 7)),
+        sympow.sub,
+        sympow.big,
+    ]
+    for rep in reps:
+        assert dual_rep(dual_rep(rep)) == rep
+
+
 def test_dual_of_irreducible():
     rep = zero_radical_rep(irrep(4), 2)
     dual = dual_rep(rep)

@@ -309,18 +309,78 @@ _surds = st.tuples(st.integers(-60, 60), st.integers(1, 60), _squarefree)
 @given(st.lists(_surds, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_surd_product_is_the_reduced_product_of_the_surds(surds):
-    n, d, rad = wigner._surd_product(surds)
+    n, d, rad = exact._surd_product(surds)
+    # the oracle: the rational parts multiplied as Fractions, the radicands
+    # as one integer whose square part trial division takes out
+    coeff, radicand = Fraction(1), 1
+    for t, dt, s in surds:
+        coeff *= Fraction(t, dt)
+        radicand *= s
+    squarefree, root = exact.squarefree_split(radicand)
+    coeff *= root
+    want = (coeff.numerator, coeff.denominator, squarefree if coeff else 1)
+    assert d > 0 and gcd(n, d) == 1
+    assert (n, d, rad) == want
+    # SqrtRational multiplies through the same routine
     value = SqrtRational(Fraction(1))
     for t, dt, s in surds:
         value = value * SqrtRational(Fraction(t, dt), s)
-    assert d > 0 and gcd(n, d) == 1
     assert (n, d, rad) == (value.coeff.numerator, value.coeff.denominator, value.radicand)
 
 
 def test_surd_product_of_zero_is_0_1_1():
-    assert wigner._surd_product([(0, 3, 5), (2, 1, 7)]) == (0, 1, 1)
-    assert wigner._surd_product([(4, 6, 15), (0, 1, 1)]) == (0, 1, 1)
-    assert wigner._surd_product([(4, 6, 15), (3, 1, 10)]) == (10, 1, 6)
+    assert exact._surd_product([(0, 3, 5), (2, 1, 7)]) == (0, 1, 1)
+    assert exact._surd_product([(4, 6, 15), (0, 1, 1)]) == (0, 1, 1)
+    assert exact._surd_product([(4, 6, 15), (3, 1, 10)]) == (10, 1, 6)
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that counts its starts and maps in
+    this process, so a sweep's pool decision is seen without forking."""
+
+    started = 0
+
+    def __init__(self, max_workers):
+        type(self).started += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "costs, pool",
+    [
+        # after the first of three tasks the whole sweep projects to 0.18 s,
+        # past the old bound of 2 * POOL_START_S, but a pool of two workers
+        # could save only half of the 0.12 s left: less than its start-up
+        ([0.06] * 3, False),
+        # half of the 0.2 s left repays the start-up
+        ([0.1] * 3, True),
+    ],
+)
+def test_sweep_starts_a_pool_only_when_the_time_left_repays_it(monkeypatch, costs, pool):
+    import concurrent.futures
+
+    now = [0.0]
+
+    def task(i):
+        now[0] += costs[i]  # task i takes costs[i] on the fake clock
+        return [i, -i]
+
+    monkeypatch.setattr(wigner.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(wigner, "POOL_START_S", 0.07)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    started = _InlinePool.started
+    tasks = list(range(len(costs)))
+    assert wigner.sweep(task, tasks, 2) == [x for i in tasks for x in (i, -i)]
+    assert _InlinePool.started == started + pool
 
 
 def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch):

@@ -22,8 +22,8 @@ import contextlib
 import functools
 import json
 import sys
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, chain, islice
+from typing import TYPE_CHECKING, Iterable
 
 from .exact import rat_from_str
 
@@ -215,25 +215,33 @@ def _cmd_zeros(args) -> int:
     if args.format == "json":
         print(json.dumps([list(z) for z in zeros]))
     elif args.format == "csv":
-        print("twoj1,twoj2,twoj3,twoj4,twoj5,twoj6")
-        for z in zeros:
-            print(",".join(str(t) for t in z))
+        header = ("twoj1,twoj2,twoj3,twoj4,twoj5,twoj6",)
+        _write_lines(chain(header, (",".join(map(str, z)) for z in zeros)))
     else:
-        for z in zeros:
-            print(" ".join(str(t) for t in z))
+        _write_lines(" ".join(map(str, z)) for z in zeros)
     return 0
 
 
+# Lines per write of a sweep's output.  Unbuffered, print costs two writes
+# a line; a block costs one, and holds only a few hundred kB at a time.
+BLOCK_LINES = 2048
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line to stdout as print(line) would, BLOCK_LINES lines to
+    a write."""
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
+
+
 def _print_sweep(header: str, rows, failure: str, keys: int) -> int:
-    """Print a sweep's CSV: the header, then each row's line.  Exit 1 if any
-    verdict is false, naming on stderr the first failing row by its leading
-    `keys` columns."""
-    print(header)
-    bad = None
-    for text, ok in rows:
-        print(text)
-        if not ok and bad is None:
-            bad = text
+    """Print a sweep's CSV: the header, then the line of each (text, ok) in
+    the list rows.  Exit 1 if any verdict is false, naming on stderr the
+    first failing row by its leading `keys` columns."""
+    _write_lines(chain((header,), (text for text, _ in rows)))
+    bad = next((text for text, ok in rows if not ok), None)
     if bad is None:
         return 0
     names = ",".join(header.split(",")[:keys])

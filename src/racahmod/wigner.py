@@ -27,7 +27,13 @@ The zero search evaluates one Racah sum per Regge class: the sum depends only
 on the multisets of the four triangle sums and the three column sums, which
 all 144 Regge images of a tuple share (T. Regge, Nuovo Cimento 11 (1959) 116;
 J. Rasch and A. C. H. Yu, SIAM J. Sci. Comput. 25 (2003) 1416).  It walks the
-sorted sums and expands each zero class to its images in the cube.
+sorted sums and expands each zero class to its images in the cube.  The 6j
+value is the same on all images too, so sixj without the cross-check reads it
+from _sixj_class, a bounded memo keyed by Regge class (the sorted triangle
+sums and the sorted column sums).  It holds 4,096 classes and evaluates the
+Delta route on one image of each, as Rasch and Yu store each value once per
+class.  It serves unchecked calls only: a cross-checked call runs both
+formulas on its own tuple and leaves the memo alone.
 """
 
 from __future__ import annotations
@@ -159,18 +165,26 @@ def sixj_triangles_hold(tj: SixJInput) -> bool:
     )
 
 
+def _sums(t1, t2, t3, t4, t5, t6) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The four triangle sums and the three column sums of a tuple."""
+    return (
+        ((t1 + t2 + t3) // 2, (t1 + t5 + t6) // 2, (t4 + t2 + t6) // 2, (t4 + t5 + t3) // 2),
+        ((t2 + t3 + t5 + t6) // 2, (t1 + t3 + t4 + t6) // 2, (t1 + t2 + t4 + t5) // 2),
+    )
+
+
 def _alpha_sum(t1, t2, t3, t4, t5, t6) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """Single sum of the Delta-prefactor formula,
 
         sum over max(a) <= t <= min(b) of (-1)^t (t+1)! / (prod (t-a_i)! prod (b_j-t)!),
 
-    with a the four triangle sums and b the three column sums.  Returns
-    (a, b, n, d): the sum over its first term is n/d, so it vanishes exactly
-    when n == 0, which the zero test reads without leaving int.
+    with a the four triangle sums and b the three column sums, as _sums
+    numbers them.  Returns (a, b, n, d): the sum over its first term is n/d,
+    so it vanishes exactly when n == 0, which the zero test reads without
+    leaving int.
     """
-    a = ((t1 + t2 + t3) // 2, (t1 + t5 + t6) // 2, (t4 + t2 + t6) // 2, (t4 + t5 + t3) // 2)
+    a, b = _sums(t1, t2, t3, t4, t5, t6)
     a0, a1, a2, a3 = a
-    b = ((t2 + t3 + t5 + t6) // 2, (t1 + t3 + t4 + t6) // 2, (t1 + t2 + t4 + t5) // 2)
     return a, b, *_ratio_sum(max(a), min(b), ((2,), b), ((1 - a0, 1 - a1, 1 - a2, 1 - a3), ()))
 
 
@@ -202,45 +216,62 @@ def _r_sq_inv(tx: int, ty: int, tz: int) -> int:
     return factorial(s - ty) * factorial(s - tx) * (factorial(s + 1) // factorial(s - tz))
 
 
-def _sixj_surd(tj: SixJInput, cross_check: bool) -> tuple[int, int, int]:
-    """The 6j-symbol as (n, d, rad), its value n/d * sqrt(rad) with n, d
-    coprime and d > 0, and (0, 1, 1) for zero; tj must pass the four
-    triangles (unchecked)."""
+def _sixj_delta_route(tj: SixJInput) -> tuple[int, int, int]:
+    """The Delta-prefactor formula as (n, d, rad), its value n/d * sqrt(rad)
+    with n, d coprime and d > 0, and (0, 1, 1) for zero; tj must pass the
+    four triangles (unchecked)."""
     tj1, tj2, tj3, tj4, tj5, tj6 = tj
     a, b, n, d = _alpha_sum(*tj)
     if not n:
-        n, d, rad = 0, 1, 1
-    else:
-        # the sum times the four Delta factors, in int
-        lo = max(a)
-        first_den = (
-            lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo
+        return 0, 1, 1
+    # the sum times the four Delta factors, in int
+    lo = max(a)
+    first_den = (lo - a[0], lo - a[1], lo - a[2], lo - a[3], b[0] - lo, b[1] - lo, b[2] - lo)
+    t, dt, s = _delta_surd(tj1, tj2, tj3)
+    n *= t * (-factorial(lo + 1) if lo & 1 else factorial(lo + 1))
+    d *= dt * prod(map(factorial, first_den))  # every factor is positive
+    return _surd_product(
+        (
+            (n, d, s),
+            _delta_surd(tj1, tj5, tj6),
+            _delta_surd(tj4, tj2, tj6),
+            _delta_surd(tj4, tj5, tj3),
         )
-        t, dt, s = _delta_surd(tj1, tj2, tj3)
-        n *= t * (-factorial(lo + 1) if lo & 1 else factorial(lo + 1))
-        d *= dt * prod(map(factorial, first_den))  # every factor is positive
-        n, d, rad = _surd_product(
-            (
-                (n, d, s),
-                _delta_surd(tj1, tj5, tj6),
-                _delta_surd(tj4, tj2, tj6),
-                _delta_surd(tj4, tj5, tj3),
-            )
-        )
-    if cross_check:
-        # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the
-        # returned value; every denominator is positive, so once the squares
-        # agree the two sides vanish together
-        sn, sd = _def_sum(*tj)
-        g = gcd(sn, sd)  # keeps the products below small at large twice-values
-        sn, sd = sn // g, sd // g
-        q_num = _r_sq_inv(tj5, tj6, tj1) * _r_sq_inv(tj2, tj6, tj4)
-        q_den = _r_sq_inv(tj2, tj3, tj1) * _r_sq_inv(tj3, tj5, tj4)
-        if ((tj1 + tj2 + tj4 + tj5) // 2) & 1:
-            sn = -sn
-        lhs = n * n * rad * q_den * sd * sd
-        if lhs != q_num * sn * sn * d * d or (n < 0) != (sn < 0):
-            raise FormulaDisagreement(f"6j formulas disagree at {tj}")
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _sixj_class(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
+    """The Delta route on the Regge class of sorted triangle sums a and sorted
+    column sums b, evaluated on its image _regge_image(a, b).  The value is
+    the same on all 144 images, so a sweep pays for each class once; 4,096
+    slots hold every class of the cube of side 12 (3,402 of them)."""
+    return _sixj_delta_route(_regge_image(a, b))
+
+
+def _sixj_surd(tj: SixJInput, cross_check: bool) -> tuple[int, int, int]:
+    """The 6j-symbol as (n, d, rad), as _sixj_delta_route returns it; tj must
+    pass the four triangles (unchecked).  Without the cross-check the value
+    comes from the memo of its Regge class; with it, both formulas run on tj
+    itself and the memo is neither read nor written."""
+    if not cross_check:
+        a, b = _sums(*tj)
+        return _sixj_class(tuple(sorted(a)), tuple(sorted(b)))
+    tj1, tj2, tj3, tj4, tj5, tj6 = tj
+    n, d, rad = _sixj_delta_route(tj)
+    # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the returned
+    # value; every denominator is positive, so once the squares agree the two
+    # sides vanish together
+    sn, sd = _def_sum(*tj)
+    g = gcd(sn, sd)  # keeps the products below small at large twice-values
+    sn, sd = sn // g, sd // g
+    q_num = _r_sq_inv(tj5, tj6, tj1) * _r_sq_inv(tj2, tj6, tj4)
+    q_den = _r_sq_inv(tj2, tj3, tj1) * _r_sq_inv(tj3, tj5, tj4)
+    if ((tj1 + tj2 + tj4 + tj5) // 2) & 1:
+        sn = -sn
+    lhs = n * n * rad * q_den * sd * sd
+    if lhs != q_num * sn * sn * d * d or (n < 0) != (sn < 0):
+        raise FormulaDisagreement(f"6j formulas disagree at {tj}")
     return n, d, rad
 
 
@@ -260,7 +291,8 @@ def sixj(
     Returns exactly 0 when any of the four triangle triples fails.  With
     cross_check on, both independent formulas are evaluated and must agree
     exactly: the square of the value returned must equal the R-formula's,
-    and so must the sign; a mismatch raises FormulaDisagreement.  With ints
+    and so must the sign; a mismatch raises FormulaDisagreement.  With it
+    off, the value comes from the memo of the tuple's Regge class.  With ints
     on, returns the fields (n, d, rad) of the value n/d * sqrt(rad) in
     place of the SqrtRational: n, d coprime, d > 0, and (0, 1, 1) for zero.
     """
@@ -408,14 +440,22 @@ def sweep(fn: Callable, tasks: Sequence, jobs: int | None) -> list:
     return results
 
 
+def _regge_image(a: Sequence[int], b: Sequence[int]) -> SixJInput:
+    """The tuple whose triangle sums, as _sums numbers them, are a and
+    whose column sums are b: t = (a1+a2-b1, a1+a3-b2, a1+a4-b3, a3+a4-b1,
+    a2+a4-b2, a2+a3-b3)."""
+    p, q, r, s = a
+    u, v, w = b
+    return (p + q - u, p + r - v, p + s - w, r + s - u, q + s - v, q + r - w)
+
+
 def _regge_images(a: Sequence[int], b: Sequence[int]) -> set[SixJInput]:
     """The tuples whose triangle sums are an ordering of a and whose column
-    sums are an ordering of b: for each, t = (a1+a2-b1, a1+a3-b2, a1+a4-b3,
-    a3+a4-b1, a2+a4-b2, a2+a3-b3), as _alpha_sum numbers the sums."""
+    sums are an ordering of b: _regge_image of each pair of orderings."""
     return {
-        (p + q - u, p + r - v, p + s - w, r + s - u, q + s - v, q + r - w)
-        for p, q, r, s in itertools.permutations(a)
-        for u, v, w in itertools.permutations(b)
+        _regge_image(pa, pb)
+        for pa in itertools.permutations(a)
+        for pb in itertools.permutations(b)
     }
 
 

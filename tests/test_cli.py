@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racahmod import classify, wigner
+from racahmod import classify, cli, wigner
 from racahmod.classify import LambdaReport, scalar_theorem_tuples, verify_scalar_theorem
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
@@ -237,6 +237,18 @@ def test_zeros_formats(capsys):
     assert out.splitlines()[0] == "twoj1,twoj2,twoj3,twoj4,twoj5,twoj6"
 
 
+@pytest.mark.parametrize("fmt, sep", [("text", " "), ("csv", ",")])
+def test_zeros_lines_are_written_in_blocks(monkeypatch, fmt, sep):
+    # --max 20 has 3,370 zeros: two blocks
+    header = ["twoj1,twoj2,twoj3,twoj4,twoj5,twoj6"] if fmt == "csv" else []
+    lines = header + [sep.join(map(str, z)) for z in wigner.find_sixj_zeros(20)]
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["zeros", "--max", "20", "--jobs", "1", "--format", fmt]) == 0
+    assert stdout.getvalue() == "".join(line + "\n" for line in lines)
+    assert stdout.writes == -(-len(lines) // cli.BLOCK_LINES) == 2
+
+
 def test_verify_scalar_csv(capsys):
     code, out = run(capsys, "verify-scalar", "--max", "2", "--jobs", "1")
     assert code == 0
@@ -326,6 +338,54 @@ def test_false_verdict_names_the_first_failing_tuple(capsys, monkeypatch):
     changed = [(old, new) for old, new in zip(before, after) if old != new]
     assert len(after) == len(before) and len(changed) == 2
     assert all(new == old.removesuffix("true") + "false" for old, new in changed)
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts its writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _sweep_as_printed(header, rows):
+    # the output of the per-line print loop that the block writer replaced
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print(header)
+        for text, _ in rows:
+            print(text)
+    return out.getvalue()
+
+
+# 0 rows, exactly one block with the header, one block plus one row, and
+# failing rows in the second and third blocks
+@pytest.mark.parametrize(
+    "count, bad",
+    [
+        (0, ()),
+        (cli.BLOCK_LINES - 1, ()),
+        (cli.BLOCK_LINES, ()),
+        (2 * cli.BLOCK_LINES + 5, (2 * cli.BLOCK_LINES + 1, cli.BLOCK_LINES + 3)),
+    ],
+)
+def test_sweep_lines_are_written_in_blocks(capsys, monkeypatch, count, bad):
+    rows = [(f"{i},{i % 7},{i * i}", i not in bad) for i in range(count)]
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = cli._print_sweep("i,r,sq", rows, "rows fail", 2)
+    assert stdout.getvalue() == _sweep_as_printed("i,r,sq", rows)
+    assert stdout.writes == -(-(count + 1) // cli.BLOCK_LINES)
+    err = capsys.readouterr().err
+    if bad:
+        i = min(bad)
+        assert code == 1 and err == f"rows fail at (i,r)=({i},{i % 7})\n"
+    else:
+        assert code == 0 and err == ""
 
 
 def test_inconsistent_routes_name_the_first_failing_tuple(capsys, monkeypatch):

@@ -383,7 +383,7 @@ def test_sweep_starts_a_pool_only_when_the_time_left_repays_it(monkeypatch, cost
     assert _InlinePool.started == started + pool
 
 
-def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch):
+def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch, request):
     true_surd = wigner._delta_surd
 
     def wrong_radicand(ta, tb, tc):
@@ -393,11 +393,55 @@ def test_cross_check_catches_a_wrong_delta_radicand(monkeypatch):
     tuples = [(2, 2, 2, 2, 2, 2), (4, 0, 4, 4, 6, 4), (3, 4, 5, 3, 4, 5), (3, 5, 6, 5, 3, 4)]
     right = [sixj(*tj) for tj in tuples]
     monkeypatch.setattr(wigner, "_delta_surd", wrong_radicand)
+    # the class memo holds right values from earlier calls; no faulty value
+    # may outlive the test either
+    wigner._sixj_class.cache_clear()
+    request.addfinalizer(wigner._sixj_class.cache_clear)
     for tj, value in zip(tuples, right):
         assert not value.is_zero
         assert sixj(*tj, cross_check=False) != value, tj
         with pytest.raises(FormulaDisagreement):
             sixj(*tj, cross_check=True)
+
+
+def _class_key(tj):
+    a, b = wigner._sums(*tj)
+    return tuple(sorted(a)), tuple(sorted(b))
+
+
+@given(st.lists(_sixj_args(cap=12), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_unchecked_sixj_is_memoised_once_per_regge_class(tuples):
+    wigner._sixj_class.cache_clear()
+    images = set()
+    for tj in tuples:
+        images |= wigner._regge_images(*wigner._sums(*tj))
+    for image in sorted(images):
+        assert sixj_triangles_hold(image), image
+        assert sixj(*image, cross_check=False) == sixj(*image, cross_check=True), image
+    info = wigner._sixj_class.cache_info()
+    assert info.misses == len({_class_key(tj) for tj in tuples})
+    assert info.hits == len(images) - info.misses
+
+
+@pytest.mark.parametrize(
+    "fault", [lambda n, d: (n + d, d), lambda n, d: (-n, d)], ids=["one_more", "sign"]
+)
+def test_cross_check_catches_a_wrong_r_sum_on_a_memoised_class(monkeypatch, fault):
+    true_sum = wigner._def_sum
+    tuples = [(3, 4, 5, 3, 4, 5), (4, 0, 4, 4, 6, 4), (3, 5, 6, 5, 3, 4)]
+    for tj in tuples:
+        images = sorted(wigner._regge_images(*wigner._sums(*tj)))
+        values = [sixj(*image, cross_check=False) for image in images]
+        hits = wigner._sixj_class.cache_info().hits
+        monkeypatch.setattr(wigner, "_def_sum", lambda *t: fault(*true_sum(*t)))
+        for image, value in zip(images, values):
+            assert not value.is_zero
+            assert sixj(*image, cross_check=False) == value, image
+            with pytest.raises(FormulaDisagreement):
+                sixj(*image, cross_check=True)
+        assert wigner._sixj_class.cache_info().hits == hits + len(images)
+        monkeypatch.undo()
 
 
 def test_every_cache_is_bounded():
@@ -414,6 +458,7 @@ def test_every_cache_is_bounded():
     assert {
         "racahmod.constructions.radical_blocks",
         "racahmod.wigner._delta_surd",
+        "racahmod.wigner._sixj_class",
         "racahmod.sl2._f_power_images",
         "racahmod.sl2._iota_image",
     } <= set(caches)

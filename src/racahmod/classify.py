@@ -24,11 +24,14 @@ compute_I_J and length3_condition3 ask wigner.sixj_is_zero whether a
 The two sides of lambda = C * 6j stay two routes: lambda comes from the
 tensor contraction, C * 6j from the Delta surds and the Racah sum.  The
 scalar sweep takes each in integers, lambda as (num, den) and C, 6j and
-their product as (n, d, rad) for n/d * sqrt(rad), through the ints=True
-forms of lambda_phi, c_factor and wigner.sixj, kept only because the
-benchmark's tracer counts the three by these public names.  It compares
-them in reduced ints and writes each row with exact._surd_text, the text
-that str(SqrtRational) and so the report's csv() print.
+their product as (n, d, rad) for n/d * sqrt(rad).  It reads the 6j as the
+fields of wigner.sixj's value, which the Regge class memo holds once per
+class, and lambda and C through the ints=True forms of lambda_phi and
+c_factor: their values are new on every row, so a value object per row
+would cost time, and the benchmark's tracer counts the two by these public
+names.  It compares them in reduced ints and writes each row with
+exact._surd_text, the text that str(SqrtRational) and so the report's
+csv() print.
 
 Only classification_row builds modules, so it alone imports gmod and
 constructions, on its first call: the other commands never load them.
@@ -46,6 +49,7 @@ from .exact import (
     SqrtRational,
     _check_bound,
     _check_twoj,
+    _surd,
     _surd_product,
     _surd_text,
     binomial,
@@ -227,8 +231,8 @@ def c_factor(
     t4, d4, s4 = _delta_surd(a, c, k)
     num = sign * (p + q + k + 2) * (a + b + p + 2) * (b + c + q + 2) * d4
     deltas = (_delta_surd(a, b, p), _delta_surd(p, q, k), _delta_surd(b, c, q))
-    n, d, rad = _surd_product((*deltas, (num, 4 * (a + c + k + 2) * t4 * s4, s4)))
-    return (n, d, rad) if ints else SqrtRational(Fraction(n, d), rad)
+    fields = _surd_product((*deltas, (num, 4 * (a + c + k + 2) * t4 * s4, s4)))
+    return fields if ints else _surd(fields)
 
 
 class ScalarInts(NamedTuple):
@@ -250,7 +254,7 @@ def _scalar_ints(
     Delta surds and the Racah sum: two routes, compared in reduced ints."""
     lam = lambda_phi(a, b, c, p, q, k, ints=True)
     cf = c_factor(a, b, c, p, q, k, ints=True)
-    sj = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj, ints=True)
+    sj = sixj(q, k, p, a, b, c, cross_check=cross_check_sixj).fields
     product = _surd_product((cf, sj))
     return ScalarInts(lam, cf, sj, product, product[2] == 1 and product[:2] == lam)
 
@@ -291,7 +295,7 @@ class LambdaReport(NamedTuple):
 def verify_scalar_theorem(a: int, b: int, c: int, p: int, q: int, k: int) -> LambdaReport:
     """Compare the tensor-expansion scalar with C times the cross-checked 6j-symbol."""
     s = _scalar_ints(a, b, c, p, q, k)
-    surds = [SqrtRational(Fraction(n, d), rad) for n, d, rad in s[1:4]]
+    surds = map(_surd, s[1:4])
     return LambdaReport(a, b, c, p, q, k, Fraction(*s.lam), *surds, s.agrees)
 
 
@@ -332,7 +336,7 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
                 tm1, tm2 = a - 2 * r1, b - 2 * r2
                 rhs = common * (Fraction(img_num, den) if r2 == img_r2 else 0)
                 if tm1 + tm2 != tmu:
-                    lhs = SqrtRational(Fraction(0))
+                    lhs = SqrtRational(0)
                 else:
                     lhs = cgc(a, tm1, b, tm2, k, tmu) * SqrtRational.sqrt_of(
                         Fraction(

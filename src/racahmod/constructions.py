@@ -26,6 +26,7 @@ from . import gmod, sl2
 from .exact import (
     QMatrix,
     Vector,
+    _check_rational,
     _check_twoj,
     assemble_blocks,
     commutator,
@@ -222,6 +223,8 @@ def check_z_characterization(
     condition asks that the radical image of u^i vec stays inside the
     sl(2)-span of u^{i+1} vec for 0 <= i <= b.
     """
+    for j, x in enumerate(vec):
+        _check_rational(x, f"entry {j} of the vector")
     vec = tuple(Fraction(x) for x in vec)
     if not any(vec):
         raise ValueError("the candidate vector must be non-zero")

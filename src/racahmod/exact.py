@@ -14,8 +14,12 @@ workers.
 
 A surd t/d * sqrt(s) travels between the layers as the integer triple
 (t, d, s).  Such triples multiply in one place, _surd_product, and print in
-one place, _surd_text; SqrtRational multiplies and prints through the same
-two, so a value has one text whichever form carries it.
+one place, _surd_text.  A SqrtRational is such a triple, reduced, in its one
+fields slot: it multiplies, divides and prints through the same two, so a
+value has one text whichever form carries it, and a computed triple becomes
+a value through _surd with no Fraction built.  Values enter as int or
+Fraction only: a float or a string given to a SqrtRational constructor or
+as a vector entry is a TypeError, not its binary value or its parse.
 """
 
 from __future__ import annotations
@@ -23,15 +27,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import factorial  # the package's factorial, re-exported
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial is undefined for negative argument {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -181,28 +180,39 @@ def _surd_text(n: int, d: int, rad: int = 1) -> str:
     return text if rad == 1 else f"{text}*sqrt({rad})"
 
 
-class SqrtRational:
-    """The exact number coeff * sqrt(radicand).
+def _check_rational(x, name: str) -> None:
+    # type rather than isinstance, so that bool fails; a float or a string
+    # would otherwise enter as its binary value or its parse
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
 
-    radicand is a squarefree positive integer and coeff = 0 forces
-    radicand = 1, so two values are equal iff their fields are equal.  The set
-    of such numbers is closed under multiplication, which is all the
-    recoupling formulas need: every Delta product, Clebsch-Gordan coefficient
-    and 6j-symbol is a rational multiple of one square root.  Immutable: the
-    fields are set once, in __init__.
+
+class SqrtRational:
+    """The exact number n/d * sqrt(rad), held as its integer fields (n, d, rad).
+
+    n and d are coprime with d > 0, rad is a squarefree positive integer, and
+    zero is (0, 1, 1), so two values are equal iff their fields are equal.
+    coeff = n/d and radicand = rad are read from the fields.  The set of such
+    numbers is closed under multiplication, which is all the recoupling
+    formulas need: every Delta product, Clebsch-Gordan coefficient and
+    6j-symbol is a rational multiple of one square root.  Immutable: the
+    fields are set once, when the value is built.
+
+    SqrtRational(coeff, radicand) takes an int or Fraction coeff and a
+    squarefree int radicand; a computed triple that is already reduced
+    becomes a value through _surd, with no Fraction built.
     """
 
-    __slots__ = ("coeff", "radicand")
+    __slots__ = ("fields",)
 
     def __init__(self, coeff, radicand: int = 1):
-        if not isinstance(coeff, Fraction):
-            coeff = Fraction(coeff)
+        _check_rational(coeff, "coeff")
+        if type(radicand) is not int:
+            raise TypeError(f"radicand must be an int, got {radicand!r}")
         if radicand < 1:
             raise ValueError(f"radicand must be positive, got {radicand}")
-        if coeff == 0:
-            radicand = 1
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", radicand)
+        n, d = coeff.numerator, coeff.denominator
+        object.__setattr__(self, "fields", (n, d, radicand) if n else (0, 1, 1))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SqrtRational is immutable: cannot assign {name!r}")
@@ -210,85 +220,102 @@ class SqrtRational:
     def __delattr__(self, name):
         raise AttributeError(f"SqrtRational is immutable: cannot delete {name!r}")
 
+    @property
+    def coeff(self) -> Fraction:
+        return Fraction(self.fields[0], self.fields[1])
+
+    @property
+    def radicand(self) -> int:
+        return self.fields[2]
+
     def __eq__(self, other):
         if other.__class__ is not SqrtRational:
             return NotImplemented
-        return self.coeff == other.coeff and self.radicand == other.radicand
+        return self.fields == other.fields
 
     def __hash__(self) -> int:
-        return hash((self.coeff, self.radicand))
+        return hash(self.fields)
 
     def __repr__(self) -> str:
         return f"SqrtRational(coeff={self.coeff!r}, radicand={self.radicand!r})"
 
     def __reduce__(self):
-        return SqrtRational, (self.coeff, self.radicand)
+        return _surd, (self.fields,)
 
     @staticmethod
     def of(coeff, radicand: int = 1) -> "SqrtRational":
         """Construct from an arbitrary positive radicand, extracting squares."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return SqrtRational(Fraction(0), 1)
+        _check_rational(coeff, "coeff")
+        if type(radicand) is not int:
+            raise TypeError(f"radicand must be an int, got {radicand!r}")
+        if not coeff:
+            return SqrtRational(0)
         s, t = squarefree_split(radicand)
         return SqrtRational(coeff * t, s)
 
     @staticmethod
     def sqrt_of(value) -> "SqrtRational":
         """Exact square root of a non-negative rational."""
-        value = Fraction(value)
+        _check_rational(value, "value")
         if value < 0:
             raise ValueError(f"square root of negative rational {value}")
         if value == 0:
-            return SqrtRational(Fraction(0), 1)
+            return SqrtRational(0)
         # sqrt(p/q) = sqrt(p*q)/q
         s, t = squarefree_split(value.numerator * value.denominator)
-        return SqrtRational(Fraction(t, value.denominator), s)
+        return _surd(_surd_product(((t, value.denominator, s),)))
 
     @property
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return not self.fields[0]
 
     @property
     def is_rational(self) -> bool:
-        return self.radicand == 1
+        return self.fields[2] == 1
 
     def as_fraction(self) -> Fraction:
-        if self.radicand != 1:
+        if self.fields[2] != 1:
             raise ValueError(f"{self} is irrational")
         return self.coeff
 
-    def _fields(self) -> tuple[int, int, int]:
-        return self.coeff.numerator, self.coeff.denominator, self.radicand
-
     def __mul__(self, other):
         if isinstance(other, SqrtRational):
-            n, d, rad = _surd_product((self._fields(), other._fields()))
-            return SqrtRational(Fraction(n, d), rad)
+            return _surd(_surd_product((self.fields, other.fields)))
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff * other, self.radicand)
+            return _surd(_surd_product((self.fields, (other.numerator, other.denominator, 1))))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SqrtRational(-self.coeff, self.radicand)
+        n, d, rad = self.fields
+        return _surd((-n, d, rad))
 
     def inverse(self) -> "SqrtRational":
-        if self.coeff == 0:
+        n, d, rad = self.fields
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        # 1/(q*sqrt(s)) = sqrt(s)/(q*s)
-        return SqrtRational(Fraction(1) / (self.coeff * self.radicand), self.radicand)
+        # 1/(n/d*sqrt(s)) = d/(n*s)*sqrt(s)
+        return _surd(_surd_product(((d if n > 0 else -d, abs(n) * rad, rad),)))
 
     def __truediv__(self, other):
         if isinstance(other, SqrtRational):
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.coeff / other, self.radicand)
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def __str__(self) -> str:
-        return _surd_text(*self._fields())
+        return _surd_text(*self.fields)
+
+
+def _surd(fields: tuple[int, int, int]) -> SqrtRational:
+    """The SqrtRational with these fields, which must already be reduced as
+    _surd_product returns them (unchecked): the one constructor of computed
+    values, which builds no Fraction."""
+    value = object.__new__(SqrtRational)
+    object.__setattr__(value, "fields", fields)
+    return value
 
 
 def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
@@ -319,11 +346,12 @@ _ONE = Fraction(1)
 def _int_vector(vec: Sequence) -> tuple[dict[int, int], int]:
     """The numerators of the nonzero entries of a rational vector over their
     least common denominator, and that denominator.  A dict stands for the
-    vector with those {index: value} entries and zeros elsewhere."""
+    vector with those {index: value} entries and zeros elsewhere.  An entry
+    that is no int or Fraction (a bool, a float, a string) is a TypeError."""
     entries = {}
     for j, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
         if type(x) is not int and type(x) is not Fraction:
-            x = Fraction(x)
+            raise TypeError(f"entry {j} must be an int or a Fraction, got {x!r}")
         if x:
             entries[j] = x
     den = math.lcm(*[x.denominator for x in entries.values()])

@@ -20,20 +20,22 @@ _ratio_sum, on their limits and term ratios.  Every square root taken here
 the three-term recurrence) is an integer surd t/d*sqrt(s) from
 exact.factorial_surd; the Delta factors are memoised per triangle in a
 bounded cache, and surds multiply through exact._surd_product.  So each
-value stays in int up to the one Fraction returned.  sixj_is_zero, the one
-6j zero test, reads the same Racah sum and builds no prefactor.
+value stays in int and becomes a SqrtRational, which holds the reduced
+triple as it is, through exact._surd: no Fraction is built.  sixj_is_zero,
+the one 6j zero test, reads the same Racah sum and builds no prefactor.
 
 The zero search evaluates one Racah sum per Regge class: the sum depends only
 on the multisets of the four triangle sums and the three column sums, which
 all 144 Regge images of a tuple share (T. Regge, Nuovo Cimento 11 (1959) 116;
 J. Rasch and A. C. H. Yu, SIAM J. Sci. Comput. 25 (2003) 1416).  It walks the
 sorted sums and expands each zero class to its images in the cube.  The 6j
-value is the same on all images too, so sixj without the cross-check reads it
-from _sixj_class, a bounded memo keyed by Regge class (the sorted triangle
-sums and the sorted column sums).  It holds 4,096 classes and evaluates the
-Delta route on one image of each, as Rasch and Yu store each value once per
-class.  It serves unchecked calls only: a cross-checked call runs both
-formulas on its own tuple and leaves the memo alone.
+value is the same on all images too, so sixj without the cross-check returns
+the value held by _sixj_class, a bounded memo keyed by Regge class (the
+sorted triangle sums and the sorted column sums).  It holds 4,096 classes,
+evaluates the Delta route on one image of each and builds its SqrtRational
+once, as Rasch and Yu store each value once per class; every image gets
+that same object.  It serves unchecked calls only: a cross-checked call
+runs both formulas on its own tuple and leaves the memo alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .exact import (
     SqrtRational,
     _check_bound,
     _check_twoj,
+    _surd,
     _surd_product,
     _triangle,
     factorial_surd,
@@ -110,9 +113,8 @@ def delta(ta: int, tb: int, tc: int) -> SqrtRational:
     """Delta(j1,j2,j3) = sqrt((j1+j2-j3)!(j1-j2+j3)!(-j1+j2+j3)!/(j1+j2+j3+1)!),
     and exactly 0 when the triangle condition fails."""
     if not triangle(ta, tb, tc):
-        return SqrtRational(Fraction(0))
-    t, d, s = _delta_surd(ta, tb, tc)
-    return SqrtRational(Fraction(t, d), s)
+        return SqrtRational(0)
+    return _surd(_delta_surd(ta, tb, tc))
 
 
 def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRational:
@@ -129,7 +131,7 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
         if (tj + tm) % 2:
             raise ValueError(f"j and m differ by a non-integer: (2j, 2m) = ({tj}, {tm})")
     if tm1 + tm2 != tm3 or not triangle(tj1, tj2, tj3):
-        return SqrtRational(Fraction(0))
+        return SqrtRational(0)
     # sum over r of (-1)^r / (r! (a12-r)! (a1m-r)! (a2m-r)! (b1+r)! (b2+r)!)
     a12 = (tj1 + tj2 - tj3) // 2
     a1m = (tj1 - tm1) // 2
@@ -145,9 +147,8 @@ def cgc(tj1: int, tm1: int, tj2: int, tm2: int, tj3: int, tm3: int) -> SqrtRatio
     top = [s - tj3, s - tj2, s - tj1, tj3 + 1]
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         top += ((tj + tm) // 2, (tj - tm) // 2)
-    pt, pd, rad = factorial_surd(top, (s + 1, tj3))
-    n *= pt
-    return SqrtRational(Fraction(-n if lo & 1 else n, d * pd), rad)
+    prefactor = factorial_surd(top, (s + 1, tj3))
+    return _surd(_surd_product((prefactor, (-n if lo & 1 else n, d, 1))))
 
 
 # -- 6j-symbol ---------------------------------------------------------------
@@ -241,22 +242,19 @@ def _sixj_delta_route(tj: SixJInput) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _sixj_class(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
-    """The Delta route on the Regge class of sorted triangle sums a and sorted
-    column sums b, evaluated on its image _regge_image(a, b).  The value is
-    the same on all 144 images, so a sweep pays for each class once; 4,096
-    slots hold every class of the cube of side 12 (3,402 of them)."""
-    return _sixj_delta_route(_regge_image(a, b))
+def _sixj_class(a: tuple[int, ...], b: tuple[int, ...]) -> SqrtRational:
+    """The 6j value of the Regge class of sorted triangle sums a and sorted
+    column sums b: the Delta route on its image _regge_image(a, b), built
+    once.  The value is the same on all 144 images, so a sweep pays for each
+    class once; 4,096 slots hold every class of the cube of side 12 (3,402
+    of them)."""
+    return _surd(_sixj_delta_route(_regge_image(a, b)))
 
 
-def _sixj_surd(tj: SixJInput, cross_check: bool) -> tuple[int, int, int]:
-    """The 6j-symbol as (n, d, rad), as _sixj_delta_route returns it; tj must
-    pass the four triangles (unchecked).  Without the cross-check the value
-    comes from the memo of its Regge class; with it, both formulas run on tj
-    itself and the memo is neither read nor written."""
-    if not cross_check:
-        a, b = _sums(*tj)
-        return _sixj_class(tuple(sorted(a)), tuple(sorted(b)))
+def _sixj_surd(tj: SixJInput) -> tuple[int, int, int]:
+    """The 6j-symbol as (n, d, rad), as _sixj_delta_route returns it, checked
+    against the R-ratio formula: both run on tj itself; tj must pass the
+    four triangles (unchecked)."""
     tj1, tj2, tj3, tj4, tj5, tj6 = tj
     n, d, rad = _sixj_delta_route(tj)
     # value^2 = q_b s_b^2 with equal signs, cross-multiplied on the returned
@@ -284,25 +282,25 @@ def sixj(
     tj6: int,
     *,
     cross_check: bool = True,
-    ints: bool = False,
-) -> SqrtRational | tuple[int, int, int]:
+) -> SqrtRational:
     """The 6j-symbol {j1 j2 j3; j4 j5 j6} on twice-values.
 
     Returns exactly 0 when any of the four triangle triples fails.  With
-    cross_check on, both independent formulas are evaluated and must agree
-    exactly: the square of the value returned must equal the R-formula's,
-    and so must the sign; a mismatch raises FormulaDisagreement.  With it
-    off, the value comes from the memo of the tuple's Regge class.  With ints
-    on, returns the fields (n, d, rad) of the value n/d * sqrt(rad) in
-    place of the SqrtRational: n, d coprime, d > 0, and (0, 1, 1) for zero.
+    cross_check on, both independent formulas are evaluated on this tuple
+    and must agree exactly: the square of the value returned must equal the
+    R-formula's, and so must the sign; a mismatch raises FormulaDisagreement.
+    With it off, the value is the memo's own object for the tuple's Regge
+    class, one SqrtRational per class; its fields (n, d, rad) are the
+    integer form that sweeps read.
     """
     tj = (tj1, tj2, tj3, tj4, tj5, tj6)
     _check_twoj(*tj)
-    surd = _sixj_surd(tj, cross_check) if sixj_triangles_hold(tj) else (0, 1, 1)
-    if ints:
-        return surd
-    n, d, rad = surd
-    return SqrtRational(Fraction(n, d), rad)
+    if not sixj_triangles_hold(tj):
+        return SqrtRational(0)
+    if cross_check:
+        return _surd(_sixj_surd(tj))
+    a, b = _sums(*tj)
+    return _sixj_class(tuple(sorted(a)), tuple(sorted(b)))
 
 
 def sixj_is_zero(tj: SixJInput) -> bool:
@@ -343,10 +341,9 @@ def be_coefficients(
     if e_sq < 0:
         raise ValueError(f"E coefficient is imaginary at {(ti1, ti2, ti3, ti4, ti5, ti6)}")
     if e_sq:
-        t, d, s = _surd_product(_sqrt_surd(abs(x)) for x in factors)
-        e_val = SqrtRational(Fraction(t, 16 * d), s)
+        e_val = _surd(_surd_product([(1, 16, 1), *(_sqrt_surd(abs(x)) for x in factors)]))
     else:
-        e_val = SqrtRational(Fraction(0))
+        e_val = SqrtRational(0)
     c1, c2, c3, c4, c5, c6 = (t * (t + 2) for t in (ti1, ti2, ti3, ti4, ti5, ti6))
     f16 = (ti1 + 1) * (
         c1 * (-c1 + c2 + c3) + c5 * (c1 + c2 - c3) + c6 * (c1 - c2 + c3) - 2 * c1 * c4
@@ -370,7 +367,7 @@ def be_recurrence_terms(
     val_dn = (
         sixj(ti1 - 2, ti2, ti3, ti4, ti5, ti6, cross_check=False)
         if ti1 >= 2
-        else SqrtRational(Fraction(0))
+        else SqrtRational(0)
     )
     return [i1 * (e_up * val_up), f_mid * val_mid, (i1 + 1) * (e_dn * val_dn)]
 

@@ -269,6 +269,9 @@ def test_characterization_rejects_non_maximal_vector():
     assert not report.maximal_generator
     with pytest.raises(ValueError):
         check_z_characterization(pair.sub, [0] * pair.sub.dim, 0, 2)
+    for bad in (1.0, "1", True):  # a float or a string never enters as a value
+        with pytest.raises(TypeError, match=r"entry 0 of the vector"):
+            check_z_characterization(pair.sub, [bad] + vec[1:], 0, 2)
 
 
 def test_characterization_on_main_family():

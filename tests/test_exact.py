@@ -29,6 +29,7 @@ from racahmod.gmod import GRep, grep_to_dict
 
 
 def test_factorial_values():
+    assert factorial is math.factorial
     assert factorial(0) == 1
     assert factorial(5) == 120
     assert factorial(20) == 2432902008176640000
@@ -80,7 +81,7 @@ def test_sqrtrat_strings():
 
 def test_sqrtrat_is_immutable():
     x = SqrtRational(Fraction(3, 2), 5)
-    for name in ("coeff", "radicand", "other"):
+    for name in ("fields", "coeff", "radicand", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 1)
         with pytest.raises(AttributeError):
@@ -122,6 +123,32 @@ def test_sqrtrat_sum_grouping():
     root3 = SqrtRational.of(1, 3)
     assert sqrtrat_sum_is_zero([root2, root3, -root2, -root3])
     assert not sqrtrat_sum_is_zero([root2, root3, -root2])
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", True], ids=["float", "str", "bool"])
+def test_values_enter_as_int_or_fraction_only(bad):
+    # a float would enter as its binary value and a string as its parse
+    with pytest.raises(TypeError, match=r"entry 1 must be an int or a Fraction"):
+        QMatrix.from_rows([[1, bad], [Fraction(1, 3), 2]])
+    with pytest.raises(TypeError, match=r"entry 0 "):
+        QMatrix.diagonal([bad, 1])
+    with pytest.raises(TypeError, match=r"entry 1 "):
+        QMatrix.from_sparse_rows(3, [{1: bad}])
+    with pytest.raises(TypeError, match=r"entry 0 "):
+        QMatrix.identity(2).apply([bad, 1])
+    space = RowSpace(2)
+    space.add([1, 0])
+    for probe in (space.add, space.__contains__, lambda v: space.coordinates([v])):
+        with pytest.raises(TypeError, match=r"entry 0 "):
+            probe([bad, 1])
+    assert len(space) == 1
+    for make in (SqrtRational, SqrtRational.of, SqrtRational.sqrt_of):
+        with pytest.raises(TypeError, match=r"must be an int or a Fraction"):
+            make(bad)
+    with pytest.raises(TypeError, match=r"radicand must be an int"):
+        SqrtRational(1, 2.0)
+    with pytest.raises(TypeError, match=r"radicand must be an int"):
+        SqrtRational.of(1, 2.0)
 
 
 @given(

@@ -422,6 +422,9 @@ def test_unchecked_sixj_is_memoised_once_per_regge_class(tuples):
     info = wigner._sixj_class.cache_info()
     assert info.misses == len({_class_key(tj) for tj in tuples})
     assert info.hits == len(images) - info.misses
+    # every image gets the memo's own object, built once per class
+    for image in images:
+        assert sixj(*image, cross_check=False) is wigner._sixj_class(*_class_key(image)), image
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,20 @@
 """Exact Racah-Wigner recoupling machinery and the uniserial modules of the
 perfect Lie algebra sl(2) acting on V(m).
 
-The modules split along the natural layers: `exact` (rational and surd
-arithmetic, exact linear algebra, the triangle condition), `wigner`
-(Delta/CGC/6j and the three-term recurrence), `sl2` (irreducible modules,
-tensor embeddings, decomposition), `gmod` (representations of sl(2)
-semidirect V(m), socle series, uniseriality), `constructions` (explicit
-uniserial module builders) and `classify` (admissibility decision and the
-lambda = C * 6j verification).  The `cli` module exposes everything as
-subcommands.
+The modules split along the natural layers: `exact` (exact sparse linear
+algebra) on two scalar modules, `twoj` (twice-value checks, the triangle
+condition, binomial, factorial, rational parsing) and `surd` (quadratic
+surds); `wigner` (Delta/CGC/6j and the three-term recurrence), `sl2`
+(irreducible modules, tensor embeddings, decomposition), `gmod`
+(representations of sl(2) semidirect V(m), socle series, uniseriality),
+`constructions` (explicit uniserial module builders) and `classify`
+(admissibility decision and the lambda = C * 6j verification).  The `cli`
+module exposes everything as subcommands.
 
 Importing the package loads no layer.  Each name in `__all__` is looked up
 in its home module on every access (PEP 562), so `from racahmod import sixj`
-loads `exact` and `wigner` only, and the package never holds a copy that
-could go stale when a module attribute is replaced.
+loads `twoj`, `surd` and `wigner` only, and the package never holds a copy
+that could go stale when a module attribute is replaced.
 """
 
 import importlib
@@ -34,8 +35,10 @@ _EXPORTS = {
         "build_z_dual",
         "build_z_family",
     ),
-    "exact": ("QMatrix", "SqrtRational", "binomial", "factorial", "triangle"),
+    "exact": ("QMatrix",),
     "gmod": ("GRep", "check_rep", "dual_rep", "is_uniserial", "socle_series"),
+    "surd": ("SqrtRational",),
+    "twoj": ("binomial", "factorial", "triangle"),
     "wigner": ("cgc", "delta", "find_sixj_zeros", "sixj"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

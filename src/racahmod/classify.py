@@ -30,7 +30,7 @@ class, and lambda and C through the ints=True forms of lambda_phi and
 c_factor: their values are new on every row, so a value object per row
 would cost time, and the benchmark's tracer counts the two by these public
 names.  It compares them in reduced ints and writes each row with
-exact._surd_text, the text that str(SqrtRational) and so the report's
+surd._surd_text, the text that str(SqrtRational) and so the report's
 csv() print.
 
 Only classification_row builds modules, so it alone imports gmod and
@@ -44,19 +44,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exact import (
-    QMatrix,
-    SqrtRational,
-    _check_bound,
-    _check_twoj,
-    _surd,
-    _surd_product,
-    _surd_text,
-    binomial,
-    factorial,
-    matrix_rank,
-    triangle,
-)
+from .exact import QMatrix, matrix_rank
+from .surd import SqrtRational, _surd, _surd_product, _surd_text
+from .twoj import _check_bound, _check_twoj, binomial, factorial, triangle
 from .sl2 import _f_power_images, _iota_image, iota
 from .wigner import _delta_surd, cgc, delta, sixj, sixj_is_zero
 from .wigner import sixj_triangles_hold, sixj_tuples, sweep
@@ -316,7 +306,7 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
     compares the two coefficient by coefficient for every mu.
 
     The normalising roots here go through SqrtRational.sqrt_of on purpose:
-    cgc takes its prefactor from exact.factorial_surd, and the same routine
+    cgc takes its prefactor from surd.factorial_surd, and the same routine
     on both sides would make the check one route instead of two.
     """
     if not triangle(a, b, k):

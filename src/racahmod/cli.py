@@ -8,38 +8,29 @@ library (the two 6j formulas disagree, a socle or closure invariant breaks,
 an assertion fails), reported as "internal error: <message>" on stderr.
 
 Each command imports the layers it runs inside its own function, so a
-launch loads only those: `triangle` needs `exact` alone; `sixj`, `cgc`,
-`delta` and `zeros` add `wigner`; `socle` and `uniserial` load `exact`,
-`sl2` and `gmod`, and `realize` adds `constructions`; `verify-scalar`,
-`admissible` and `recouple` load `classify` on `exact`, `wigner` and `sl2`;
-and `verify-classify` loads every layer.
+launch compiles and loads only those: `triangle` needs `twoj` alone (the
+twice-value checks); `sixj`, `cgc`, `delta` and `zeros` add `surd` and
+`wigner`, and none of the linear algebra in `exact`; `socle` and
+`uniserial` load `exact` and `gmod`, and neither `sl2` nor `surd`; `realize`
+adds `sl2` and `constructions`; `verify-scalar`, `admissible` and
+`recouple` load `classify` on `exact`, `surd`, `wigner` and `sl2`; and
+`verify-classify` loads every layer.  Only a command that reads or writes
+JSON text through the encoder loads `json`.  A launch builds the argument
+parser of its own command only (build_parser).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
-import json
 import sys
 from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Iterable
 
-from .exact import rat_from_str
+from .twoj import rat_from_str
 
 if TYPE_CHECKING:
     from .gmod import GRep
-
-
-def _twoj_args(parser: argparse.ArgumentParser, names: str) -> None:
-    parser.add_argument(
-        "--twoj",
-        type=int,
-        nargs=len(names.split()),
-        required=True,
-        metavar=tuple(names.split()),
-        help=f"twice-values of {names}",
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -50,15 +41,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,  # one per core, resolved by wigner.sweep
-        help="worker processes, capped at the cores and the tasks; output does not depend on it",
-    )
 
 
 def _verdict(ok: bool) -> int:
@@ -92,6 +74,8 @@ def _cmd_value(args) -> int:
     with _unlimited_int_str():
         text = str(value)
     if args.format == "json":
+        import json
+
         print(json.dumps({"twoj": args.twoj, "value": text}))
     else:
         print(text)
@@ -99,39 +83,40 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    from .exact import triangle
+    from .twoj import triangle
 
     return _verdict(triangle(*args.twoj))
 
 
-def _need(args, error, *names) -> list[int]:
+def _need(args, *names) -> list[int]:
     vals = []
     for name in names:
         val = getattr(args, name)
         if val is None:
-            error(f"--kind {args.kind} requires --{name}")
+            # a usage error of the root parser: its usage lists every command
+            build_parser().error(f"--kind {args.kind} requires --{name}")
         vals.append(val)
     return vals
 
 
-def _cmd_realize(args, error) -> int:
+def _cmd_realize(args) -> int:
     from . import constructions, gmod
 
     kind = args.kind
     if kind == "z":
-        ell, b, m = _need(args, error, "ell", "b", "m")
+        ell, b, m = _need(args, "ell", "b", "m")
         rep = constructions.build_z(ell, b, m)
     elif kind == "zdual":
-        ell, b, m = _need(args, error, "ell", "b", "m")
+        ell, b, m = _need(args, "ell", "b", "m")
         rep = constructions.build_z_dual(ell, b, m)
     elif kind == "len3":
-        m, c = _need(args, error, "m", "c")
+        m, c = _need(args, "m", "c")
         rep = constructions.build_exceptional_len3(m, c)
     elif kind == "zfam":
-        (m,) = _need(args, error, "m")
+        (m,) = _need(args, "m")
         rep = constructions.build_z_family(m, rat_from_str(args.z))
     else:  # argparse restricts --kind to the five choices
-        m, b = _need(args, error, "m", "b")
+        m, b = _need(args, "m", "b")
         pair = constructions.build_symmetric_power(m, b)
         rep = pair.big if args.part == "big" else pair.sub
     if args.format == "latex":
@@ -143,6 +128,8 @@ def _cmd_realize(args, error) -> int:
 
 
 def _load_grep(path: str) -> GRep:
+    import json
+
     from . import gmod
 
     try:
@@ -162,6 +149,8 @@ def _cmd_socle(args) -> int:
     steps = gmod.socle_series(rep).steps
     dims = accumulate(len(step.layer) for step in steps)
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -213,6 +202,8 @@ def _cmd_zeros(args) -> int:
 
     zeros = wigner.find_sixj_zeros(args.max, jobs=args.jobs)
     if args.format == "json":
+        import json
+
         print(json.dumps([list(z) for z in zeros]))
     elif args.format == "csv":
         header = ("twoj1,twoj2,twoj3,twoj4,twoj5,twoj6",)
@@ -270,7 +261,102 @@ def _cmd_recouple(args) -> int:
     return _verdict(classify.verify_recoupling(*args.twoj))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _twoj(names: str) -> dict:
+    """The --twoj argument: one twice-value for each of the names."""
+    meta = tuple(names.split())
+    help_text = f"twice-values of {names}"
+    return {"--twoj": dict(type=int, nargs=len(meta), required=True, metavar=meta, help=help_text)}
+
+
+_TEXT_OR_JSON = {"--format": dict(choices=["text", "json"], default="text")}
+_MODULE_FILE = {"--in": dict(required=True, metavar="FILE")}
+_JOBS = {
+    "--jobs": dict(
+        type=_positive_int,
+        default=None,  # one per core, resolved by wigner.sweep
+        help="worker processes, capped at the cores and the tasks; output does not depend on it",
+    )
+}
+
+# each command: its help line, its handler and its options, as
+# {flag: keywords of add_argument}; the help lists them in this order
+_COMMANDS = {
+    "sixj": ("evaluate a 6j-symbol", _cmd_value, {**_twoj("j1 j2 j3 j4 j5 j6"), **_TEXT_OR_JSON}),
+    "cgc": (
+        "evaluate a Clebsch-Gordan coefficient",
+        _cmd_value,
+        {**_twoj("j1 m1 j2 m2 j3 m3"), **_TEXT_OR_JSON},
+    ),
+    "delta": (
+        "evaluate a Delta triangle factor",
+        _cmd_value,
+        {**_twoj("j1 j2 j3"), **_TEXT_OR_JSON},
+    ),
+    "triangle": ("test the triangle condition", _cmd_triangle, _twoj("a b c")),
+    "realize": (
+        "build an explicit uniserial module",
+        _cmd_realize,
+        {
+            "--kind": dict(choices=["z", "zdual", "len3", "zfam", "sympow"], required=True),
+            "--m": dict(type=int),
+            "--ell": dict(type=int),
+            "--b": dict(type=int),
+            "--c": dict(type=int),
+            "--z": dict(
+                default="0",
+                help="family parameter, an exact rational [+-]p or [+-]p/q with q != 0, like 5/7",
+            ),
+            "--part": dict(choices=["big", "sub"], default="sub"),
+            "--format": dict(choices=["json", "latex"], default="json"),
+        },
+    ),
+    "socle": ("socle series of a module from JSON", _cmd_socle, {**_MODULE_FILE, **_TEXT_OR_JSON}),
+    "uniserial": ("test uniseriality of a module from JSON", _cmd_uniserial, _MODULE_FILE),
+    "admissible": (
+        "decide admissibility of a factor sequence",
+        _cmd_admissible,
+        {
+            "--m": dict(type=int, required=True),
+            "--seq": dict(required=True, help="comma-separated highest weights"),
+        },
+    ),
+    "zeros": (
+        "search non-trivial 6j zeros",
+        _cmd_zeros,
+        {
+            "--max": dict(type=int, required=True, help="twice-value bound per slot"),
+            "--format": dict(choices=["text", "json", "csv"], default="text"),
+            **_JOBS,
+        },
+    ),
+    "verify-scalar": (
+        "sweep the lambda = C * 6j identity",
+        _cmd_verify_scalar,
+        {"--max": dict(type=int, required=True), **_JOBS},
+    ),
+    "verify-classify": (
+        "three-way length-3 classification sweep",
+        _cmd_verify_classify,
+        {
+            "--max-m": dict(type=int, required=True),
+            "--max-weight": dict(type=int, required=True),
+            **_JOBS,
+        },
+    ),
+    "recouple": ("verify 6j transition coefficients", _cmd_recouple, _twoj("a b c k")),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one.
+
+    main builds the parser of the command it runs, so a launch adds one
+    subparser and not twelve.  A subparser's errors and help are its own,
+    but an error of the root parser (such as an unrecognized argument)
+    prints the root usage, which lists every command: a root parser built
+    for one command hands its errors to the full parser, which prints them
+    byte for byte as it always has.
+    """
     parser = argparse.ArgumentParser(
         prog="racahmod",
         description=(
@@ -279,77 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, names in (
-        ("sixj", "evaluate a 6j-symbol", "j1 j2 j3 j4 j5 j6"),
-        ("cgc", "evaluate a Clebsch-Gordan coefficient", "j1 m1 j2 m2 j3 m3"),
-        ("delta", "evaluate a Delta triangle factor", "j1 j2 j3"),
-    ):
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        names = [command]
+        parser.error = lambda message: build_parser().error(message)
+    for name in names:
+        help_text, func, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _twoj_args(p, names)
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.set_defaults(func=_cmd_value)
-
-    p = sub.add_parser("triangle", help="test the triangle condition")
-    _twoj_args(p, "a b c")
-    p.set_defaults(func=_cmd_triangle)
-
-    p = sub.add_parser("realize", help="build an explicit uniserial module")
-    p.add_argument("--kind", choices=["z", "zdual", "len3", "zfam", "sympow"], required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument(
-        "--z",
-        default="0",
-        help="family parameter, an exact rational [+-]p or [+-]p/q with q != 0, like 5/7",
-    )
-    p.add_argument("--part", choices=["big", "sub"], default="sub")
-    p.add_argument("--format", choices=["json", "latex"], default="json")
-    p.set_defaults(func=functools.partial(_cmd_realize, error=parser.error))
-
-    p = sub.add_parser("socle", help="socle series of a module from JSON")
-    p.add_argument("--in", required=True, metavar="FILE")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=_cmd_socle)
-
-    p = sub.add_parser("uniserial", help="test uniseriality of a module from JSON")
-    p.add_argument("--in", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_uniserial)
-
-    p = sub.add_parser("admissible", help="decide admissibility of a factor sequence")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seq", required=True, help="comma-separated highest weights")
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("zeros", help="search non-trivial 6j zeros")
-    p.add_argument("--max", type=int, required=True, help="twice-value bound per slot")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    _jobs_arg(p)
-    p.set_defaults(func=_cmd_zeros)
-
-    p = sub.add_parser("verify-scalar", help="sweep the lambda = C * 6j identity")
-    p.add_argument("--max", type=int, required=True)
-    _jobs_arg(p)
-    p.set_defaults(func=_cmd_verify_scalar)
-
-    p = sub.add_parser("verify-classify", help="three-way length-3 classification sweep")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-weight", type=int, required=True)
-    _jobs_arg(p)
-    p.set_defaults(func=_cmd_verify_classify)
-
-    p = sub.add_parser("recouple", help="verify 6j transition coefficients")
-    _twoj_args(p, "a b c k")
-    p.set_defaults(func=_cmd_recouple)
-
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -23,17 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import gmod, sl2
-from .exact import (
-    QMatrix,
-    Vector,
-    _check_rational,
-    _check_twoj,
-    assemble_blocks,
-    commutator,
-    primitive_family,
-    span_closure,
-    triangle,
-)
+from .exact import QMatrix, Vector, assemble_blocks, commutator, primitive_family, span_closure
+from .twoj import _check_rational, _check_twoj, triangle
 from .gmod import GRep
 
 

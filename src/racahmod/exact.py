@@ -1,335 +1,51 @@
-"""Exact arithmetic building blocks: big rationals, quadratic surds, sparse
-rational linear algebra and the triangle condition on twice-values.
+"""Exact sparse rational linear algebra: matrices, row spaces, echelon forms,
+kernels, quotients and span closures.
 
-Every value in the package funnels through this module, so no floating point
-ever enters a computation.  Matrices and echelon bases hold the integer
-numerators of their nonzero entries only, so products and eliminations skip
-zeros and never build a Fraction; Fractions appear where values enter or
-leave.  A subspace is read only through its RowSpace (membership,
-coordinates, echelon rows, the complement at the free columns), against the
-integer rows it holds, so no basis is parsed back from Fractions.  Every
-type except the growing RowSpace is immutable after construction and all
-functions are pure, which makes everything safe to use from parallel
-workers.
+No floating point ever enters a computation.  Matrices and echelon bases
+hold the integer numerators of their nonzero entries only, so products and
+eliminations skip zeros and never build a Fraction; Fractions appear where
+values enter or leave.  A subspace is read only through its RowSpace
+(membership, coordinates, echelon rows, the complement at the free columns),
+against the integer rows it holds, so no basis is parsed back from
+Fractions.  Every type except the growing RowSpace is immutable after
+construction and all functions are pure, which makes everything safe to use
+from parallel workers.  A vector entry is an int or a Fraction: a float or a
+string is a TypeError, not its binary value or its parse.
 
-A surd t/d * sqrt(s) travels between the layers as the integer triple
-(t, d, s).  Such triples multiply in one place, _surd_product, and print in
-one place, _surd_text.  A SqrtRational is such a triple, reduced, in its one
-fields slot: it multiplies, divides and prints through the same two, so a
-value has one text whichever form carries it, and a computed triple becomes
-a value through _surd with no Fraction built.  Values enter as int or
-Fraction only: a float or a string given to a SqrtRational constructor or
-as a vector entry is a TypeError, not its binary value or its parse.
+The scalars live in two smaller modules, split by who runs them, so that a
+launch compiles only what its command needs: `twoj` (twice-value checks,
+the triangle condition, binomial, factorial, rational parsing), which every
+layer uses, and `surd` (quadratic surds and SqrtRational), which only the
+recoupling layers use.  Their names still resolve here: those of `twoj` are
+imported, and those of `surd` are looked up there on access (PEP 562), so
+that the linear algebra does not load the surds.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from math import factorial  # the package's factorial, re-exported
 from typing import Iterable, Sequence
+
+from .twoj import _check_bound, _check_rational, _check_twoj, _triangle  # noqa: F401
+from .twoj import binomial, factorial, rat_from_str, triangle  # noqa: F401
 
 Vector = tuple[Fraction, ...]
 
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with C(n, k) = 0 whenever k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def _check_twoj(*vals: int, signed: bool = False) -> None:
-    # the type comes first, so that a string fails here and not in the
-    # comparison, and `type` rather than isinstance, so that bool fails
-    for v in vals:
-        if type(v) is not int or (v < 0 and not signed):
-            kind = "integers" if signed else "non-negative integers"
-            raise ValueError(f"twice-values must be {kind}, got {v!r}")
+# the names of surd that still resolve here, for the callers that read them
+# here (such as the benchmark's tracer); each access looks them up in surd
+_SURD_NAMES = frozenset(
+    "SqrtRational _factorial_exponent _primes_upto _surd _surd_product _surd_text"
+    " factorial_surd sqrtrat_sum_is_zero squarefree_split".split()
+)
 
 
-def _check_bound(n: int) -> None:
-    _check_twoj(n, signed=True)  # the type; the sign has its own message
-    if n < 0:
-        raise ValueError(f"the twice-value bound must be non-negative, got {n}")
+def __getattr__(name: str):
+    if name not in _SURD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import surd
 
-
-def _triangle(ta: int, tb: int, tc: int) -> bool:
-    # triangle without the type check, for callers that checked already
-    return abs(ta - tb) <= tc <= ta + tb and (ta + tb + tc) % 2 == 0
-
-
-def triangle(ta: int, tb: int, tc: int) -> bool:
-    """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
-    _check_twoj(ta, tb, tc)
-    return _triangle(ta, tb, tc)
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
-def rat_from_str(text: str) -> Fraction:
-    """Parse "[+-]p" or "[+-]p/q" in decimal digits with q != 0, the form
-    str(Fraction) writes; anything else, such as a non-string, whitespace, a
-    decimal point or an exponent, raises ValueError.  The digits go to int,
-    so a short text never expands into a huge number."""
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ValueError(f"{text!r:.40} is not a rational [+-]p or [+-]p/q")
-    p, _, q = text.partition("/")
-    if q and not int(q):
-        raise ValueError(f"{text!r:.40} has a zero denominator")
-    return Fraction(int(p), int(q or 1))
-
-
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s * t**2 with s squarefree; return (s, t).
-
-    Uses trial division, so it is slow once n has a large prime factor.  The
-    recoupling values take their roots through factorial_surd instead; trial
-    division stays as the independent route that tests compare them with.
-    """
-    if n <= 0:
-        raise ValueError(f"squarefree_split needs a positive integer, got {n}")
-    s, t = 1, 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e & 1:
-                s *= p
-            t *= p ** (e >> 1)
-        p += 1 if p == 2 else 2
-    # whatever is left is prime (or 1), hence squarefree
-    return s * n, t
-
-
-def _primes_upto(n: int) -> list[int]:
-    # sieve of Eratosthenes, for n >= 1
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
-def _factorial_exponent(n: int, p: int) -> int:
-    # Legendre: the exponent of the prime p in n!
-    e = 0
-    while n:
-        n //= p
-        e += n
-    return e
-
-
-def factorial_surd(top: Sequence[int], bottom: Sequence[int] = ()) -> tuple[int, int, int]:
-    """sqrt(prod(x! for x in top) / prod(x! for x in bottom)) = t/d * sqrt(s),
-    returned as (t, d, s) with t, d coprime and s squarefree.
-
-    The prime exponents come from Legendre's formula on each factorial, so
-    the factorials are never built (Johansson & Forssen, SIAM J. Sci. Comput.
-    38 (2016) A376).  An exponent e >= 0 puts p^(e//2) in t; e < 0 puts
-    p^ceil(-e/2) in d; an odd e leaves one p under the root
-    (p^-(2f+1) = p^-(2f+2) * p).
-    """
-    if min((*top, *bottom), default=0) < 0:
-        raise ValueError(f"factorial of a negative integer in {top} / {bottom}")
-    t = d = s = 1
-    for p in _primes_upto(max((*top, *bottom, 1))):
-        e = sum([_factorial_exponent(x, p) for x in top if x >= p])
-        e -= sum([_factorial_exponent(x, p) for x in bottom if x >= p])
-        if e >= 0:
-            t *= p ** (e >> 1)
-        else:
-            d *= p ** ((1 - e) >> 1)
-        if e & 1:
-            s *= p
-    return t, d, s
-
-
-def _surd_product(surds) -> tuple[int, int, int]:
-    """The product of the surds (t, d, s), each t/d*sqrt(s) with d > 0 and
-    s squarefree, as (n, d, rad) reduced: n, d coprime, d > 0 and rad
-    squarefree, by taking out common factors, and (0, 1, 1) for zero.  The
-    one surd multiply of the package; a rational factor is (t, d, 1).
-    """
-    n = d = rad = 1
-    for t, dt, s in surds:
-        # the product of coprime squarefree parts stays squarefree
-        g = math.gcd(rad, s)
-        n *= t * g
-        d *= dt
-        rad = (rad // g) * (s // g)
-    if not n:
-        return 0, 1, 1
-    g = math.gcd(n, d)
-    return n // g, d // g, rad
-
-
-def _surd_text(n: int, d: int, rad: int = 1) -> str:
-    """n/d * sqrt(rad), for n, d coprime and d > 0, as the package prints
-    every value: "0" when n = 0, else str(Fraction(n, d)), followed by
-    "*sqrt(rad)" when rad > 1.  The one surd printer."""
-    if not n:
-        return "0"
-    text = str(n) if d == 1 else f"{n}/{d}"
-    return text if rad == 1 else f"{text}*sqrt({rad})"
-
-
-def _check_rational(x, name: str) -> None:
-    # type rather than isinstance, so that bool fails; a float or a string
-    # would otherwise enter as its binary value or its parse
-    if type(x) is not int and type(x) is not Fraction:
-        raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
-
-
-class SqrtRational:
-    """The exact number n/d * sqrt(rad), held as its integer fields (n, d, rad).
-
-    n and d are coprime with d > 0, rad is a squarefree positive integer, and
-    zero is (0, 1, 1), so two values are equal iff their fields are equal.
-    coeff = n/d and radicand = rad are read from the fields.  The set of such
-    numbers is closed under multiplication, which is all the recoupling
-    formulas need: every Delta product, Clebsch-Gordan coefficient and
-    6j-symbol is a rational multiple of one square root.  Immutable: the
-    fields are set once, when the value is built.
-
-    SqrtRational(coeff, radicand) takes an int or Fraction coeff and a
-    squarefree int radicand; a computed triple that is already reduced
-    becomes a value through _surd, with no Fraction built.
-    """
-
-    __slots__ = ("fields",)
-
-    def __init__(self, coeff, radicand: int = 1):
-        _check_rational(coeff, "coeff")
-        if type(radicand) is not int:
-            raise TypeError(f"radicand must be an int, got {radicand!r}")
-        if radicand < 1:
-            raise ValueError(f"radicand must be positive, got {radicand}")
-        n, d = coeff.numerator, coeff.denominator
-        object.__setattr__(self, "fields", (n, d, radicand) if n else (0, 1, 1))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SqrtRational is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SqrtRational is immutable: cannot delete {name!r}")
-
-    @property
-    def coeff(self) -> Fraction:
-        return Fraction(self.fields[0], self.fields[1])
-
-    @property
-    def radicand(self) -> int:
-        return self.fields[2]
-
-    def __eq__(self, other):
-        if other.__class__ is not SqrtRational:
-            return NotImplemented
-        return self.fields == other.fields
-
-    def __hash__(self) -> int:
-        return hash(self.fields)
-
-    def __repr__(self) -> str:
-        return f"SqrtRational(coeff={self.coeff!r}, radicand={self.radicand!r})"
-
-    def __reduce__(self):
-        return _surd, (self.fields,)
-
-    @staticmethod
-    def of(coeff, radicand: int = 1) -> "SqrtRational":
-        """Construct from an arbitrary positive radicand, extracting squares."""
-        _check_rational(coeff, "coeff")
-        if type(radicand) is not int:
-            raise TypeError(f"radicand must be an int, got {radicand!r}")
-        if not coeff:
-            return SqrtRational(0)
-        s, t = squarefree_split(radicand)
-        return SqrtRational(coeff * t, s)
-
-    @staticmethod
-    def sqrt_of(value) -> "SqrtRational":
-        """Exact square root of a non-negative rational."""
-        _check_rational(value, "value")
-        if value < 0:
-            raise ValueError(f"square root of negative rational {value}")
-        if value == 0:
-            return SqrtRational(0)
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, t = squarefree_split(value.numerator * value.denominator)
-        return _surd(_surd_product(((t, value.denominator, s),)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.fields[0]
-
-    @property
-    def is_rational(self) -> bool:
-        return self.fields[2] == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.fields[2] != 1:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtRational):
-            return _surd(_surd_product((self.fields, other.fields)))
-        if isinstance(other, (int, Fraction)):
-            return _surd(_surd_product((self.fields, (other.numerator, other.denominator, 1))))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        n, d, rad = self.fields
-        return _surd((-n, d, rad))
-
-    def inverse(self) -> "SqrtRational":
-        n, d, rad = self.fields
-        if not n:
-            raise ZeroDivisionError("inverse of zero")
-        # 1/(n/d*sqrt(s)) = d/(n*s)*sqrt(s)
-        return _surd(_surd_product(((d if n > 0 else -d, abs(n) * rad, rad),)))
-
-    def __truediv__(self, other):
-        if isinstance(other, SqrtRational):
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return _surd_text(*self.fields)
-
-
-def _surd(fields: tuple[int, int, int]) -> SqrtRational:
-    """The SqrtRational with these fields, which must already be reduced as
-    _surd_product returns them (unchecked): the one constructor of computed
-    values, which builds no Fraction."""
-    value = object.__new__(SqrtRational)
-    object.__setattr__(value, "fields", fields)
-    return value
-
-
-def sqrtrat_sum_is_zero(terms: Iterable[SqrtRational]) -> bool:
-    """Whether a finite sum of SqrtRational values is exactly zero.
-
-    Square roots of distinct squarefree integers are linearly independent over
-    the rationals, so the sum vanishes iff the coefficients cancel radicand by
-    radicand.  Used to verify three-term recurrences and bilinear identities
-    without a general algebraic-number field.
-    """
-    acc: dict[int, Fraction] = {}
-    for t in terms:
-        acc[t.radicand] = acc.get(t.radicand, Fraction(0)) + t.coeff
-    return all(c == 0 for c in acc.values())
+    return getattr(surd, name)
 
 
 # -- sparse integer rows ---------------------------------------------------------

@@ -12,17 +12,19 @@ module, the socle series of any module is computed step by step as the joint
 kernel of the v_i acting on successive quotients.  Each layer is an
 sl(2)-module, hence semisimple, and its factors come from its weight
 multiplicities.  Uniseriality is the statement that every socle factor is a
-single irreducible.
+single irreducible.  The sl(2) facts these steps read (the sl(2) relations,
+the diagonal weights, the constituents of a weight count) live here, so this
+layer loads `exact` and `twoj` and no `sl2`; the JSON reader loads `json` on
+its first call, and the writer lays out its text itself.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import sl2
-from .exact import QMatrix, RowSpace, commutator, kernel, quotient_matrix, rat_from_str
+from .exact import QMatrix, RowSpace, commutator, kernel, quotient_matrix
+from .twoj import rat_from_str
 
 
 class GRep(NamedTuple):
@@ -55,6 +57,49 @@ class RepCheck(NamedTuple):
         return self.ok
 
 
+# -- sl(2)-module facts read off the generators and weights --------------------
+#
+# The socle series and check_rep run these; sl2's reference routes import them
+# on call, so that this layer loads no sl2.
+
+
+def broken_relation(h: QMatrix, e: QMatrix, f: QMatrix) -> str | None:
+    """The first of [h,e] = 2e, [h,f] = -2f, [e,f] = h that the matrices
+    break, by name; None when all three hold."""
+    if commutator(h, e) != 2 * e:
+        return "[h,e] != 2e"
+    if commutator(h, f) != -2 * f:
+        return "[h,f] != -2f"
+    if commutator(e, f) != h:
+        return "[e,f] != h"
+    return None
+
+
+def diagonal_weights(h: QMatrix) -> list[int]:
+    """The weights on the diagonal of h; ValueError unless h is diagonal with
+    integer entries."""
+    weights = []
+    for i, row in enumerate(h.sparse_rows()):
+        if any(j != i for j in row):
+            raise ValueError("h is not diagonal")
+        w = row.get(i, 0)
+        if w.denominator != 1:
+            raise ValueError("h has a non-integer weight")
+        weights.append(int(w))
+    return weights
+
+
+def constituents(weight_dims: dict[int, int]) -> dict[int, int]:
+    """Multiplicities of the irreducible constituents of a module, keyed by
+    highest weight (highest first), from the dimensions of its weight spaces."""
+    out = {}
+    for k in sorted((w for w in weight_dims if w >= 0), reverse=True):
+        mult = weight_dims[k] - weight_dims.get(k + 2, 0)
+        if mult:
+            out[k] = mult
+    return out
+
+
 def check_rep(rep: GRep) -> RepCheck:
     """Verify the defining bracket relations exactly, on the generators.
 
@@ -74,7 +119,7 @@ def check_rep(rep: GRep) -> RepCheck:
     if len(rep.v) != rep.m + 1:
         raise ValueError(f"expected {rep.m + 1} radical generators, got {len(rep.v)}")
     h, e, f, v, m = rep.h, rep.e, rep.f, rep.v, rep.m
-    failure = sl2.broken_relation(h, e, f)
+    failure = broken_relation(h, e, f)
     if failure:
         return RepCheck(False, failure)
     zero = QMatrix.zero(n, n)
@@ -129,7 +174,7 @@ def socle_series(rep: GRep) -> SocleSeries:
     verdict = check_rep(rep)
     if not verdict:
         raise ValueError(f"not a representation: {verdict.failure}")
-    weights = sl2.diagonal_weights(rep.h)
+    weights = diagonal_weights(rep.h)
     socle = RowSpace(rep.dim)
     steps: list[SocleStep] = []
     while len(socle) < rep.dim:
@@ -155,7 +200,7 @@ def socle_series(rep: GRep) -> SocleSeries:
             (w,) = ws
             counts[w] = counts.get(w, 0) + 1
             socle.add(vec)
-        factors = sl2.constituents(counts)
+        factors = constituents(counts)
         layer_dim = sum((k + 1) * c for k, c in factors.items())
         if min(factors.values(), default=0) < 0 or layer_dim != len(ker):
             raise RuntimeError(
@@ -288,6 +333,8 @@ def grep_to_json(rep: GRep, out=None) -> str | None:
 
 
 def grep_from_json(text: str) -> GRep:
+    import json
+
     try:
         data = json.loads(text)
     except RecursionError as exc:  # a RuntimeError, but a fault of the input

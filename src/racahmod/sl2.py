@@ -13,7 +13,10 @@ The library calls none of the following; each is a route a test compares
 against: tensor and decompose (test_decompose_clebsch_gordan_sweep,
 test_socle_factors_match_sl2_decompose), Sl2Rep.validate
 (test_irrep_relations_hold) and exterior_square_components (against
-decompose of V(m)xV(m)).
+decompose of V(m)xV(m)).  The weight facts they share with the socle series
+(broken_relation, diagonal_weights, constituents) live in `gmod`, their one
+runtime caller, and these routes import them on call, so that neither layer
+loads the other at import.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import QMatrix, binomial, commutator, factorial, matrix_rank, triangle
+from .exact import QMatrix, matrix_rank
+from .twoj import binomial, factorial, triangle
 
 
 class Sl2Rep(NamedTuple):
@@ -36,6 +40,8 @@ class Sl2Rep(NamedTuple):
     f: QMatrix
 
     def validate(self) -> None:
+        from .gmod import broken_relation, diagonal_weights
+
         for name, mat in (("h", self.h), ("e", self.e), ("f", self.f)):
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise ValueError(f"{name} is not {self.dim}x{self.dim}")
@@ -45,33 +51,9 @@ class Sl2Rep(NamedTuple):
             raise ValueError(failure)
 
     def weights(self) -> list[int]:
+        from .gmod import diagonal_weights
+
         return diagonal_weights(self.h)
-
-
-def broken_relation(h: QMatrix, e: QMatrix, f: QMatrix) -> str | None:
-    """The first of [h,e] = 2e, [h,f] = -2f, [e,f] = h that the matrices
-    break, by name; None when all three hold."""
-    if commutator(h, e) != 2 * e:
-        return "[h,e] != 2e"
-    if commutator(h, f) != -2 * f:
-        return "[h,f] != -2f"
-    if commutator(e, f) != h:
-        return "[e,f] != h"
-    return None
-
-
-def diagonal_weights(h: QMatrix) -> list[int]:
-    """The weights on the diagonal of h; ValueError unless h is diagonal with
-    integer entries."""
-    weights = []
-    for i, row in enumerate(h.sparse_rows()):
-        if any(j != i for j in row):
-            raise ValueError("h is not diagonal")
-        w = row.get(i, 0)
-        if w.denominator != 1:
-            raise ValueError("h has a non-integer weight")
-        weights.append(int(w))
-    return weights
 
 
 def irrep(k: int) -> Sl2Rep:
@@ -276,19 +258,10 @@ def decompose(rep: Sl2Rep) -> dict[int, int]:
     return out
 
 
-def constituents(weight_dims: dict[int, int]) -> dict[int, int]:
-    """Multiplicities of the irreducible constituents of a module, keyed by
-    highest weight (highest first), from the dimensions of its weight spaces."""
-    out = {}
-    for k in sorted((w for w in weight_dims if w >= 0), reverse=True):
-        mult = weight_dims[k] - weight_dims.get(k + 2, 0)
-        if mult:
-            out[k] = mult
-    return out
-
-
 def symmetric_power_components(m: int, i: int) -> dict[int, int]:
     """Irreducible constituents of the i-th symmetric power of V(m)."""
+    from .gmod import constituents
+
     counts: dict[int, int] = {}
     for combo in itertools.combinations_with_replacement(range(m + 1), i):
         w = i * m - 2 * sum(combo)
@@ -302,6 +275,8 @@ def exterior_square_components(m: int) -> set[int]:
     Closed form {k : 0 <= k <= 2m-2, k = 2m-2 mod 4}, cross-checked against
     the explicit antisymmetric subspace of V(m) tensor V(m).
     """
+    from .gmod import constituents
+
     closed = {k for k in range(0, max(2 * m - 1, 0)) if (2 * m - 2 - k) % 4 == 0}
     counts: dict[int, int] = {}
     for i in range(m + 1):

@@ -1,7 +1,8 @@
 """Delta factors, Clebsch-Gordan coefficients and the Racah-Wigner 6j-symbol,
-all in exact arithmetic.  The triangle condition lives in `exact`, so that
+all in exact arithmetic.  The triangle condition lives in `twoj`, so that
 the module layers can test it without loading this one; `wigner.triangle`
-is the same function.
+is the same function.  This layer loads `twoj` and `surd` only, none of the
+linear algebra of `exact`.
 
 Every angular momentum crosses this API as a twice-value: the integer 2j.
 That keeps all intermediate quantities integral and makes half-integer inputs
@@ -18,10 +19,10 @@ The Clebsch-Gordan sum and both 6j sums run through one integer routine,
 _ratio_sum, on their limits and term ratios.  Every square root taken here
 (each Delta factor, the Clebsch-Gordan prefactor and the E coefficient of
 the three-term recurrence) is an integer surd t/d*sqrt(s) from
-exact.factorial_surd; the Delta factors are memoised per triangle in a
-bounded cache, and surds multiply through exact._surd_product.  So each
+surd.factorial_surd; the Delta factors are memoised per triangle in a
+bounded cache, and surds multiply through surd._surd_product.  So each
 value stays in int and becomes a SqrtRational, which holds the reduced
-triple as it is, through exact._surd: no Fraction is built.  sixj_is_zero,
+triple as it is, through surd._surd: no Fraction is built.  sixj_is_zero,
 the one 6j zero test, reads the same Racah sum and builds no prefactor.
 
 The zero search evaluates one Racah sum per Regge class: the sum depends only
@@ -48,17 +49,8 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Callable, Iterator, Sequence
 
-from .exact import (
-    SqrtRational,
-    _check_bound,
-    _check_twoj,
-    _surd,
-    _surd_product,
-    _triangle,
-    factorial_surd,
-    sqrtrat_sum_is_zero,
-    triangle,
-)
+from .surd import SqrtRational, _surd, _surd_product, factorial_surd, sqrtrat_sum_is_zero
+from .twoj import _check_bound, _check_twoj, _triangle, triangle
 
 SixJInput = tuple[int, int, int, int, int, int]
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from racahmod import classify, sl2, wigner
+from racahmod import classify, gmod, sl2, wigner
 from racahmod.classify import (
     NOT_ADMISSIBLE,
     ONE_PARAMETER_FAMILY,
@@ -31,9 +31,10 @@ from racahmod.classify import (
     verify_scalar_theorem,
 )
 from racahmod.constructions import build_from_sequence
-from racahmod.exact import QMatrix, RowSpace, SqrtRational, _surd_text
+from racahmod.exact import QMatrix, RowSpace
 from racahmod.gmod import GRep
 from racahmod.sl2 import iota
+from racahmod.surd import SqrtRational, _surd_text, squarefree_split
 from racahmod.wigner import sixj, triangle
 
 
@@ -218,7 +219,7 @@ def _product_span_image(a, b, c, p, q):
     route for compute_I_J."""
     f = sl2.hom_embedding(p, b, a)
     g = sl2.hom_embedding(q, c, b)
-    # sl2.constituents reads no negative weight, so no product is built there
+    # gmod.constituents reads no negative weight, so no product is built there
     products = {
         (i, j): f[i] * g[j] for i in range(p + 1) for j in range(q + 1) if 2 * (i + j) <= p + q
     }
@@ -229,7 +230,7 @@ def _product_span_image(a, b, c, p, q):
             space = spaces.setdefault(p + q - 2 * (i + j), RowSpace(mat.rows * mat.cols))
             rows = enumerate(mat.sparse_rows())
             space.add({r * mat.cols + col: x for r, row in rows for col, x in row.items()})
-        return sorted(sl2.constituents({w: len(space) for w, space in spaces.items()}))
+        return sorted(gmod.constituents({w: len(space) for w, space in spaces.items()}))
 
     image = constituents(products.items())
     if p != q:
@@ -387,8 +388,12 @@ def test_surd_text_is_how_fraction_and_sqrtrational_print(value, rad):
     assert _surd_text(n, d) == str(value)
     spelled = str(value) if rad == 1 or not value else str(value) + "*sqrt(" + str(rad) + ")"
     assert _surd_text(n, d, rad) == spelled
-    # SqrtRational prints through the same routine
-    assert _surd_text(n, d, rad) == str(SqrtRational(value, rad))
+    # SqrtRational prints through the same routine; it takes a squarefree radicand only
+    if squarefree_split(rad)[1] == 1:
+        assert _surd_text(n, d, rad) == str(SqrtRational(value, rad))
+    else:
+        with pytest.raises(ValueError, match="not squarefree"):
+            SqrtRational(value, rad)
 
 
 def test_surd_text_edge_values():

@@ -21,8 +21,15 @@ from racahmod.classify import LambdaReport, scalar_theorem_tuples, verify_scalar
 from racahmod.cli import main
 from racahmod.constructions import build_z, build_z_family
 from racahmod.exact import RowSpace, kernel
-from racahmod.gmod import grep_from_json, grep_to_dict, grep_to_json, is_uniserial, socle_series
-from racahmod.sl2 import constituents, diagonal_weights
+from racahmod.gmod import (
+    constituents,
+    diagonal_weights,
+    grep_from_json,
+    grep_to_dict,
+    grep_to_json,
+    is_uniserial,
+    socle_series,
+)
 from racahmod.wigner import delta
 
 
@@ -543,6 +550,49 @@ def test_usage_errors_exit_two():
     assert err.value.code == 2
 
 
+def _launch(argv):
+    """stdout, stderr and exit code of main(argv), SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        # each command without its required options
+        *([name] for name in cli._COMMANDS),
+        # errors of the root parser, whose usage lists every command
+        ["socle", "--in", "x", "extra"],
+        ["realize", "--kind", "z", "--m", "4"],
+        ["no-such-command"],
+    ],
+    ids=" ".join,
+)
+def test_one_command_parser_prints_as_the_full_parser(monkeypatch, argv):
+    alone = _launch(argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert _launch(argv) == alone
+    assert alone[2] == (0 if "--help" in argv else 2)
+
+
+def test_a_launch_builds_the_parser_of_its_command_only():
+    assert "{socle}" in cli.build_parser("socle").format_usage()
+    full = cli.build_parser().format_usage()
+    assert "{" + ",".join(cli._COMMANDS) + "}" in full
+    assert cli.build_parser("no-such-command").format_usage() == full
+    # an error of the root parser still prints the usage that lists every command
+    for argv in (["socle", "--in", "x", "extra"], ["realize", "--kind", "z", "--m", "4"]):
+        assert _launch(argv)[1].startswith(full)
+
+
 def test_math_domain_error_exit_two(capsys):
     code = main(["cgc", "--twoj", "1", "3", "1", "-1", "2", "2"])
     captured = capsys.readouterr()
@@ -738,13 +788,13 @@ NOT_A_CHARACTER = (
         ),
         # a wrong total, and a negative multiplicity with the right total
         (
-            "racahmod.sl2.constituents",
+            "racahmod.gmod.constituents",
             _fault_on_call(constituents, 2, {3: 2}),
             ["socle", "--in", "MODULE"],
             NOT_A_CHARACTER,
         ),
         (
-            "racahmod.sl2.constituents",
+            "racahmod.gmod.constituents",
             _fault_on_call(constituents, 2, {5: 1, 1: -1}),
             ["socle", "--in", "MODULE"],
             NOT_A_CHARACTER,

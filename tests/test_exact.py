@@ -74,6 +74,16 @@ def test_sqrtrat_construction_normalizes():
         SqrtRational(Fraction(1), 0)
 
 
+def test_sqrtrat_constructor_takes_a_squarefree_radicand_only():
+    # == and hash compare fields, so sqrt(4) would differ from 2
+    for radicand in (4, 8, 12):
+        with pytest.raises(ValueError, match=rf"radicand {radicand} .*SqrtRational\.of"):
+            SqrtRational(1, radicand)
+    assert SqrtRational(1, 6).fields == (1, 1, 6)
+    assert SqrtRational.of(1, 8) == 2 * SqrtRational(1, 2) == SqrtRational(2, 2)
+    assert str(SqrtRational.of(1, 8) * SqrtRational(1, 2)) == "4"
+
+
 def test_sqrtrat_strings():
     assert str(SqrtRational(Fraction(3, 2), 5)) == "3/2*sqrt(5)"
     assert str(SqrtRational(Fraction(-2), 1)) == "-2"

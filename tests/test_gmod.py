@@ -29,7 +29,9 @@ from racahmod.exact import (
 from racahmod.gmod import (
     GRep,
     RepCheck,
+    broken_relation,
     check_rep,
+    diagonal_weights,
     dual_rep,
     grep_from_dict,
     grep_from_json,
@@ -38,14 +40,7 @@ from racahmod.gmod import (
     is_uniserial,
     socle_series,
 )
-from racahmod.sl2 import (
-    Sl2Rep,
-    broken_relation,
-    decompose,
-    diagonal_weights,
-    irrep,
-    tensor,
-)
+from racahmod.sl2 import Sl2Rep, decompose, irrep, tensor
 
 
 def socle_dims(series):

@@ -1,7 +1,6 @@
 """The package's lazy exports and the layers each CLI command loads."""
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -14,10 +13,11 @@ from racahmod.gmod import grep_to_json
 
 SRC = os.path.dirname(os.path.dirname(racahmod.__file__))
 
-# each probe prints the racahmod submodules loaded when it ends
-_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('racahmod.'))))"
-_IMPORT_PROBE = f"import json, sys\nimport racahmod\n{_LOADED}"
-_CLI_PROBE = f"""import contextlib, io, json, sys
+# each probe prints the racahmod submodules loaded when it ends, and json if
+# it is loaded: the probes themselves import no json
+_LOADED = "print(*(m for m in sys.modules if m.startswith('racahmod.') or m == 'json'))"
+_IMPORT_PROBE = f"import sys\nimport racahmod\n{_LOADED}"
+_CLI_PROBE = f"""import contextlib, io, sys
 from racahmod.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
@@ -35,25 +35,39 @@ def _loaded(probe: str, *argv: str, cwd=None) -> set[str]:
         timeout=120,
         check=True,
     )
-    return {name.removeprefix("racahmod.") for name in json.loads(proc.stdout)}
+    return {name.removeprefix("racahmod.") for name in proc.stdout.split()}
 
 
 def test_import_racahmod_loads_no_layer():
     assert _loaded(_IMPORT_PROBE) == set()
 
 
+# every module of the package, and json
+_ALL = {"twoj", "surd", "exact", "wigner", "sl2", "gmod", "constructions", "classify", "json"}
+# the socle series needs the linear algebra and gmod only
+_SOCLE_ABSENT = {"surd", "wigner", "sl2", "constructions", "classify"}
+# the recoupling values need the surds and no linear algebra
+_VALUE_ABSENT = {"exact", "sl2", "gmod", "constructions", "classify", "json"}
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["socle", "--in", "z.json"], {"classify", "constructions", "wigner"}),
-        (["socle", "--in", "z.json", "--format", "json"], {"classify", "constructions", "wigner"}),
-        (["uniserial", "--in", "z.json"], {"classify", "constructions", "wigner"}),
-        (["realize", "--kind", "z", "--ell", "2", "--b", "2", "--m", "4"], {"classify", "wigner"}),
-        (["triangle", "--twoj", "0", "0", "0"], {"sl2", "gmod", "constructions", "classify"}),
+        (["socle", "--in", "z.json"], _SOCLE_ABSENT),
+        (["socle", "--in", "z.json", "--format", "json"], _SOCLE_ABSENT),
+        (["uniserial", "--in", "z.json"], _SOCLE_ABSENT),
+        # realize writes its JSON text without the encoder
+        (
+            ["realize", "--kind", "z", "--ell", "2", "--b", "2", "--m", "4"],
+            {"surd", "wigner", "classify", "json"},
+        ),
+        (["triangle", "--twoj", "0", "0", "0"], _ALL - {"twoj"}),
         # classify builds modules only for verify-classify
         (["verify-scalar", "--max", "1", "--jobs", "1"], {"gmod", "constructions"}),
         (["admissible", "--m", "2", "--seq", "0,2"], {"gmod", "constructions"}),
         (["recouple", "--twoj", "2", "2", "2", "2"], {"gmod", "constructions"}),
+        (["zeros", "--max", "4"], _VALUE_ABSENT),
+        (["sixj", "--twoj", "4", "0", "4", "4", "6", "4"], _VALUE_ABSENT),
     ],
 )
 def test_each_command_loads_only_its_layers(tmp_path, argv, absent):
@@ -65,10 +79,10 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, absent):
 def test_classification_sweep_loads_its_layers_before_the_sweep_starts():
     # sweep decides on a pool from the rate of the first tasks, so an import
     # inside the first task would count as work
-    probe = """import json, sys
+    probe = """import sys
 from racahmod import classify
 def sweep(fn, tasks, jobs):
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith('racahmod.'))))
+    print(*(m for m in sys.modules if m.startswith('racahmod.')))
     return []
 classify.sweep = sweep
 classify.classification_sweep(1, 2)"""
@@ -78,11 +92,11 @@ classify.classification_sweep(1, 2)"""
 def test_no_layer_loads_dataclasses_or_inspect():
     # both cost a launch milliseconds; only what the layers add is counted,
     # so a module the bare interpreter loads already does not fail the test
-    probe = """import json, sys
+    probe = """import sys
 base = set(sys.modules)
 import racahmod.cli, racahmod.classify, racahmod.constructions, racahmod.exact
-import racahmod.gmod, racahmod.sl2, racahmod.wigner
-print(json.dumps(sorted(set(sys.modules) - base)))"""
+import racahmod.gmod, racahmod.sl2, racahmod.surd, racahmod.twoj, racahmod.wigner
+print(*(set(sys.modules) - base))"""
     added = _loaded(probe)
     assert "classify" in added and not added & {"dataclasses", "inspect"}
 
@@ -104,11 +118,19 @@ def test_exports_keep_their_names():
 
     assert sixj is wigner.sixj
     assert triangle is exact.triangle is wigner.triangle
+    # the surd names still resolve in exact, looked up in surd on each access
+    from racahmod import surd
+
+    for name in exact._SURD_NAMES:
+        assert getattr(exact, name) is getattr(surd, name), name
+        assert name not in vars(exact), f"{name} was cached in exact"
 
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         racahmod.no_such_name
     assert not hasattr(racahmod, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("racahmod.exact").no_such_name
     with pytest.raises(ImportError):
         from racahmod import no_such_name  # noqa: F401

@@ -8,11 +8,10 @@ import pytest
 
 from racahmod.constructions import radical_blocks
 from racahmod.exact import QMatrix
+from racahmod.gmod import broken_relation, diagonal_weights
 from racahmod.sl2 import (
     Sl2Rep,
-    broken_relation,
     decompose,
-    diagonal_weights,
     exterior_square_components,
     hom_embedding,
     iota,

@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import racahmod
-from racahmod import exact, wigner
+from racahmod import surd, wigner
 from racahmod.classify import c_factor, scalar_theorem_tuples, verify_scalar_theorem
-from racahmod.exact import SqrtRational, sqrtrat_sum_is_zero
+from racahmod.surd import SqrtRational, sqrtrat_sum_is_zero
 from racahmod.wigner import (
     FormulaDisagreement,
     be_coefficients,
@@ -231,7 +231,7 @@ def test_value_routes_take_no_trial_division(monkeypatch):
     def refuse(n):
         raise AssertionError("trial division on a value route")
 
-    monkeypatch.setattr(exact, "squarefree_split", refuse)
+    monkeypatch.setattr(surd, "squarefree_split", refuse)
     wigner._delta_surd.cache_clear()
     for tj1, tj2, tj3 in itertools.product(range(5), repeat=3):
         delta(tj1, tj2, tj3)
@@ -302,21 +302,21 @@ def test_delta_surd_matches_sqrt_of_delta_sq():
             ), tri
 
 
-_squarefree = st.integers(1, 300).filter(lambda n: exact.squarefree_split(n)[1] == 1)
+_squarefree = st.integers(1, 300).filter(lambda n: surd.squarefree_split(n)[1] == 1)
 _surds = st.tuples(st.integers(-60, 60), st.integers(1, 60), _squarefree)
 
 
 @given(st.lists(_surds, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_surd_product_is_the_reduced_product_of_the_surds(surds):
-    n, d, rad = exact._surd_product(surds)
+    n, d, rad = surd._surd_product(surds)
     # the oracle: the rational parts multiplied as Fractions, the radicands
     # as one integer whose square part trial division takes out
     coeff, radicand = Fraction(1), 1
     for t, dt, s in surds:
         coeff *= Fraction(t, dt)
         radicand *= s
-    squarefree, root = exact.squarefree_split(radicand)
+    squarefree, root = surd.squarefree_split(radicand)
     coeff *= root
     want = (coeff.numerator, coeff.denominator, squarefree if coeff else 1)
     assert d > 0 and gcd(n, d) == 1
@@ -329,9 +329,9 @@ def test_surd_product_is_the_reduced_product_of_the_surds(surds):
 
 
 def test_surd_product_of_zero_is_0_1_1():
-    assert exact._surd_product([(0, 3, 5), (2, 1, 7)]) == (0, 1, 1)
-    assert exact._surd_product([(4, 6, 15), (0, 1, 1)]) == (0, 1, 1)
-    assert exact._surd_product([(4, 6, 15), (3, 1, 10)]) == (10, 1, 6)
+    assert surd._surd_product([(0, 3, 5), (2, 1, 7)]) == (0, 1, 1)
+    assert surd._surd_product([(4, 6, 15), (0, 1, 1)]) == (0, 1, 1)
+    assert surd._surd_product([(4, 6, 15), (3, 1, 10)]) == (10, 1, 6)
 
 
 class _InlinePool:
@@ -600,7 +600,7 @@ def test_find_sixj_zeros_refuses_negative_or_misshapen_bounds(bounds):
     ids=lambda f: f.__name__,
 )
 def test_a_box_bound_is_checked_in_one_place(check):
-    # the one message of exact._check_bound, whichever sweep is given the bound
+    # the one message of twoj._check_bound, whichever sweep is given the bound
     with pytest.raises(ValueError, match="the twice-value bound must be non-negative, got -1$"):
         check(-1)
     with pytest.raises(ValueError, match="twice-values must be integers, got"):

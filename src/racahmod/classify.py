@@ -19,7 +19,9 @@ non-zero factor C.  compute_I_J reads the composite image off lambda, an
 integer tensor contraction, and checks it against the non-zero 6j-symbols;
 verify_scalar_theorem compares lambda with C times the 6j-symbol.  Both
 compute_I_J and length3_condition3 ask wigner.sixj_is_zero whether a
-6j-symbol vanishes.
+6j-symbol vanishes.  Every run of weights that must close triangles (the k
+of a composite image, the intermediates of a recoupling, the a and c of the
+classification box) is twoj._couplings.
 
 The two sides of lambda = C * 6j stay two routes: lambda comes from the
 tensor contraction, C * 6j from the Delta surds and the Racah sum.  The
@@ -46,7 +48,8 @@ from typing import NamedTuple
 
 from .exact import QMatrix, matrix_rank
 from .surd import SqrtRational, _surd, _surd_product, _surd_text
-from .twoj import _check_bound, _check_twoj, binomial, factorial, triangle
+from .twoj import _check_bound, _check_radical_weight, _check_twoj, _couplings
+from .twoj import _require_triangle, binomial, factorial, triangle
 from .sl2 import _f_power_images, _iota_image, iota
 from .wigner import _delta_surd, cgc, delta, sixj, sixj_is_zero
 from .wigner import sixj_triangles_hold, sixj_tuples, sweep
@@ -93,8 +96,7 @@ def is_admissible(seq, m: int) -> AdmissibleVerdict:
         raise ValueError("the sequence must be non-empty")
     if any(a < 0 for a in seq):
         raise ValueError("socle factors must be non-negative")
-    if m < 1:
-        raise ValueError("the radical weight m must be positive")
+    _check_radical_weight(m)
     hit = _oriented_rule(seq, m) or _oriented_rule(seq[::-1], m)
     if hit is None:
         return AdmissibleVerdict(NOT_ADMISSIBLE)
@@ -130,17 +132,9 @@ def compute_I_J(a: int, b: int, c: int, p: int, q: int) -> tuple[list[int], list
     once: the members of I in that class.  I is checked against the k with
     a non-zero 6j-symbol, and a mismatch raises.
     """
-    if not triangle(p, a, b):
-        raise ValueError(f"triangle condition fails for ({p}, {a}, {b})")
-    if not triangle(q, b, c):
-        raise ValueError(f"triangle condition fails for ({q}, {b}, {c})")
-    lo = max(abs(p - q), abs(a - c))
-    hi = min(p + q, a + c)
-    candidates = [
-        k
-        for k in range(lo, hi + 1)
-        if triangle(k, p, q) and triangle(k, a, c)
-    ]
+    _require_triangle(p, a, b)
+    _require_triangle(q, b, c)
+    candidates = _couplings((p, q), (a, c))
     image = [k for k in candidates if lambda_phi(a, b, c, p, q, k, ints=True)[0]]
     if image != [k for k in candidates if not sixj_is_zero((q, k, p, a, b, c))]:
         raise AssertionError(f"composite image mismatch at {(a, b, c, p, q)}")
@@ -309,8 +303,7 @@ def cgc_iota_bridge(a: int, b: int, k: int) -> bool:
     cgc takes its prefactor from surd.factorial_surd, and the same routine
     on both sides would make the check one route instead of two.
     """
-    if not triangle(a, b, k):
-        raise ValueError(f"triangle condition fails for ({a}, {b}, {k})")
+    _require_triangle(a, b, k)
     images, den = _f_power_images(k, a, b)
     scale = (
         SqrtRational.sqrt_of(k + 1) * Fraction(2, a + b + k + 2)
@@ -370,16 +363,8 @@ def verify_recoupling(a: int, b: int, c: int, k: int) -> bool:
     two Delta ratios and the explicit sign and dimension factors; an
     irrational prediction fails.
     """
-    ps = [
-        p
-        for p in range(abs(a - b), a + b + 1)
-        if triangle(a, b, p) and triangle(p, c, k)
-    ]
-    qs = [
-        q
-        for q in range(abs(b - c), b + c + 1)
-        if triangle(b, c, q) and triangle(a, q, k)
-    ]
+    ps = _couplings((a, b), (c, k))
+    qs = _couplings((b, c), (a, k))
     if not ps or not qs:
         raise ValueError(f"V({k}) does not occur in V({a}) x V({b}) x V({c})")
     right = [_triple_tensor(a, b, c, k, q, 1) for q in qs]
@@ -494,8 +479,7 @@ def classification_tuples(max_m: int, max_weight: int) -> list[tuple[int, int, i
         (m, a, b, c)
         for m in range(1, min(max_m, 2 * max_weight) + 1)
         for b in range(max_weight + 1)
-        for a in range(abs(b - m), min(b + m, max_weight) + 1, 2)
-        for c in range(abs(b - m), min(b + m, max_weight) + 1, 2)
+        for a, c in itertools.product(_couplings((b, m), top=max_weight), repeat=2)
     ]
 
 

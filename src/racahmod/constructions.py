@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import gmod, sl2
 from .exact import QMatrix, Vector, assemble_blocks, commutator, primitive_family, span_closure
-from .twoj import _check_rational, _check_twoj, triangle
+from .twoj import _check_radical_weight, _check_rational, _check_twoj, triangle
 from .gmod import GRep
 
 
@@ -79,8 +79,8 @@ def _assemble(
 
 def build_z(ell: int, b: int, m: int) -> GRep:
     """The uniserial module with socle factors V(ell), V(ell+m), ..., V(ell+bm)."""
-    if m < 1:
-        raise ValueError("the radical weight m must be positive")
+    _check_radical_weight(m)
+    _check_twoj(ell, b, signed=True)
     if ell < 0 or b < 0:
         raise ValueError("ell and b must be non-negative")
     seq = [ell + j * m for j in range(b + 1)]
@@ -102,8 +102,8 @@ def build_exceptional_len3(m: int, c: int) -> GRep:
     outer factors is forced to zero (for c = m that is the canonical
     representative after conjugating the free block away).
     """
-    if m < 1:
-        raise ValueError("the radical weight m must be positive")
+    _check_radical_weight(m)
+    _check_twoj(c, signed=True)
     if c < 0 or c > 2 * m or (2 * m - c) % 4 != 0:
         raise ValueError(f"socle factors [0, {m}, {c}] need c <= 2m and c = 2m mod 4")
     seq = [0, m, c]
@@ -117,7 +117,8 @@ def build_z_family(m: int, z) -> GRep:
     or a Fraction, and z times the (2, 3) blocks maps the top factor into the
     second one.
     """
-    if m < 1 or m % 4 != 0:
+    _check_radical_weight(m)
+    if m % 4 != 0:
         raise ValueError("the one-parameter family needs m = 0 mod 4")
     if type(z) is bool or not isinstance(z, (int, Fraction)):
         raise ValueError(f"the parameter z must be an int or a Fraction, got {z!r}")
@@ -172,8 +173,8 @@ def _derivation_matrix(base: QMatrix, monos: list[tuple[int, ...]]) -> QMatrix:
 
 def build_symmetric_power(m: int, b: int) -> SymmetricPowerModule:
     """Degree-b symmetric power construction over sl(2) semidirect V(m)."""
-    if m < 1:
-        raise ValueError("the radical weight m must be positive")
+    _check_radical_weight(m)
+    _check_twoj(b, signed=True)
     if b < 0:
         raise ValueError("the degree b must be non-negative")
     monos = _monomials(m + 2, b)
@@ -275,8 +276,7 @@ def build_from_sequence(seq, m: int):
     _check_twoj(*seq, m, signed=True)
     if not seq:
         raise ValueError("the factor sequence must be non-empty")
-    if m < 1:
-        raise ValueError("the radical weight m must be positive")
+    _check_radical_weight(m)
     for i in range(len(seq) - 1):
         if not triangle(seq[i], seq[i + 1], m):
             raise ValueError(

@@ -16,9 +16,11 @@ The scalars live in two smaller modules, split by who runs them, so that a
 launch compiles only what its command needs: `twoj` (twice-value checks,
 the triangle condition, binomial, factorial, rational parsing), which every
 layer uses, and `surd` (quadratic surds and SqrtRational), which only the
-recoupling layers use.  Their names still resolve here: those of `twoj` are
-imported, and those of `surd` are looked up there on access (PEP 562), so
-that the linear algebra does not load the surds.
+recoupling layers use; read their names there.  This module uses neither.
+`SqrtRational` alone still resolves here, for the benchmark's tracer, which
+wraps `exact.SqrtRational.sqrt_of` (until ROADMAP item 1 retires it).  It is
+looked up in `surd` on access (PEP 562), so the linear algebra does not load
+the surds.
 """
 
 from __future__ import annotations
@@ -27,17 +29,11 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .twoj import _check_bound, _check_rational, _check_twoj, _triangle  # noqa: F401
-from .twoj import binomial, factorial, rat_from_str, triangle  # noqa: F401
-
 Vector = tuple[Fraction, ...]
 
-# the names of surd that still resolve here, for the callers that read them
-# here (such as the benchmark's tracer); each access looks them up in surd
-_SURD_NAMES = frozenset(
-    "SqrtRational _factorial_exponent _primes_upto _surd _surd_product _surd_text"
-    " factorial_surd sqrtrat_sum_is_zero squarefree_split".split()
-)
+# the one name of surd that still resolves here, for the benchmark's tracer;
+# each access looks it up in surd
+_SURD_NAMES = frozenset({"SqrtRational"})
 
 
 def __getattr__(name: str):

@@ -332,11 +332,21 @@ def grep_to_json(rep: GRep, out=None) -> str | None:
     return None
 
 
+def _object_once(pairs: list) -> dict:
+    # json.loads would keep the last value of a repeated key without a word
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"module JSON has key {key!r:.40} twice")
+    return obj
+
+
 def grep_from_json(text: str) -> GRep:
     import json
 
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object_once)
     except RecursionError as exc:  # a RuntimeError, but a fault of the input
         raise ValueError(f"module JSON is nested too deeply: {exc}") from None
     return grep_from_dict(data)

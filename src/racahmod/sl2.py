@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import QMatrix, matrix_rank
-from .twoj import binomial, factorial, triangle
+from .twoj import _require_triangle, binomial, factorial
 
 
 class Sl2Rep(NamedTuple):
@@ -161,8 +161,7 @@ def iota(k: int, a: int, b: int) -> TensorVector:
     every composite map in the package.  The numerators share the lcm of the
     C(x + k, a - r).
     """
-    if not triangle(a, b, k):
-        raise ValueError(f"triangle condition fails for ({a}, {b}, {k})")
+    _require_triangle(a, b, k)
     x = (a + b - k) // 2
     dens = [binomial(x + k, a - r) for r in range(x + 1)]
     den = math.lcm(*dens)

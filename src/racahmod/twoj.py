@@ -1,6 +1,8 @@
 """Twice-values and the integer and rational scalar checks every layer shares:
-the twice-value checks, the triangle condition, binomial, factorial and the
-parsing of rational text.
+the twice-value checks, the triangle condition and the relations built on it
+(the couplings of Clebsch-Gordan series, the triangle a map requires, the
+radical weight m of a module), binomial, factorial and the parsing of
+rational text.  Every other module reads these names here.
 
 It imports no other module of the package and holds no surd or matrix, so a
 launch that only tests a triangle compiles this module alone.
@@ -45,6 +47,30 @@ def triangle(ta: int, tb: int, tc: int) -> bool:
     """Triangle condition on twice-values: |ta-tb| <= tc <= ta+tb, even sum."""
     _check_twoj(ta, tb, tc)
     return _triangle(ta, tb, tc)
+
+
+def _couplings(*pairs: tuple[int, int], top: int | None = None) -> range:
+    """The z <= top with triangle(x, y, z) for every pair (x, y): the V(z)
+    that V(x) x V(y) holds for each pair, as a step-2 range, empty when the
+    pairs disagree in parity."""
+    _check_twoj(*(v for pair in pairs for v in pair))
+    if len({(x + y) % 2 for x, y in pairs}) > 1:
+        return range(0)
+    hi = min(x + y for x, y in pairs)
+    if top is not None:
+        hi = min(hi, top)
+    return range(max(abs(x - y) for x, y in pairs), hi + 1, 2)
+
+
+def _require_triangle(ta: int, tb: int, tc: int) -> None:
+    if not triangle(ta, tb, tc):
+        raise ValueError(f"triangle condition fails for ({ta}, {tb}, {tc})")
+
+
+def _check_radical_weight(m: int) -> None:
+    _check_twoj(m, signed=True)  # the type; the sign has its own message
+    if m < 1:
+        raise ValueError("the radical weight m must be positive")
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

@@ -373,6 +373,8 @@ def be_recurrence_holds(ti1, ti2, ti3, ti4, ti5, ti6) -> bool:
 
 def sixj_tuples(n: int) -> Iterator[SixJInput]:
     """Every tuple in the cube of side n whose four triangles hold, in lexicographic order."""
+    # the ranges are twoj._couplings written out: this is the scalar sweep's
+    # enumeration, where a call per loop level would cost time
     for t1 in range(n + 1):
         for t2 in range(n + 1):
             for t3 in range(abs(t1 - t2), min(t1 + t2, n) + 1, 2):

@@ -24,9 +24,10 @@ from racahmod.constructions import (
     build_z_family,
     check_z_characterization,
 )
-from racahmod.exact import QMatrix, SqrtRational
+from racahmod.exact import QMatrix
 from racahmod.gmod import check_rep, is_uniserial, socle_series
 from racahmod.sl2 import symmetric_power_components
+from racahmod.surd import SqrtRational
 from racahmod.wigner import (
     be_recurrence_holds,
     dual_formula_agreement,

@@ -410,6 +410,28 @@ def test_recouple(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 0 = 0 mod 4: the family fails on the sign of m, not its residue
+        (["realize", "--kind", "zfam", "--m", "0"], "the radical weight m must be positive"),
+        (["realize", "--kind", "zfam", "--m", "-4"], "the radical weight m must be positive"),
+        (["realize", "--kind", "zfam", "--m", "6"], "the one-parameter family needs m = 0 mod 4"),
+        # a negative value in any slot, which would empty the coupling ranges
+        *(
+            (["recouple", "--twoj", *twoj], "twice-values must be non-negative integers, got -1")
+            for twoj in (["-1", "0", "0", "0"], ["0", "-1", "0", "0"],
+                         ["0", "0", "-1", "0"], ["0", "0", "0", "-1"])
+        ),
+        (["recouple", "--twoj", "0", "1", "0", "0"], "V(0) does not occur in V(0) x V(1) x V(0)"),
+    ],
+)
+def test_bad_parameters_name_what_is_wrong(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_sweep_output_independent_of_workers(capsys):
     _, serial = run(capsys, "zeros", "--max", "8", "--jobs", "1")
     _, parallel = run(capsys, "zeros", "--max", "8", "--jobs", "2")
@@ -521,6 +543,19 @@ def test_module_file_off_the_schema_is_named(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {path}: module JSON lacks h, e, f, v, convention\n"
+
+
+@pytest.mark.parametrize("repeat, key", [('"v": "not a list", ', "v"), ('"m": 7, ', "m")])
+def test_module_file_that_repeats_a_key_is_named(tmp_path, capsys, repeat, key):
+    # the first value of the key is the wrong one, so keeping the last
+    # value would read a valid module
+    path = tmp_path / "twice.json"
+    path.write_text("{" + repeat + grep_to_json(build_z(0, 1, 1))[1:])
+    for command in ("socle", "uniserial"):
+        code = main([command, "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {path}: module JSON has key '{key}' twice\n"
 
 
 SCALAR_RADICAL = (
@@ -682,7 +717,8 @@ _VALID = grep_to_dict(build_z(0, 1, 1))  # m = 1, dim 3
 def _off_schema(draw):
     """JSON text of a module that is off the interchange schema in one way."""
     data = copy.deepcopy(_VALID)
-    kind = draw(st.sampled_from(["missing", "type", "size", "shape", "row", "entry", "json"]))
+    kinds = ["missing", "type", "size", "shape", "row", "entry", "json", "duplicate"]
+    kind = draw(st.sampled_from(kinds))
     key = draw(st.sampled_from(sorted(data)))
     mats = [data["h"], data["e"], data["f"], *data["v"]]
     mat = draw(st.sampled_from(mats))
@@ -708,6 +744,8 @@ def _off_schema(draw):
     text = json.dumps(data)
     if kind == "json":
         text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "duplicate":  # the key once more, ahead of its valid value
+        text = "{" + json.dumps({key: draw(_NOT_A_LIST)})[1:-1] + ", " + text[1:]
     return text
 
 

@@ -21,9 +21,10 @@ from racahmod.constructions import (
     grep_to_latex,
     radical_blocks,
 )
-from racahmod.exact import QMatrix, primitive_family, span_closure, triangle
+from racahmod.exact import QMatrix, primitive_family, span_closure
 from racahmod.gmod import check_rep, is_uniserial, socle_series
 from racahmod.sl2 import hom_embedding, symmetric_power_components
+from racahmod.twoj import triangle
 
 
 def expected_z122_radical(gen: int) -> QMatrix:
@@ -425,6 +426,26 @@ def test_build_from_sequence_refuses_non_integers(seq, m):
     # a float or bool is refused, not truncated into a module
     with pytest.raises(ValueError, match="integers"):
         build_from_sequence(seq, m)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_z, (True, 1, 2)),
+        (build_z, (0, 1.5, 2)),
+        (build_z, (0, 1, 2.0)),
+        (build_z_dual, (0, "1", 2)),
+        (build_exceptional_len3, (True, 2)),
+        (build_exceptional_len3, (2, 4.0)),
+        (build_z_family, (4.0, 1)),
+        (build_symmetric_power, (2, 1.0)),
+        (build_symmetric_power, (2, True)),
+    ],
+)
+def test_builders_refuse_non_integers(build, args):
+    # refused as every other entry is, not built nor a TypeError from range
+    with pytest.raises(ValueError, match="twice-values must be integers"):
+        build(*args)
 
 
 def test_latex_rendering():

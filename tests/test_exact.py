@@ -11,21 +11,16 @@ from hypothesis import strategies as st
 from racahmod.exact import (
     QMatrix,
     RowSpace,
-    SqrtRational,
     assemble_blocks,
-    binomial,
-    factorial,
-    factorial_surd,
     kernel,
     matrix_rank,
     primitive_family,
-    rat_from_str,
     rref,
     span_closure,
-    sqrtrat_sum_is_zero,
-    squarefree_split,
 )
 from racahmod.gmod import GRep, grep_to_dict
+from racahmod.surd import SqrtRational, factorial_surd, sqrtrat_sum_is_zero, squarefree_split
+from racahmod.twoj import binomial, factorial, rat_from_str
 
 
 def test_factorial_values():

@@ -18,14 +18,7 @@ from racahmod.constructions import (
     build_z_dual,
     build_z_family,
 )
-from racahmod.exact import (
-    QMatrix,
-    RowSpace,
-    commutator,
-    kernel,
-    quotient_matrix,
-    rat_from_str,
-)
+from racahmod.exact import QMatrix, RowSpace, commutator, kernel, quotient_matrix
 from racahmod.gmod import (
     GRep,
     RepCheck,
@@ -41,6 +34,7 @@ from racahmod.gmod import (
     socle_series,
 )
 from racahmod.sl2 import Sl2Rep, decompose, irrep, tensor
+from racahmod.twoj import rat_from_str
 
 
 def socle_dims(series):

@@ -114,16 +114,21 @@ def test_exports_resolve_in_their_home_module_on_each_access(monkeypatch):
 
 def test_exports_keep_their_names():
     assert set(racahmod.__all__) <= set(dir(racahmod))
-    from racahmod import exact, sixj, triangle, wigner
+    from racahmod import exact, sixj, surd, triangle, twoj, wigner
 
     assert sixj is wigner.sixj
-    assert triangle is exact.triangle is wigner.triangle
-    # the surd names still resolve in exact, looked up in surd on each access
-    from racahmod import surd
-
+    assert triangle is twoj.triangle is wigner.triangle
+    # SqrtRational alone still resolves in exact, looked up in surd on each access
+    assert exact._SURD_NAMES == {"SqrtRational"}
     for name in exact._SURD_NAMES:
         assert getattr(exact, name) is getattr(surd, name), name
         assert name not in vars(exact), f"{name} was cached in exact"
+    # and no name that surd or twoj defines, nor the factorial twoj re-exports
+    for home in (surd, twoj):
+        own = [n for n, v in vars(home).items() if getattr(v, "__module__", None) == home.__name__]
+        assert len(own) > 5, home
+        for name in {*own, "factorial"} - exact._SURD_NAMES:
+            assert not hasattr(exact, name), name
 
 
 def test_unknown_name_raises_attribute_error():

@@ -11,13 +11,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import racahmod
 from racahmod import surd, wigner
 from racahmod.classify import c_factor, scalar_theorem_tuples, verify_scalar_theorem
 from racahmod.surd import SqrtRational, sqrtrat_sum_is_zero
+from racahmod.twoj import _check_radical_weight, _couplings, _require_triangle
 from racahmod.wigner import (
     FormulaDisagreement,
     be_coefficients,
@@ -49,6 +50,37 @@ def test_triangle_examples():
     assert not triangle(1, 1, 4)
     with pytest.raises(ValueError):
         triangle(-1, 1, 1)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=3)
+
+
+@given(_PAIRS, st.none() | st.integers(0, 30))
+@example([(1, 0), (2, 2)], None)  # the pairs disagree in parity
+@example([(3, 5), (4, 4)], 5)  # top below the sums, of the other parity
+@settings(max_examples=300, deadline=None)
+def test_couplings_are_the_triangle_filter(pairs, top):
+    # no coupling passes 24, the largest x + y
+    bound = 24 if top is None else top
+    expected = [z for z in range(bound + 1) if all(triangle(x, y, z) for x, y in pairs)]
+    assert list(_couplings(*pairs, top=top)) == expected
+
+
+def test_couplings_triangle_and_radical_weight_name_their_input():
+    with pytest.raises(ValueError, match="non-negative integers, got -1$"):
+        _couplings((0, -1), (0, 0))
+    _require_triangle(2, 2, 2)
+    with pytest.raises(ValueError, match=r"^triangle condition fails for \(1, 1, 4\)$"):
+        _require_triangle(1, 1, 4)
+    with pytest.raises(ValueError, match="non-negative integers, got -1$"):
+        _require_triangle(-1, 1, 0)
+    _check_radical_weight(1)
+    for m in (0, -4):
+        with pytest.raises(ValueError, match="^the radical weight m must be positive$"):
+            _check_radical_weight(m)
+    for m in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="^twice-values must be integers"):
+            _check_radical_weight(m)
 
 
 def test_twice_values_must_be_ints():
